@@ -9,7 +9,6 @@ materialized.
 
 from .data import (
     SparseGraph,
-    FeatureMatrix,
     View,
     MultiViewDataset,
     load_dataset,
@@ -22,7 +21,6 @@ from .metrics import clustering_accuracy, macro_f1, nmi, ari
 
 __all__ = [
     "SparseGraph",
-    "FeatureMatrix",
     "View",
     "MultiViewDataset",
     "load_dataset",

@@ -4,6 +4,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure.
 """
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -32,6 +33,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TIMEOUT = 4
 EXIT_NUMERIC = 5
+ERROR_LABELS = {EXIT_CONFIG: "config error", EXIT_DATA: "data error",
+                EXIT_NUMERIC: "numeric failure"}
 
 KERNEL_ALIASES = {
     "quadratic": "quadratic_exact",
@@ -90,43 +93,58 @@ def _build_config(args, n_views):
     )
 
 
-def _run_worker(dataset_path, config_dict, conn):
+def _exit_code(exc):
+    """Documented exit code for an exception class, or None for a program bug."""
+    if isinstance(exc, DataError):
+        return EXIT_DATA
+    if isinstance(exc, (ValueError, KeyError, TypeError)):
+        return EXIT_CONFIG
+    if isinstance(exc, (FloatingPointError, np.linalg.LinAlgError)):
+        return EXIT_NUMERIC
+    return None
+
+
+def _describe(exc):
+    notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+    return f"{type(exc).__name__}: {exc}{notes}"
+
+
+def _run_seed(dataset, config):
+    """One seeded run as a JSON-ready payload; a mapped failure becomes an error entry."""
+    start = time.perf_counter()
     try:
-        dataset = load_dataset(dataset_path)
-        config = PipelineConfig(**config_dict)
-        start = time.perf_counter()
         result = run_pipeline(dataset, config)
-        elapsed = time.perf_counter() - start
-        conn.send({
-            "labels": result.consensus.labels.tolist(),
-            "weights": result.weights.lambdas.tolist(),
-            "traces": result.weights.raw_traces.tolist(),
-            "timings": result.timings,
-            "seconds": elapsed,
-        })
-    except Exception as exc:  # reported through the parent
-        conn.send({"error": f"{type(exc).__name__}: {exc}"})
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        return {"error": _describe(exc), "exit_code": code}
+    return {
+        "labels": result.consensus.labels.tolist(),
+        "weights": result.weights.lambdas.tolist(),
+        "traces": result.weights.raw_traces.tolist(),
+        "timings": result.timings,
+        "seconds": time.perf_counter() - start,
+    }
+
+
+def _run_worker(dataset, config, conn):
+    try:
+        conn.send(_run_seed(dataset, config))
     finally:
         conn.close()
 
 
-def _single_run(dataset_path, config, time_limit):
-    """One seeded run, optionally bounded by a wall-clock limit."""
+def _single_run(dataset, config, time_limit):
+    """One seeded run, optionally bounded by a wall-clock limit.
+
+    The bounded run forks, so the child inherits the loaded dataset.
+    """
     if time_limit is None:
-        dataset = load_dataset(dataset_path)
-        start = time.perf_counter()
-        result = run_pipeline(dataset, config)
-        elapsed = time.perf_counter() - start
-        return {
-            "labels": result.consensus.labels.tolist(),
-            "weights": result.weights.lambdas.tolist(),
-            "traces": result.weights.raw_traces.tolist(),
-            "timings": result.timings,
-            "seconds": elapsed,
-        }
+        return _run_seed(dataset, config)
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe()
-    proc = ctx.Process(target=_run_worker, args=(dataset_path, config.to_dict(), child))
+    proc = ctx.Process(target=_run_worker, args=(dataset, config, child))
     proc.start()
     child.close()
     if parent.poll(time_limit):
@@ -146,10 +164,11 @@ def cmd_run(args):
 
     truth = dataset.labels
     rows = []
+    failure = None
     timed_out = False
     for seed in seeds:
-        run_config = PipelineConfig(**{**config.to_dict(), "seed": seed})
-        payload = _single_run(args.dataset, run_config, args.time_limit)
+        run_config = dataclasses.replace(config, seed=seed)
+        payload = _single_run(dataset, run_config, args.time_limit)
         record = {"seed": seed, "config_hash": run_config.hash(),
                   "config": run_config.to_dict()}
         if payload.get("timeout"):
@@ -158,6 +177,7 @@ def cmd_run(args):
         elif "error" in payload:
             record["status"] = "Error"
             record["error"] = payload["error"]
+            failure = failure or payload
         else:
             record["status"] = "ok"
             labels_path = os.path.join(args.output, f"labels_seed{seed}.txt")
@@ -176,10 +196,9 @@ def cmd_run(args):
         rows.append(record)
 
     _write_aggregate(rows, args.output)
-    if any(r["status"] == "Error" for r in rows):
-        err = next(r for r in rows if r["status"] == "Error")
-        print(f"run failed: {err['error']}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if failure is not None:
+        print(f"run failed: {failure['error']}", file=sys.stderr)
+        return failure["exit_code"]
     if timed_out:
         return EXIT_TIMEOUT
     return EXIT_OK
@@ -231,7 +250,7 @@ def _load_feature_file(path):
 def cmd_prepare(args):
     features = [_load_feature_file(p) for p in args.features]
     graphs = []
-    for idx, g in enumerate(args.graph or []):
+    for g in args.graph or []:
         graphs.append(None if g == "none" else load_graph(g))
     while len(graphs) < len(features):
         graphs.append(None)
@@ -258,13 +277,14 @@ def cmd_bench(args):
     for n in sizes:
         dataset = synth_multiview(n, args.k, args.views, noise=args.noise, seed=args.seed)
         config = PipelineConfig(k=args.k, seed=args.seed)
-        run_pipeline(dataset, config)  # warm-up, excluded from timing
+        # the warm-up run measures peak memory; the timed run is untraced
         tracemalloc.start()
+        run_pipeline(dataset, config)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
         start = time.perf_counter()
         result = run_pipeline(dataset, config)
         elapsed = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
         entry = {"n": n, "seconds": elapsed, "peak_bytes": peak}
         if dataset.labels is not None:
             entry["ari"] = metrics.ari(result.consensus.labels, dataset.labels)
@@ -343,15 +363,12 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        print(f"{ERROR_LABELS[code]}: {_describe(exc)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

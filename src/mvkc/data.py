@@ -89,10 +89,6 @@ class SparseGraph:
         )
 
 
-# Dense n x d feature blocks are plain float64 numpy arrays.
-FeatureMatrix = np.ndarray
-
-
 @dataclass
 class View:
     """One representation of the n entities: features plus an optional graph.
@@ -185,10 +181,7 @@ def load_graph(path):
                 raise FormatError(f"{path}: bad edge line {idx}")
             rows[idx], cols[idx], weights[idx] = int(parts[0]), int(parts[1]), float(parts[2])
     graph = SparseGraph(n, rows, cols, weights, symmetric=bool(symmetric))
-    try:
-        graph.validate(name=path)
-    except DataError:
-        raise
+    graph.validate(name=path)
     return graph
 
 

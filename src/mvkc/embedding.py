@@ -1,13 +1,13 @@
 """Factorized degree normalization and spectral embedding.
 
-The affinity W = B @ B.T is never formed: its row sums come from
-B @ (B.T @ 1) in O(nm), normalization scales the rows of B, and the spectral
-coordinates are left singular vectors of B, which span the same subspace as
-the top eigenvectors of W.
+Factors are plain n x m float arrays B whose implicit affinity is
+W = B @ B.T. W is never formed: its row sums come from B @ (B.T @ 1) in
+O(nm), normalization scales the rows of B, and the spectral coordinates are
+left singular vectors of B, which span the same subspace as the top
+eigenvectors of W.
 """
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,40 +20,13 @@ log = logging.getLogger(__name__)
 DEGREE_FLOOR = 1e-12
 
 
-@dataclass
-class FactorMatrix:
-    """Dense n x m factor whose implicit affinity is values @ values.T."""
-
-    values: np.ndarray
-    degree_normalized: bool = False
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    @property
-    def m(self):
-        return self.values.shape[1]
-
-
-@dataclass
-class SpectralEmbedding:
-    """n x r spectral coordinates with the leading trivial vector dropped."""
-
-    coords: np.ndarray
-    dropped_first: bool = True
-
-
 def implicit_degrees(B):
     """Row sums of the implicit affinity, computed as B @ (B.T @ 1).
 
     Nonpositive degrees (possible with indefinite kernels such as sigmoid)
     are counted, warned about, and floored at a relative epsilon.
     """
-    if B.degree_normalized:
-        raise ValueError("factor matrix is already degree-normalized")
-    values = B.values
-    d = values @ values.sum(axis=0)
+    d = B @ B.sum(axis=0)
     nonpositive = int(np.count_nonzero(d <= 0.0))
     if nonpositive:
         log.warning("%d nonpositive affinity degrees floored", nonpositive)
@@ -67,28 +40,24 @@ def degree_normalize(B, d):
     The implicit affinity becomes D^{-1/2} B B.T D^{-1/2}.
     """
     d = np.asarray(d, dtype=np.float64)
-    if len(d) != B.n:
-        raise ValueError(f"degree vector has length {len(d)}, expected {B.n}")
+    if len(d) != B.shape[0]:
+        raise ValueError(f"degree vector has length {len(d)}, expected {B.shape[0]}")
     if np.any(d <= 0.0):
         raise ValueError("degrees must be strictly positive")
-    values = B.values * (d**-0.5)[:, None]
-    return FactorMatrix(values, degree_normalized=True)
+    return B * (d**-0.5)[:, None]
 
 
-def spectral_embedding(B, r, oversample=10, power_iters=4, seed=0):
+def spectral_embedding(B, r, seed=0):
     """Top r+1 left singular vectors of the normalized factor, first dropped.
 
     The first singular vector of a degree-normalized affinity is the trivial
-    quasi-constant one; the remaining r columns are the clustering
-    coordinates.
+    quasi-constant one; the remaining r columns, returned as an n x r array,
+    are the clustering coordinates.
     """
-    if not B.degree_normalized:
-        raise ValueError("factor matrix must be degree-normalized first")
-    if r + 1 > min(B.n, B.m):
+    n, m = B.shape
+    if r + 1 > min(n, m):
         raise ValueError(
-            f"need r+1={r + 1} singular vectors but factor is {B.n} x {B.m}; "
+            f"need r+1={r + 1} singular vectors but factor is {n} x {m}; "
             "kernel map too small"
         )
-    res = truncated_svd(B.values, r + 1, oversample=oversample,
-                        power_iters=power_iters, seed=seed)
-    return SpectralEmbedding(res.U[:, 1:], dropped_first=True)
+    return truncated_svd(B, r + 1, seed=seed).U[:, 1:]

@@ -28,11 +28,6 @@ class KernelMap:
     params: dict = field(default_factory=dict)
     landmarks: np.ndarray | None = None
     whiten: np.ndarray | None = None
-    seed: int = 0
-
-    @property
-    def exact(self):
-        return self.kind == "quadratic_exact"
 
 
 def _rbf(X, Y, gamma):
@@ -80,7 +75,7 @@ def fit_kernel_map(kind, U, m=None, params=None, seed=0):
     merged = default_params(kind, f)
     merged.update(params or {})
     if kind == "quadratic_exact":
-        return KernelMap(kind, f, f * (f + 1) // 2, merged, seed=seed)
+        return KernelMap(kind, f, f * (f + 1) // 2, merged)
     if m is None or m > n:
         raise ValueError(f"Nystroem needs m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
@@ -94,7 +89,7 @@ def fit_kernel_map(kind, U, m=None, params=None, seed=0):
         raise ValueError("landmark kernel matrix has no positive spectrum")
     evals = np.maximum(evals, floor)
     whiten = (evecs / np.sqrt(evals)) @ evecs.T
-    return KernelMap(kind, f, m, merged, landmarks=landmarks, whiten=whiten, seed=seed)
+    return KernelMap(kind, f, m, merged, landmarks=landmarks, whiten=whiten)
 
 
 def apply_map(kmap, U):

@@ -21,12 +21,6 @@ class Partition:
     def n(self):
         return len(self.labels)
 
-    def indicator(self):
-        """Binary n x k membership matrix with exactly one 1 per row."""
-        F = np.zeros((self.n, self.k))
-        F[np.arange(self.n), self.labels] = 1.0
-        return F
-
 
 def _plusplus_init(X, k, rng):
     n = X.shape[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultiViewDataset
-from .embedding import FactorMatrix, degree_normalize, implicit_degrees, spectral_embedding
+from .embedding import degree_normalize, implicit_degrees, spectral_embedding
 from .kernels import KERNEL_KINDS, apply_map, fit_kernel_map
 from .kmeans import Partition, kmeans
 from .linalg import center_columns, truncated_svd
@@ -36,15 +36,11 @@ class PipelineConfig:
     kernel: str = "quadratic_exact"
     kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k
     kernel_params: dict = field(default_factory=dict)
-    svd_oversample: int = 10
-    svd_power_iters: int = 4
     kmeans_max_iter: int = 300
     kmeans_tol: float = 1e-6
     weight_mode: str = "softmax"
     concat_scale: str = "sqrt_lambda"
-    normalization: str = "sym_selfloop"
     propagation_orders: list | None = None  # per-view override
-    shared_graph_view: int | None = None
     seed: int = 0
     cache_dir: str | None = None
 
@@ -95,21 +91,35 @@ def _derived_seeds(seed, n_views):
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def _shared_graph(dataset, config):
-    if config.shared_graph_view is not None:
-        return dataset.views[config.shared_graph_view].graph
-    for view in dataset.views:
-        if view.graph is not None:
-            return view.graph
-    return None
+def _cluster_factor(B, config, seed, timer, stages):
+    """Degree-normalize the factor, embed it spectrally and run k-means.
+
+    ``stages`` names the timer stages of (normalize + embed, k-means).
+    Returns the normalized factor and the partition.
+    """
+    t0 = time.perf_counter()
+    B = degree_normalize(B, implicit_degrees(B))
+    coords = spectral_embedding(B, config.f, seed=seed)
+    timer.add(stages[0], t0)
+
+    t0 = time.perf_counter()
+    partition, _ = kmeans(coords, config.k, seed=seed,
+                          max_iter=config.kmeans_max_iter, tol=config.kmeans_tol)
+    timer.add(stages[1], t0)
+    return B, partition
 
 
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
-    """Run the full multi-view clustering pass and return all partitions."""
+    """Run the full multi-view clustering pass and return all partitions.
+
+    An exception raised while processing a view keeps its class and carries
+    a ``view <index>`` note.
+    """
     n_views = dataset.n_views
     seeds = _derived_seeds(config.seed, n_views)
     timer = _StageTimer()
-    shared_graph = _shared_graph(dataset, config)
+    # views that propagate without a graph of their own use the first one given
+    shared_graph = next((view.graph for view in dataset.views if view.graph is not None), None)
 
     factors = []
     partitions = []
@@ -124,38 +134,24 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
             if p > 0:
                 if graph is None:
                     raise ValueError("propagation requested but no graph available")
-                X = propagate_cached(graph, view.features, p,
-                                     normalization=config.normalization,
-                                     cache_dir=config.cache_dir)
+                X = propagate_cached(graph, view.features, p, cache_dir=config.cache_dir)
             else:
                 X = view.features
             timer.add("propagation", t0)
 
             t0 = time.perf_counter()
             Xc = center_columns(X)
-            svd = truncated_svd(Xc, config.f, oversample=config.svd_oversample,
-                                power_iters=config.svd_power_iters, seed=seeds[v])
+            svd = truncated_svd(Xc, config.f, seed=seeds[v])
             timer.add("svd", t0)
 
             t0 = time.perf_counter()
             kmap = fit_kernel_map(config.kernel, svd.U,
                                   m=min(config.kernel_components, dataset.n),
                                   params=config.kernel_params, seed=seeds[v])
-            B = FactorMatrix(apply_map(kmap, svd.U))
+            B = apply_map(kmap, svd.U)
             timer.add("kernel_map", t0)
 
-            t0 = time.perf_counter()
-            B = degree_normalize(B, implicit_degrees(B))
-            embedding = spectral_embedding(B, config.f,
-                                           oversample=config.svd_oversample,
-                                           power_iters=config.svd_power_iters,
-                                           seed=seeds[v])
-            timer.add("embedding", t0)
-
-            t0 = time.perf_counter()
-            G, _ = kmeans(embedding.coords, config.k, seed=seeds[v],
-                          max_iter=config.kmeans_max_iter, tol=config.kmeans_tol)
-            timer.add("kmeans", t0)
+            B, G = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))
 
             t0 = time.perf_counter()
             traces.append(clusterability_trace(B, G))
@@ -163,7 +159,8 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
             factors.append(B)
             partitions.append(G)
         except Exception as exc:
-            raise RuntimeError(f"view {v} failed: {exc}") from exc
+            exc.add_note(f"view {v}")
+            raise
 
     t0 = time.perf_counter()
     weights = softmax_weights(np.array(traces), config.temperature, mode=config.weight_mode)
@@ -171,33 +168,9 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
         scales = np.sqrt(weights.lambdas)
     else:
         scales = weights.lambdas
-    concat = np.hstack([s * B.values for s, B in zip(scales, factors)])
+    concat = np.hstack([s * B for s, B in zip(scales, factors)])
     timer.add("weighting", t0)
 
-    t0 = time.perf_counter()
-    B = FactorMatrix(concat)
-    B = degree_normalize(B, implicit_degrees(B))
-    embedding = spectral_embedding(B, config.f,
-                                   oversample=config.svd_oversample,
-                                   power_iters=config.svd_power_iters,
-                                   seed=seeds[n_views])
-    consensus, _ = kmeans(embedding.coords, config.k, seed=seeds[n_views],
-                          max_iter=config.kmeans_max_iter, tol=config.kmeans_tol)
-    timer.add("consensus", t0)
-
+    _, consensus = _cluster_factor(concat, config, seeds[n_views], timer,
+                                   ("consensus", "consensus"))
     return ClusteringResult(consensus, partitions, weights, timer.totals, config)
-
-
-def consensus_affinity_oracle(factor_values, lambdas, max_n=2048):
-    """Materialized weighted consensus affinity, for tests and small data.
-
-    Returns sum_v lambda_v B_v @ B_v.T; the pipeline's concatenated factor
-    must have exactly this Gram matrix.
-    """
-    n = factor_values[0].shape[0]
-    if n > max_n:
-        raise ValueError(f"oracle limited to n <= {max_n}, got {n}")
-    out = np.zeros((n, n))
-    for lam, B in zip(lambdas, factor_values):
-        out += lam * (B @ B.T)
-    return out

@@ -21,15 +21,16 @@ class ViewWeights:
 
 
 def clusterability_trace(B, partition):
-    """Tr(G.T (I - B B.T) G) computed factorized in O(nm)."""
-    if B.n != partition.n:
+    """Tr(G.T (I - B B.T) G) for an n x m factor B, computed in O(nm)."""
+    n, m = B.shape
+    if n != partition.n:
         raise ValueError(
-            f"factor has n={B.n} but partition has n={partition.n}"
+            f"factor has n={n} but partition has n={partition.n}"
         )
     # B.T @ G accumulated per cluster without materializing G
-    M = np.zeros((partition.k, B.m))
-    np.add.at(M, partition.labels, B.values)
-    return float(B.n - np.einsum("ij,ij->", M, M))
+    M = np.zeros((partition.k, m))
+    np.add.at(M, partition.labels, B)
+    return float(n - np.einsum("ij,ij->", M, M))
 
 
 def softmax_weights(traces, temperature, mode="softmax"):

@@ -1,17 +1,29 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mvkc.cli
 from mvkc.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_TIMEOUT,
     main,
 )
-from mvkc.data import load_dataset, save_dataset, save_features, save_graph, synth_multiview
+from mvkc.data import (
+    MultiViewDataset,
+    SparseGraph,
+    View,
+    load_dataset,
+    save_dataset,
+    save_features,
+    save_graph,
+    synth_multiview,
+)
 
 
 @pytest.fixture
@@ -61,6 +73,56 @@ def test_run_does_not_mutate_dataset(dataset_dir, tmp_path):
     after = {f: (os.path.getsize(os.path.join(dataset_dir, f)))
              for f in os.listdir(dataset_dir)}
     assert before == after
+
+
+@pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
+def test_multi_seed_run_matches_single_seed_runs(dataset_dir, tmp_path, monkeypatch,
+                                                 time_limit):
+    loads = []
+    real_load = mvkc.cli.load_dataset
+    monkeypatch.setattr(mvkc.cli, "load_dataset",
+                        lambda path: loads.append(path) or real_load(path))
+    multi = tmp_path / "multi"
+    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", "0,1,2",
+                 "--output", str(multi)] + time_limit) == EXIT_OK
+    assert len(loads) == 1  # one load serves every seed
+    for seed in (0, 1, 2):
+        single = tmp_path / f"single{seed}"
+        assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", str(seed),
+                     "--output", str(single)] + time_limit) == EXIT_OK
+        name = f"labels_seed{seed}.txt"
+        assert (multi / name).read_text() == (single / name).read_text()
+
+
+def _failing_dataset(tmp_path, kind):
+    rng = np.random.default_rng(0)
+    if kind == "config":
+        # propagation is requested below, but no view has a graph
+        views = [View(rng.normal(size=(40, 4)))]
+    else:
+        # star graph: the hub sums 39 leaves of ~1e308, which overflows
+        leaves = np.arange(1, 40)
+        hub = np.zeros_like(leaves)
+        star = SparseGraph(40, np.concatenate([hub, leaves]),
+                           np.concatenate([leaves, hub]), np.ones(78))
+        views = [View(np.full((40, 4), 1e308), star)]
+    path = tmp_path / kind
+    save_dataset(MultiViewDataset(views), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, expected", [("config", EXIT_CONFIG),
+                                            ("numeric", EXIT_NUMERIC)])
+@pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
+def test_view_failure_exit_code(tmp_path, kind, expected, time_limit):
+    out = tmp_path / "out"
+    code = main(["run", _failing_dataset(tmp_path, kind), "--k", "2", "--f", "2",
+                 "--p", "0:2", "--seeds", "0,1", "--output", str(out)] + time_limit)
+    assert code == expected
+    for seed in (0, 1):  # the failed seed is recorded and the next one still runs
+        record = json.loads((out / f"run_seed{seed}.json").read_text())
+        assert record["status"] == "Error"
+        assert "view 0" in record["error"]
 
 
 def test_run_timeout(tmp_path):
@@ -143,9 +205,15 @@ def test_eval_command(tmp_path, capsys):
     assert out["ca"] == 1.0 and out["ari"] == 1.0
 
 
-def test_bench_command(tmp_path, capsys):
+def test_bench_command(tmp_path, capsys, monkeypatch):
+    tracing = []
+    real_run = mvkc.cli.run_pipeline
+    monkeypatch.setattr(mvkc.cli, "run_pipeline",
+                        lambda *a: tracing.append(tracemalloc.is_tracing()) or real_run(*a))
     code = main(["bench", "--sizes", "500,1000", "--k", "3", "--views", "2",
                  "--output", str(tmp_path)])
     assert code == EXIT_OK
     report = json.loads((tmp_path / "bench.json").read_text())
     assert [r["n"] for r in report] == [500, 1000]
+    # per size: the memory run under tracemalloc, then the untraced timed run
+    assert tracing == [True, False, True, False]

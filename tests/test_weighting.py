@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mvkc.embedding import FactorMatrix
 from mvkc.kmeans import Partition
 from mvkc.weighting import clusterability_trace, softmax_weights
+from oracles import indicator
 
 
 def random_partition(n, k, seed):
@@ -15,14 +15,14 @@ def random_partition(n, k, seed):
 
 def test_trace_identity_affinity():
     n = 6
-    B = FactorMatrix(np.eye(n), degree_normalized=True)  # W = I
+    B = np.eye(n)  # W = I
     G = random_partition(n, 2, 0)
     assert clusterability_trace(B, G) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trace_zero_factor():
     n = 8
-    B = FactorMatrix(np.zeros((n, 3)), degree_normalized=True)
+    B = np.zeros((n, 3))
     G = random_partition(n, 3, 1)
     assert clusterability_trace(B, G) == pytest.approx(float(n))
 
@@ -32,15 +32,14 @@ def test_trace_matches_dense_oracle():
     for seed in range(10):
         n, m, k = 40, 6, 4
         values = rng.normal(size=(n, m))
-        B = FactorMatrix(values, degree_normalized=True)
         G = random_partition(n, k, seed)
-        F = G.indicator()
+        F = indicator(G)
         dense = np.trace(F.T @ (np.eye(n) - values @ values.T) @ F)
-        assert clusterability_trace(B, G) == pytest.approx(dense, abs=1e-10)
+        assert clusterability_trace(values, G) == pytest.approx(dense, abs=1e-10)
 
 
 def test_trace_dimension_mismatch():
-    B = FactorMatrix(np.zeros((5, 2)), degree_normalized=True)
+    B = np.zeros((5, 2))
     with pytest.raises(ValueError):
         clusterability_trace(B, random_partition(6, 2, 0))
 
