@@ -14,7 +14,6 @@ from .data import (
     load_dataset,
     save_dataset,
     build_knn_graph,
-    synth_multiview,
 )
 from .pipeline import PipelineConfig, ClusteringResult, run_pipeline
 from .metrics import clustering_accuracy, macro_f1, nmi, ari
@@ -26,7 +25,6 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "build_knn_graph",
-    "synth_multiview",
     "PipelineConfig",
     "ClusteringResult",
     "run_pipeline",

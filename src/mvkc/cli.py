@@ -1,6 +1,10 @@
-"""Command-line front end: dataset preparation, runs, benchmarks, evaluation.
+"""Command-line front end with three subcommands: ``prepare`` assembles a
+dataset directory, ``run`` clusters it over seeds, ``eval`` scores labels.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure.
+A setting that would be ignored is a config error: a ``--p`` entry for a view
+the dataset lacks, an unknown ``--config`` key, or ``prepare`` counts of
+``--p`` orders and ``--graph`` entries that do not fit the feature files.
 """
 
 import argparse
@@ -10,7 +14,6 @@ import multiprocessing
 import os
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .data import (
     load_features,
     load_graph,
     save_dataset,
-    synth_multiview,
 )
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -42,7 +44,9 @@ KERNEL_ALIASES = {
     "sigmoid": "sigmoid_nystroem",
 }
 WEIGHT_ALIASES = {"softmax": "softmax", "uniform": "uniform", "negated": "negated_softmax"}
-SCALE_ALIASES = {"sqrt": "sqrt_lambda", "linear": "lambda"}
+# the names _build_config reads; a --config file may hold no other key
+CONFIG_KEYS = ("k", "f", "temperature", "kernel", "kernel_components", "gamma",
+               "coef0", "p", "weight_mode", "cache_dir")
 
 
 def _parse_p(text):
@@ -59,6 +63,9 @@ def _build_config(args, n_views):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+    unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys {unknown}")
 
     def pick(name, default=None):
         val = getattr(args, name, None)
@@ -68,7 +75,6 @@ def _build_config(args, n_views):
 
     kernel = pick("kernel", "quadratic")
     weight_mode = pick("weight_mode", "softmax")
-    concat_scale = pick("concat_scale", "sqrt")
     params = {}
     if pick("gamma") is not None:
         params["gamma"] = float(pick("gamma"))
@@ -78,6 +84,9 @@ def _build_config(args, n_views):
     p_spec = pick("p")
     if p_spec is not None:
         mapping = _parse_p(p_spec) if isinstance(p_spec, str) else {int(k): v for k, v in p_spec.items()}
+        missing = sorted(set(mapping) - set(range(n_views)))
+        if missing:
+            raise ValueError(f"--p names views {missing}, but the dataset has {n_views} views")
         orders = [mapping.get(v, 0) for v in range(n_views)]
     return PipelineConfig(
         k=int(pick("k")),
@@ -87,7 +96,6 @@ def _build_config(args, n_views):
         kernel_components=None if pick("kernel_components") is None else int(pick("kernel_components")),
         kernel_params=params,
         weight_mode=WEIGHT_ALIASES.get(weight_mode, weight_mode),
-        concat_scale=SCALE_ALIASES.get(concat_scale, concat_scale),
         propagation_orders=orders,
         cache_dir=pick("cache_dir"),
     )
@@ -248,19 +256,22 @@ def _load_feature_file(path):
 
 
 def cmd_prepare(args):
+    n_files = len(args.features)
+    graph_paths = args.graph or []
+    if len(graph_paths) > n_files:
+        raise ValueError(f"{len(graph_paths)} --graph entries for {n_files} feature files")
+    orders = [int(p) for p in args.p.split(",")] if args.p else [0] * n_files
+    if len(orders) != n_files:
+        raise ValueError(f"{len(orders)} --p orders for {n_files} feature files")
     features = [_load_feature_file(p) for p in args.features]
-    graphs = []
-    for g in args.graph or []:
-        graphs.append(None if g == "none" else load_graph(g))
-    while len(graphs) < len(features):
-        graphs.append(None)
-    orders = [int(p) for p in (args.p.split(",") if args.p else ["0"] * len(features))]
+    # a shorter --graph list leaves the remaining views without a graph
+    graphs = [None if g == "none" else load_graph(g) for g in graph_paths]
+    graphs += [None] * (n_files - len(graphs))
     views = [View(X, g, propagation_order=p)
              for X, g, p in zip(features, graphs, orders)]
     if args.add_knn:
         knn = build_knn_graph(features[0], args.add_knn, self_loops=args.self_loops)
-        views.append(View(features[0].copy(), knn,
-                          propagation_order=orders[0] if orders else 0))
+        views.append(View(features[0].copy(), knn, propagation_order=orders[0]))
     labels = None
     if args.labels:
         labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
@@ -268,32 +279,6 @@ def cmd_prepare(args):
     dataset.validate()
     save_dataset(dataset, args.output)
     print(f"wrote {dataset.n_views}-view dataset with n={dataset.n} to {args.output}")
-    return EXIT_OK
-
-
-def cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    report = []
-    for n in sizes:
-        dataset = synth_multiview(n, args.k, args.views, noise=args.noise, seed=args.seed)
-        config = PipelineConfig(k=args.k, seed=args.seed)
-        # the warm-up run measures peak memory; the timed run is untraced
-        tracemalloc.start()
-        run_pipeline(dataset, config)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        start = time.perf_counter()
-        result = run_pipeline(dataset, config)
-        elapsed = time.perf_counter() - start
-        entry = {"n": n, "seconds": elapsed, "peak_bytes": peak}
-        if dataset.labels is not None:
-            entry["ari"] = metrics.ari(result.consensus.labels, dataset.labels)
-        report.append(entry)
-        print(f"n={n}: {elapsed:.3f}s, peak {peak / 1e6:.1f} MB")
-    if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        with open(os.path.join(args.output, "bench.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
     return EXIT_OK
 
 
@@ -321,7 +306,6 @@ def build_parser():
     run.add_argument("--p", help="per-view propagation orders, e.g. 0:2,1:0")
     run.add_argument("--seeds", default="0,1,2,3,4")
     run.add_argument("--weight-mode", dest="weight_mode", choices=sorted(WEIGHT_ALIASES))
-    run.add_argument("--concat-scale", dest="concat_scale", choices=sorted(SCALE_ALIASES))
     run.add_argument("--time-limit", dest="time_limit", type=float)
     run.add_argument("--cache-dir", dest="cache_dir")
     run.add_argument("--config", help="JSON config file (flags take precedence)")
@@ -332,21 +316,12 @@ def build_parser():
     prepare.add_argument("--features", nargs="+", required=True)
     prepare.add_argument("--graph", nargs="*")
     prepare.add_argument("--labels")
-    prepare.add_argument("--p", help="comma-separated per-view propagation orders")
+    prepare.add_argument("--p", help="comma-separated propagation orders, one per feature file")
     prepare.add_argument("--add-knn", dest="add_knn", type=int,
                          help="append a k-NN view built from the first feature set")
     prepare.add_argument("--self-loops", dest="self_loops", action="store_true")
     prepare.add_argument("--output", required=True)
     prepare.set_defaults(func=cmd_prepare)
-
-    bench = sub.add_parser("bench", help="synthetic scaling benchmark")
-    bench.add_argument("--sizes", default="10000,20000,40000")
-    bench.add_argument("--k", type=int, default=10)
-    bench.add_argument("--views", type=int, default=2)
-    bench.add_argument("--noise", type=float, default=0.1)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--output")
-    bench.set_defaults(func=cmd_bench)
 
     ev = sub.add_parser("eval", help="score predicted labels against ground truth")
     ev.add_argument("--pred", required=True)

@@ -1,4 +1,4 @@
-"""Multi-view dataset container, on-disk formats, k-NN graphs, synthetic data.
+"""Multi-view dataset container, on-disk formats, k-NN graphs.
 
 A dataset is a directory with a ``manifest.txt`` describing the views:
 
@@ -7,8 +7,12 @@ A dataset is a directory with a ``manifest.txt`` describing the views:
     labels labels.txt
 
 Graph files are coordinate text (``n <n> nnz <nnz> symmetric <0|1>`` header,
-then ``i j w`` triples, 0-based). Feature files are a one-line ASCII header
-``n <n> d <d> dtype f64`` followed by little-endian float64 values, row-major.
+then exactly ``nnz`` ``i j w`` triples, 0-based; only blank lines may follow).
+Feature files are a one-line ASCII header ``n <n> d <d> dtype f64`` followed
+by little-endian float64 values, row-major.
+
+A ``SparseGraph`` validates itself when it is built, so every graph, whether
+read from a file, built from k-NN or passed in by a caller, is checked once.
 """
 
 import os
@@ -40,7 +44,10 @@ class SizeMismatchError(DataError):
 
 @dataclass
 class SparseGraph:
-    """Undirected or directed weighted graph in coordinate form."""
+    """Undirected or directed weighted graph in coordinate form.
+
+    Building one validates it; an invalid edge list raises a ``DataError``.
+    """
 
     n: int
     rows: np.ndarray
@@ -52,23 +59,26 @@ class SparseGraph:
         self.rows = np.asarray(self.rows, dtype=np.int64)
         self.cols = np.asarray(self.cols, dtype=np.int64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.validate()
 
     @property
     def nnz(self):
         return len(self.rows)
 
-    def validate(self, name="graph"):
+    def validate(self):
         if self.nnz and (self.rows.min() < 0 or self.rows.max() >= self.n
                          or self.cols.min() < 0 or self.cols.max() >= self.n):
-            raise IndexRangeError(f"{name}: edge index out of range [0, {self.n})")
+            raise IndexRangeError(f"graph: edge index out of range [0, {self.n})")
+        if not np.isfinite(self.weights).all():
+            raise FormatError("graph: edge weights contain NaN or Inf")
         keys = self.rows * self.n + self.cols
         if len(np.unique(keys)) != len(keys):
-            raise FormatError(f"{name}: duplicate (row, col) edge entries")
+            raise FormatError("graph: duplicate (row, col) edge entries")
         if self.symmetric:
             fwd = set(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
             rev = set(zip(self.cols.tolist(), self.rows.tolist(), self.weights.tolist()))
             if fwd != rev:
-                raise FormatError(f"{name}: symmetric flag set but edge list is not symmetric")
+                raise FormatError("graph: symmetric flag set but edge list is not symmetric")
 
     def to_csr(self):
         return sp.csr_matrix(
@@ -110,13 +120,10 @@ class View:
             raise FormatError(f"{name}: features must be 2-D")
         if not np.isfinite(self.features).all():
             raise FormatError(f"{name}: features contain NaN or Inf")
-        if self.graph is not None:
-            self.graph.validate(name=f"{name} graph")
-            if self.graph.n != self.n:
-                raise SizeMismatchError(
-                    f"{name}: graph has n={self.graph.n} but features have "
-                    f"{self.n} rows"
-                )
+        if self.graph is not None and self.graph.n != self.n:
+            raise SizeMismatchError(
+                f"{name}: graph has n={self.graph.n} but features have {self.n} rows"
+            )
 
 
 @dataclass
@@ -180,9 +187,13 @@ def load_graph(path):
             if len(parts) != 3:
                 raise FormatError(f"{path}: bad edge line {idx}")
             rows[idx], cols[idx], weights[idx] = int(parts[0]), int(parts[1]), float(parts[2])
-    graph = SparseGraph(n, rows, cols, weights, symmetric=bool(symmetric))
-    graph.validate(name=path)
-    return graph
+        if any(line.strip() for line in fh):
+            raise FormatError(f"{path}: more edge lines than nnz={nnz}")
+    try:
+        return SparseGraph(n, rows, cols, weights, symmetric=bool(symmetric))
+    except DataError as exc:
+        exc.add_note(str(path))
+        raise
 
 
 def save_features(features, path):
@@ -274,7 +285,10 @@ def load_dataset(path):
 # k-NN graph construction
 
 
-def build_knn_graph(features, k_neighbors, self_loops=False, chunk=2048):
+KNN_CHUNK = 2048  # query rows per distance block
+
+
+def build_knn_graph(features, k_neighbors, self_loops=False):
     """Unit-weight k-NN graph under Euclidean distance, symmetrized by union.
 
     Ties are broken by lowest index so the result is deterministic. Exact
@@ -287,8 +301,8 @@ def build_knn_graph(features, k_neighbors, self_loops=False, chunk=2048):
     sq = np.einsum("ij,ij->i", features, features)
     rows = []
     cols = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, KNN_CHUNK):
+        stop = min(start + KNN_CHUNK, n)
         block = features[start:stop]
         d2 = sq[start:stop, None] - 2.0 * block @ features.T + sq[None, :]
         # exclude self before selecting neighbors
@@ -311,80 +325,3 @@ def build_knn_graph(features, k_neighbors, self_loops=False, chunk=2048):
     rows = keys // n
     cols = keys % n
     return SparseGraph(n, rows, cols, np.ones(len(rows)), symmetric=True)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic data
-
-
-def _sbm_edges(labels, n, k, rng, avg_in_degree=10.0, avg_out_degree=1.0):
-    """Sparse planted-partition edge sample aligned with ``labels``."""
-    rows = []
-    cols = []
-    members = [np.flatnonzero(labels == c) for c in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            na, nb = len(members[a]), len(members[b])
-            if a == b:
-                n_pairs = na * (na - 1) // 2
-                p = min(1.0, avg_in_degree / max(na - 1, 1))
-            else:
-                n_pairs = na * nb
-                p = min(1.0, avg_out_degree / max(n - 1, 1))
-            if n_pairs == 0 or p == 0.0:
-                continue
-            count = rng.binomial(n_pairs, p)
-            if count == 0:
-                continue
-            count = min(count, n_pairs)
-            i = np.empty(0, dtype=np.int64)
-            j = np.empty(0, dtype=np.int64)
-            while len(i) < count:
-                ii = rng.integers(0, na, size=2 * count + 8)
-                jj = rng.integers(0, nb, size=2 * count + 8)
-                if a == b:
-                    mask = ii < jj
-                    ii, jj = ii[mask], jj[mask]
-                i = np.concatenate([i, ii])
-                j = np.concatenate([j, jj])
-            u = members[a][i[:count]]
-            v = members[b][j[:count]]
-            rows.append(u)
-            cols.append(v)
-    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    # dedupe + symmetrize
-    keys = np.unique(rows * n + cols)
-    rows, cols = keys // n, keys % n
-    all_rows = np.concatenate([rows, cols])
-    all_cols = np.concatenate([cols, rows])
-    keys = np.unique(all_rows * n + all_cols)
-    rows, cols = keys // n, keys % n
-    return SparseGraph(n, rows, cols, np.ones(len(rows)), symmetric=True)
-
-
-def synth_multiview(n, k, n_views, noise=0.1, seed=0, feature_dim=16):
-    """Generate a labeled multi-view dataset of Gaussian blobs with graphs.
-
-    Every view sees the same partition: per-view Gaussian blobs around k
-    seeded centroids plus a planted-partition graph. ``noise`` is the blob
-    standard deviation; 0 puts every point exactly on its centroid. Fully
-    deterministic given ``seed``.
-    """
-    if not (n >= k >= 2):
-        raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
-    if n_views < 1:
-        raise ValueError(f"need at least one view, got {n_views}")
-    rng = np.random.default_rng(seed)
-    counts = np.full(k, n // k)
-    counts[: n % k] += 1
-    labels = np.repeat(np.arange(k), counts)
-    views = []
-    for _ in range(n_views):
-        centroids = rng.normal(size=(k, feature_dim))
-        features = centroids[labels] + noise * rng.normal(size=(n, feature_dim))
-        graph = _sbm_edges(labels, n, k, rng)
-        views.append(View(features, graph, propagation_order=0))
-    dataset = MultiViewDataset(views, labels)
-    dataset.validate()
-    return dataset

@@ -12,6 +12,8 @@ import numpy as np
 import scipy.linalg
 
 EXACT_SVD_MAX_DIM = 2048
+OVERSAMPLE = 10  # extra sketch columns of the randomized SVD
+POWER_ITERS = 4  # subspace iterations of the randomized SVD
 
 
 @dataclass
@@ -48,24 +50,22 @@ def exact_svd(X):
     return SVDResult(U, s, V)
 
 
-def randomized_svd(X, r, oversample=10, power_iters=4, seed=0):
+def randomized_svd(X, r, seed=0):
     """Seeded randomized truncated SVD of rank r.
 
-    Gaussian range sketch of width r + oversample, ``power_iters`` rounds of
+    Gaussian range sketch of width r + OVERSAMPLE, POWER_ITERS rounds of
     QR-stabilized subspace iteration, then an exact SVD of the projected
-    (r + oversample) x d matrix.
+    (r + OVERSAMPLE) x d matrix.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if not (1 <= r <= min(n, d)):
         raise ValueError(f"rank r={r} out of range for shape {X.shape}")
-    if oversample < 0:
-        raise ValueError("oversample must be >= 0")
-    sketch = min(r + oversample, min(n, d))
+    sketch = min(r + OVERSAMPLE, min(n, d))
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((d, sketch))
     Q, _ = np.linalg.qr(X @ G)
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         Q, _ = np.linalg.qr(X.T @ Q)
         Q, _ = np.linalg.qr(X @ Q)
     B = Q.T @ X
@@ -75,10 +75,10 @@ def randomized_svd(X, r, oversample=10, power_iters=4, seed=0):
     return SVDResult(U, s[:r], V)
 
 
-def truncated_svd(X, r, oversample=10, power_iters=4, seed=0):
+def truncated_svd(X, r, seed=0):
     """Rank-r SVD, exact for small inputs and randomized above the guard."""
     X = np.asarray(X, dtype=np.float64)
     if min(X.shape) <= EXACT_SVD_MAX_DIM:
         res = exact_svd(X)
         return SVDResult(res.U[:, :r], res.s[:r], res.V[:, :r])
-    return randomized_svd(X, r, oversample=oversample, power_iters=power_iters, seed=seed)
+    return randomized_svd(X, r, seed=seed)

@@ -23,8 +23,6 @@ from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
 from .weighting import WEIGHT_MODES, ViewWeights, clusterability_trace, softmax_weights
 
-CONCAT_SCALES = ("sqrt_lambda", "lambda")
-
 
 @dataclass
 class PipelineConfig:
@@ -39,7 +37,6 @@ class PipelineConfig:
     kmeans_max_iter: int = 300
     kmeans_tol: float = 1e-6
     weight_mode: str = "softmax"
-    concat_scale: str = "sqrt_lambda"
     propagation_orders: list | None = None  # per-view override
     seed: int = 0
     cache_dir: str | None = None
@@ -57,8 +54,6 @@ class PipelineConfig:
             raise ValueError(f"unknown kernel: {self.kernel}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode: {self.weight_mode}")
-        if self.concat_scale not in CONCAT_SCALES:
-            raise ValueError(f"unknown concat scale: {self.concat_scale}")
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -164,11 +159,9 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
 
     t0 = time.perf_counter()
     weights = softmax_weights(np.array(traces), config.temperature, mode=config.weight_mode)
-    if config.concat_scale == "sqrt_lambda":
-        scales = np.sqrt(weights.lambdas)
-    else:
-        scales = weights.lambdas
-    concat = np.hstack([s * B for s, B in zip(scales, factors)])
+    # scaling factor v by sqrt(lambda_v) gives the concatenation the Gram
+    # matrix sum_v lambda_v B_v B_v^T, the weighted consensus affinity
+    concat = np.hstack([np.sqrt(lam) * B for lam, B in zip(weights.lambdas, factors)])
     timer.add("weighting", t0)
 
     _, consensus = _cluster_factor(concat, config, seeds[n_views], timer,

@@ -1,44 +1,34 @@
 """Feature smoothing by powers of a normalized adjacency operator.
 
-Each view's features are pre-multiplied p times by a normalized adjacency.
-The default operator adds self-loops and normalizes symmetrically,
-D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I, whose spectral radius
-is at most 1, so high propagation orders stay bounded.
+Each view's features are pre-multiplied p times by the self-loop,
+symmetrically normalized adjacency D^{-1/2} (A + I) D^{-1/2}, with D the
+degree of A + I. Its spectral radius is at most 1, so high propagation
+orders stay bounded. Results can be cached on disk under a content hash;
+a cache file is written to a temporary name and then renamed, so a reader
+never sees a partial file.
 """
 
 import hashlib
 import os
+import tempfile
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data import load_features, save_features
 
-NORMALIZATIONS = ("sym_selfloop", "sym", "row")
-
 
 class NormalizedAdjacency:
-    """Sparse propagation operator derived from a graph."""
+    """Sparse propagation operator D^{-1/2} (A + I) D^{-1/2} of a graph."""
 
-    def __init__(self, graph, normalization="sym_selfloop"):
-        if normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization: {normalization}")
+    def __init__(self, graph):
         self.n = graph.n
-        self.normalization = normalization
-        adj = graph.to_csr()
-        if normalization == "sym_selfloop":
-            adj = adj + sp.identity(self.n, format="csr")
+        adj = graph.to_csr() + sp.identity(self.n, format="csr")
         degrees = np.asarray(adj.sum(axis=1)).ravel()
         self.degrees = degrees
-        with np.errstate(divide="ignore"):
-            if normalization == "row":
-                inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
-                self.op = sp.diags(inv) @ adj
-            else:
-                inv_sqrt = np.where(degrees > 0, degrees, 1.0) ** -0.5
-                inv_sqrt[degrees <= 0] = 0.0
-                self.op = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
-        self.op = self.op.tocsr()
+        inv_sqrt = np.where(degrees > 0, degrees, 1.0) ** -0.5
+        inv_sqrt[degrees <= 0] = 0.0
+        self.op = (sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)).tocsr()
 
 
 def propagate(adj, features, p):
@@ -57,26 +47,34 @@ def propagate(adj, features, p):
     return out
 
 
-def _cache_key(graph, features, p, normalization):
+def _cache_key(graph, features, p):
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(graph.rows).tobytes())
     h.update(np.ascontiguousarray(graph.cols).tobytes())
     h.update(np.ascontiguousarray(graph.weights).tobytes())
     h.update(np.ascontiguousarray(features, dtype="<f8").tobytes())
-    h.update(f"p={p};norm={normalization}".encode())
+    # the operator name stays in the hashed bytes so existing cache files still hit
+    h.update(f"p={p};norm=sym_selfloop".encode())
     return h.hexdigest()[:32]
 
 
-def propagate_cached(graph, features, p, normalization="sym_selfloop", cache_dir=None):
+def propagate_cached(graph, features, p, cache_dir=None):
     """Propagate, reusing an on-disk result keyed by a content hash."""
     if p == 0:
         return np.asarray(features, dtype=np.float64)
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, _cache_key(graph, features, p, normalization) + ".bin")
+        path = os.path.join(cache_dir, _cache_key(graph, features, p) + ".bin")
         if os.path.isfile(path):
             return load_features(path)
-    out = propagate(NormalizedAdjacency(graph, normalization), features, p)
+    out = propagate(NormalizedAdjacency(graph), features, p)
     if cache_dir is not None:
-        save_features(out, path)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        os.close(fd)
+        try:
+            save_features(out, tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return out

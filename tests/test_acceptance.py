@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvkc.data import MultiViewDataset, View, load_dataset, synth_multiview
+from mvkc.data import MultiViewDataset, View, load_dataset
 from mvkc.embedding import degree_normalize, implicit_degrees
 from mvkc.kernels import apply_map, fit_kernel_map
 from mvkc.kmeans import Partition
@@ -20,6 +20,7 @@ from mvkc.metrics import ari, clustering_accuracy, contingency_table, macro_f1, 
 from mvkc.pipeline import PipelineConfig, run_pipeline
 from mvkc.weighting import clusterability_trace
 from oracles import consensus_affinity_oracle, indicator
+from synth import synth_multiview
 
 
 def report(criterion, ok, detail):

@@ -1,6 +1,5 @@
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from mvkc.data import (
     save_dataset,
     save_features,
     save_graph,
-    synth_multiview,
 )
+from synth import synth_multiview
 
 
 @pytest.fixture
@@ -205,15 +204,56 @@ def test_eval_command(tmp_path, capsys):
     assert out["ca"] == 1.0 and out["ari"] == 1.0
 
 
-def test_bench_command(tmp_path, capsys, monkeypatch):
-    tracing = []
-    real_run = mvkc.cli.run_pipeline
-    monkeypatch.setattr(mvkc.cli, "run_pipeline",
-                        lambda *a: tracing.append(tracemalloc.is_tracing()) or real_run(*a))
-    code = main(["bench", "--sizes", "500,1000", "--k", "3", "--views", "2",
-                 "--output", str(tmp_path)])
-    assert code == EXIT_OK
-    report = json.loads((tmp_path / "bench.json").read_text())
-    assert [r["n"] for r in report] == [500, 1000]
-    # per size: the memory run under tracemalloc, then the untraced timed run
-    assert tracing == [True, False, True, False]
+
+def test_prepare_rejects_non_finite_graph_weights(tmp_path):
+    fpath, gpath = tmp_path / "x.bin", tmp_path / "g.txt"
+    save_features(np.ones((3, 2)), fpath)
+    gpath.write_text("n 3 nnz 2 symmetric 1\n0 1 inf\n1 0 inf\n")
+    code = main(["prepare", "--features", str(fpath), "--graph", str(gpath),
+                 "--output", str(tmp_path / "prepared")])
+    assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("extra", [
+    ["--p", "0"],  # one order for two feature files
+    ["--p", "0,0,0"],  # three orders for two feature files
+    ["--graph", "none", "none", "none"],  # three graphs for two feature files
+])
+def test_prepare_rejects_counts_that_drop_views(tmp_path, extra):
+    paths = []
+    for name in ("a.bin", "b.bin"):
+        save_features(np.ones((5, 2)), tmp_path / name)
+        paths.append(str(tmp_path / name))
+    out = tmp_path / "prepared"
+    code = main(["prepare", "--features", *paths, "--output", str(out)] + extra)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_run_rejects_p_for_missing_view(dataset_dir, tmp_path):
+    code = main(["run", dataset_dir, "--k", "3", "--p", "5:2", "--seeds", "0",
+                 "--output", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+
+
+def test_run_rejects_unknown_config_key(dataset_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"temprature": 5.0}))
+    code = main(["run", dataset_dir, "--k", "3", "--seeds", "0", "--config", str(cfg),
+                 "--output", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+
+
+def test_prepare_pads_short_graph_list(tmp_path):
+    ds = synth_multiview(30, 2, 1, seed=1)
+    gpath = tmp_path / "g.txt"
+    save_graph(ds.views[0].graph, gpath)
+    paths = []
+    for name in ("a.bin", "b.bin"):
+        save_features(ds.views[0].features, tmp_path / name)
+        paths.append(str(tmp_path / name))
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--features", *paths, "--graph", str(gpath),
+                 "--output", str(out)]) == EXIT_OK
+    back = load_dataset(out)
+    assert back.n_views == 2 and back.views[1].graph is None

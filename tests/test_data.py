@@ -3,6 +3,7 @@ import pytest
 
 from mvkc.data import (
     FormatError,
+    IndexRangeError,
     MissingFileError,
     MultiViewDataset,
     SizeMismatchError,
@@ -11,11 +12,12 @@ from mvkc.data import (
     build_knn_graph,
     load_dataset,
     load_features,
+    load_graph,
     save_dataset,
     save_features,
     save_graph,
-    synth_multiview,
 )
+from synth import synth_multiview
 
 
 def small_graph(n=4):
@@ -76,8 +78,6 @@ def test_missing_manifest(tmp_path):
 def test_malformed_graph_header(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("nodes 4 edges 1\n0 1 1.0\n")
-    from mvkc.data import load_graph
-
     with pytest.raises(FormatError, match="g.txt"):
         load_graph(path)
 
@@ -85,10 +85,40 @@ def test_malformed_graph_header(tmp_path):
 def test_graph_index_out_of_range(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("n 3 nnz 1 symmetric 0\n0 7 1.0\n")
-    from mvkc.data import IndexRangeError, load_graph
-
     with pytest.raises(IndexRangeError):
         load_graph(path)
+
+
+def test_graph_validated_when_built():
+    with pytest.raises(IndexRangeError):
+        SparseGraph(3, [0], [7], [1.0], symmetric=False)
+    with pytest.raises(FormatError, match="not symmetric"):
+        SparseGraph(3, [0], [1], [1.0], symmetric=True)
+
+
+def test_graph_error_notes_the_file(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("n 3 nnz 2 symmetric 1\n0 1 1.0\n1 0 2.0\n")
+    with pytest.raises(FormatError) as info:
+        load_graph(path)
+    assert str(path) in info.value.__notes__
+
+
+def test_graph_non_finite_weight(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("n 3 nnz 2 symmetric 1\n0 1 inf\n1 0 inf\n")
+    with pytest.raises(FormatError, match="NaN or Inf"):
+        load_graph(path)
+
+
+def test_graph_more_edge_lines_than_nnz(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("n 3 nnz 2 symmetric 1\n0 1 1.0\n1 0 1.0\n1 2 1.0\n")
+    with pytest.raises(FormatError, match="nnz=2"):
+        load_graph(path)
+    # trailing blank lines are not edges
+    path.write_text("n 3 nnz 2 symmetric 1\n0 1 1.0\n1 0 1.0\n\n")
+    assert load_graph(path).nnz == 2
 
 
 def test_labels_length_mismatch(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mvkc.data import MultiViewDataset, View, synth_multiview
+from mvkc.data import MultiViewDataset, View
 from mvkc.metrics import ari
 from mvkc.pipeline import PipelineConfig, run_pipeline
 from oracles import consensus_affinity_oracle
+from synth import synth_multiview
 
 
 def test_config_defaults():
