@@ -1,10 +1,14 @@
 """Command-line front end with three subcommands: ``prepare`` assembles a
 dataset directory, ``run`` clusters it over seeds, ``eval`` scores labels.
 
+Each ``run`` setting has one flag. An argument ``@file`` stands for the lines
+of that file, one argument per line; a later argument wins.
+
 Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure.
-A setting that would be ignored is a config error: a ``--p`` entry for a view
-the dataset lacks, an unknown ``--config`` key, or ``prepare`` counts of
-``--p`` orders and ``--graph`` entries that do not fit the feature files.
+A missing or malformed input file is a data error. A setting that would be
+ignored is a config error: a ``--p`` entry for a view the dataset lacks, a
+kernel parameter the kernel does not read, or ``prepare`` counts of ``--p``
+orders and ``--graph`` entries that do not fit the feature files.
 """
 
 import argparse
@@ -26,9 +30,13 @@ from .data import (
     load_dataset,
     load_features,
     load_graph,
+    load_labels,
+    load_text,
     save_dataset,
 )
+from .kernels import KERNEL_KINDS
 from .pipeline import PipelineConfig, run_pipeline
+from .weighting import WEIGHT_MODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,16 +45,6 @@ EXIT_TIMEOUT = 4
 EXIT_NUMERIC = 5
 ERROR_LABELS = {EXIT_CONFIG: "config error", EXIT_DATA: "data error",
                 EXIT_NUMERIC: "numeric failure"}
-
-KERNEL_ALIASES = {
-    "quadratic": "quadratic_exact",
-    "rbf": "rbf_nystroem",
-    "sigmoid": "sigmoid_nystroem",
-}
-WEIGHT_ALIASES = {"softmax": "softmax", "uniform": "uniform", "negated": "negated_softmax"}
-# the names _build_config reads; a --config file may hold no other key
-CONFIG_KEYS = ("k", "f", "temperature", "kernel", "kernel_components", "gamma",
-               "coef0", "p", "weight_mode", "cache_dir")
 
 
 def _parse_p(text):
@@ -59,46 +57,19 @@ def _parse_p(text):
 
 
 def _build_config(args, n_views):
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-    unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config keys {unknown}")
-
-    def pick(name, default=None):
-        val = getattr(args, name, None)
-        if val is not None:
-            return val
-        return file_cfg.get(name, default)
-
-    kernel = pick("kernel", "quadratic")
-    weight_mode = pick("weight_mode", "softmax")
-    params = {}
-    if pick("gamma") is not None:
-        params["gamma"] = float(pick("gamma"))
-    if pick("coef0") is not None:
-        params["intercept"] = float(pick("coef0"))
-    orders = None
-    p_spec = pick("p")
-    if p_spec is not None:
-        mapping = _parse_p(p_spec) if isinstance(p_spec, str) else {int(k): v for k, v in p_spec.items()}
+    """A ``PipelineConfig`` from the ``run`` flags that were given."""
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    settings = {name: value for name, value in vars(args).items()
+                if name in fields and value is not None}
+    settings["kernel_params"] = {name: getattr(args, name) for name in ("gamma", "coef0")
+                                 if getattr(args, name) is not None}
+    if args.p is not None:
+        mapping = _parse_p(args.p)
         missing = sorted(set(mapping) - set(range(n_views)))
         if missing:
             raise ValueError(f"--p names views {missing}, but the dataset has {n_views} views")
-        orders = [mapping.get(v, 0) for v in range(n_views)]
-    return PipelineConfig(
-        k=int(pick("k")),
-        f=None if pick("f") is None else int(pick("f")),
-        temperature=float(pick("temperature", 0.1)),
-        kernel=KERNEL_ALIASES.get(kernel, kernel),
-        kernel_components=None if pick("kernel_components") is None else int(pick("kernel_components")),
-        kernel_params=params,
-        weight_mode=WEIGHT_ALIASES.get(weight_mode, weight_mode),
-        propagation_orders=orders,
-        cache_dir=pick("cache_dir"),
-    )
+        settings["propagation_orders"] = [mapping.get(v, 0) for v in range(n_views)]
+    return PipelineConfig(**settings)
 
 
 def _exit_code(exc):
@@ -249,12 +220,6 @@ def _write_aggregate(rows, output):
     print(table)
 
 
-def _load_feature_file(path):
-    if path.endswith(".bin"):
-        return load_features(path)
-    return np.loadtxt(path, dtype=np.float64, ndmin=2)
-
-
 def cmd_prepare(args):
     n_files = len(args.features)
     graph_paths = args.graph or []
@@ -263,7 +228,10 @@ def cmd_prepare(args):
     orders = [int(p) for p in args.p.split(",")] if args.p else [0] * n_files
     if len(orders) != n_files:
         raise ValueError(f"{len(orders)} --p orders for {n_files} feature files")
-    features = [_load_feature_file(p) for p in args.features]
+    if min(orders) < 0:
+        raise ValueError(f"--p orders must be >= 0, got {args.p}")
+    features = [load_features(p) if p.endswith(".bin") else load_text(p)
+                for p in args.features]
     # a shorter --graph list leaves the remaining views without a graph
     graphs = [None if g == "none" else load_graph(g) for g in graph_paths]
     graphs += [None] * (n_files - len(graphs))
@@ -272,9 +240,7 @@ def cmd_prepare(args):
     if args.add_knn:
         knn = build_knn_graph(features[0], args.add_knn, self_loops=args.self_loops)
         views.append(View(features[0].copy(), knn, propagation_order=orders[0]))
-    labels = None
-    if args.labels:
-        labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
+    labels = load_labels(args.labels) if args.labels else None
     dataset = MultiViewDataset(views, labels)
     dataset.validate()
     save_dataset(dataset, args.output)
@@ -283,14 +249,14 @@ def cmd_prepare(args):
 
 
 def cmd_eval(args):
-    pred = np.loadtxt(args.pred, dtype=np.int64, ndmin=1)
-    truth = np.loadtxt(args.truth, dtype=np.int64, ndmin=1)
+    pred = load_labels(args.pred)
+    truth = load_labels(args.truth)
     print(json.dumps(metrics.evaluate(pred, truth), indent=2))
     return EXIT_OK
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="mvkc",
+    parser = argparse.ArgumentParser(prog="mvkc", fromfile_prefix_chars="@",
                                      description="Multi-view kernel clustering")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -299,16 +265,15 @@ def build_parser():
     run.add_argument("--k", type=int, required=True)
     run.add_argument("--f", type=int)
     run.add_argument("--temperature", type=float)
-    run.add_argument("--kernel", choices=sorted(KERNEL_ALIASES))
+    run.add_argument("--kernel", choices=KERNEL_KINDS)
     run.add_argument("--kernel-components", dest="kernel_components", type=int)
     run.add_argument("--gamma", type=float)
     run.add_argument("--coef0", type=float)
     run.add_argument("--p", help="per-view propagation orders, e.g. 0:2,1:0")
     run.add_argument("--seeds", default="0,1,2,3,4")
-    run.add_argument("--weight-mode", dest="weight_mode", choices=sorted(WEIGHT_ALIASES))
+    run.add_argument("--weight-mode", dest="weight_mode", choices=WEIGHT_MODES)
     run.add_argument("--time-limit", dest="time_limit", type=float)
     run.add_argument("--cache-dir", dest="cache_dir")
-    run.add_argument("--config", help="JSON config file (flags take precedence)")
     run.add_argument("--output", required=True)
     run.set_defaults(func=cmd_run)
 

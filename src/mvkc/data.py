@@ -116,6 +116,8 @@ class View:
         return self.features.shape[0]
 
     def validate(self, name="view"):
+        if self.propagation_order < 0:
+            raise FormatError(f"{name}: negative propagation order {self.propagation_order}")
         if self.features.ndim != 2:
             raise FormatError(f"{name}: features must be 2-D")
         if not np.isfinite(self.features).all():
@@ -184,9 +186,11 @@ def load_graph(path):
         weights = np.empty(nnz, dtype=np.float64)
         for idx in range(nnz):
             parts = fh.readline().split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}: bad edge line {idx}")
-            rows[idx], cols[idx], weights[idx] = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                i, j, w = parts
+                rows[idx], cols[idx], weights[idx] = int(i), int(j), float(w)
+            except (ValueError, OverflowError):
+                raise FormatError(f"{path}: bad edge line {idx}: {' '.join(parts)!r}") from None
         if any(line.strip() for line in fh):
             raise FormatError(f"{path}: more edge lines than nnz={nnz}")
     try:
@@ -225,6 +229,24 @@ def load_features(path):
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: features contain NaN or Inf")
     return values
+
+
+def load_text(path, dtype=np.float64):
+    """Whitespace-separated rows of numbers; a missing or unparsable file is a DataError."""
+    if not os.path.isfile(path):
+        raise MissingFileError(f"file not found: {path}")
+    try:
+        return np.loadtxt(path, dtype=dtype, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def load_labels(path):
+    """Integer labels, one per line."""
+    labels = load_text(path, np.int64)
+    if labels.shape[1] != 1:
+        raise FormatError(f"{path}: labels must be one integer per line")
+    return labels[:, 0]
 
 
 def save_dataset(dataset, path):
@@ -268,12 +290,13 @@ def load_dataset(path):
                 if parts[3] != "none":
                     graph = load_graph(os.path.join(path, parts[3]))
                 features = load_features(os.path.join(path, parts[5]))
-                views.append(View(features, graph, propagation_order=int(parts[7])))
+                try:
+                    order = int(parts[7])
+                except ValueError:
+                    raise FormatError(f"{manifest}: malformed view line: {line.strip()}") from None
+                views.append(View(features, graph, propagation_order=order))
             elif parts[0] == "labels":
-                lab_path = os.path.join(path, parts[1])
-                if not os.path.isfile(lab_path):
-                    raise MissingFileError(f"labels file not found: {lab_path}")
-                labels = np.loadtxt(lab_path, dtype=np.int64, ndmin=1)
+                labels = load_labels(os.path.join(path, parts[1]))
             else:
                 raise FormatError(f"{manifest}: unknown manifest entry: {parts[0]}")
     dataset = MultiViewDataset(views, labels)

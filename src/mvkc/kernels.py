@@ -1,18 +1,18 @@
-"""Explicit feature maps for nonnegative kernels.
+"""Explicit feature maps for nonnegative kernels, named as ``mvkc run --kernel``
+takes them.
 
-The quadratic polynomial kernel (u.v)^2 has an exact f(f+1)/2-dimensional
-map. RBF and sigmoid kernels are infinite-dimensional and get landmark
-(Nystroem) approximations: sample m rows, form the landmark kernel matrix,
-and whiten by its inverse square root. The implicit affinity of the mapped
-data is then Phi(U) @ Phi(U).T.
-"""
+``quadratic``, (u.v)^2, has an exact f(f+1)/2-dimensional map. ``rbf``,
+exp(-gamma |u - v|^2), and ``sigmoid``, tanh(slope u.v + coef0), are
+infinite-dimensional and get landmark (Nystroem) approximations: sample m
+rows, form the landmark kernel matrix, and whiten by its inverse square root.
+The implicit affinity of the mapped data is then Phi(U) @ Phi(U).T."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-KERNEL_KINDS = ("quadratic_exact", "rbf_nystroem", "sigmoid_nystroem")
+KERNEL_KINDS = ("quadratic", "rbf", "sigmoid")
 
 # relative eigenvalue floor when inverting the landmark kernel matrix
 EIG_FLOOR = 1e-12
@@ -37,26 +37,27 @@ def _rbf(X, Y, gamma):
     return np.exp(-gamma * d2)
 
 
-def _sigmoid(X, Y, slope, intercept):
-    return np.tanh(slope * (X @ Y.T) + intercept)
+def _sigmoid(X, Y, slope, coef0):
+    return np.tanh(slope * (X @ Y.T) + coef0)
 
 
 def kernel_matrix(kind, X, Y, params):
     """Exact kernel values between the rows of X and Y."""
-    if kind == "quadratic_exact":
+    if kind == "quadratic":
         return (X @ Y.T) ** 2
-    if kind == "rbf_nystroem":
+    if kind == "rbf":
         return _rbf(X, Y, params["gamma"])
-    if kind == "sigmoid_nystroem":
-        return _sigmoid(X, Y, params["slope"], params["intercept"])
+    if kind == "sigmoid":
+        return _sigmoid(X, Y, params["slope"], params["coef0"])
     raise ValueError(f"unknown kernel kind: {kind}")
 
 
 def default_params(kind, input_dim):
-    if kind == "rbf_nystroem":
+    """Every parameter the kernel reads, at its default value."""
+    if kind == "rbf":
         return {"gamma": 1.0 / input_dim}
-    if kind == "sigmoid_nystroem":
-        return {"slope": 1.0 / input_dim, "intercept": 0.0}
+    if kind == "sigmoid":
+        return {"slope": 1.0 / input_dim, "coef0": 0.0}
     return {}
 
 
@@ -74,7 +75,7 @@ def fit_kernel_map(kind, U, m=None, params=None, seed=0):
     n, f = U.shape
     merged = default_params(kind, f)
     merged.update(params or {})
-    if kind == "quadratic_exact":
+    if kind == "quadratic":
         return KernelMap(kind, f, f * (f + 1) // 2, merged)
     if m is None or m > n:
         raise ValueError(f"Nystroem needs m <= n, got m={m}, n={n}")
@@ -100,7 +101,7 @@ def apply_map(kmap, U):
         raise ValueError(
             f"map expects input dim {kmap.input_dim}, got {f}"
         )
-    if kmap.kind == "quadratic_exact":
+    if kmap.kind == "quadratic":
         iu, ju = np.triu_indices(f, k=1)
         out = np.empty((n, kmap.output_dim))
         out[:, :f] = U**2

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .embedding import degree_normalize, implicit_degrees, spectral_embedding
-from .kernels import KERNEL_KINDS, apply_map, fit_kernel_map
+from .kernels import KERNEL_KINDS, apply_map, default_params, fit_kernel_map
 from .kmeans import Partition, kmeans
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
@@ -31,7 +31,7 @@ class PipelineConfig:
     k: int
     f: int | None = None  # components per view; defaults to k
     temperature: float = 0.1
-    kernel: str = "quadratic_exact"
+    kernel: str = "quadratic"
     kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k
     kernel_params: dict = field(default_factory=dict)
     kmeans_max_iter: int = 300
@@ -52,8 +52,13 @@ class PipelineConfig:
             raise ValueError(f"need f >= 1 components, got {self.f}")
         if self.kernel not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel: {self.kernel}")
+        unused = sorted(set(self.kernel_params) - set(default_params(self.kernel, self.f)))
+        if unused:
+            raise ValueError(f"kernel {self.kernel} does not read {unused}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode: {self.weight_mode}")
+        if self.propagation_orders is not None and min(self.propagation_orders, default=0) < 0:
+            raise ValueError(f"propagation orders must be >= 0, got {self.propagation_orders}")
 
     def to_dict(self):
         return dataclasses.asdict(self)

@@ -3,14 +3,16 @@
 The score of a view is Tr(G.T (I - W) G) with W = B @ B.T and G the
 indicator matrix of the view's partition; it reduces to
 n - ||B.T G||_F^2 and never needs W. The weights are a temperature softmax
-over the per-view scores.
+over the per-view scores, in one of three modes, named as
+``mvkc run --weight-mode`` takes them: ``softmax``, ``negated`` and
+``uniform``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-WEIGHT_MODES = ("softmax", "negated_softmax", "uniform")
+WEIGHT_MODES = ("softmax", "negated", "uniform")
 
 
 @dataclass
@@ -37,7 +39,7 @@ def softmax_weights(traces, temperature, mode="softmax"):
     """Numerically stable softmax of traces / T (optionally negated or flat).
 
     ``softmax`` follows the weighting formula as printed: larger trace,
-    larger weight. ``negated_softmax`` flips the sign so the most clusterable
+    larger weight. ``negated`` flips the sign so the most clusterable
     view (smallest trace) gets the largest weight. ``uniform`` ignores the
     traces entirely.
     """
@@ -50,7 +52,7 @@ def softmax_weights(traces, temperature, mode="softmax"):
         lambdas = np.full(len(traces), 1.0 / len(traces))
     else:
         z = traces / temperature
-        if mode == "negated_softmax":
+        if mode == "negated":
             z = -z
         z = z - z.max()
         e = np.exp(z)

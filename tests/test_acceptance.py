@@ -36,7 +36,7 @@ def test_criterion_1_kernel_summation_identity():
     rng = np.random.default_rng(0)
     start = time.perf_counter()
     worst = 0.0
-    kernels = ["quadratic_exact", "rbf_nystroem", "sigmoid_nystroem"]
+    kernels = ["quadratic", "rbf", "sigmoid"]
     for _ in range(100):
         n = int(rng.integers(20, 201))
         V = int(rng.integers(1, 5))
@@ -49,8 +49,8 @@ def test_criterion_1_kernel_summation_identity():
                 f = int(rng.integers(2, 7))
                 U = rng.normal(size=(n, f))
                 kind = kernels[rng.integers(0, 3)]
-                params = {"intercept": 1.0} if kind == "sigmoid_nystroem" else None
-                m = None if kind == "quadratic_exact" else int(rng.integers(f + 1, n + 1))
+                params = {"coef0": 1.0} if kind == "sigmoid" else None
+                m = None if kind == "quadratic" else int(rng.integers(f + 1, n + 1))
                 kmap = fit_kernel_map(kind, U, m=m, params=params,
                                       seed=int(rng.integers(0, 1 << 31)))
                 B = apply_map(kmap, U)
@@ -217,7 +217,7 @@ def test_criterion_7_ablation_direction():
             weights.append(res.weights.lambdas)
         return float(np.mean(scores)), np.mean(weights, axis=0)
 
-    negated, w_neg = mean_ari("negated_softmax")
+    negated, w_neg = mean_ari("negated")
     uniform, _ = mean_ari("uniform")
     printed, w_soft = mean_ari("softmax")
     print(f"criterion 7 info: printed-formula softmax ARI {printed:.3f}, "
@@ -367,15 +367,15 @@ def test_criterion_8_metric_oracles():
 def test_criterion_9_kernel_variant_parity():
     ds = synth_multiview(400, 3, 2, noise=0.1, seed=4)
     results = {}
-    for kernel in ("quadratic_exact", "rbf_nystroem", "sigmoid_nystroem"):
+    for kernel in ("quadratic", "rbf", "sigmoid"):
         scores = []
         for seed in range(3):
             res = run_pipeline(ds, PipelineConfig(k=3, f=2, kernel=kernel,
                                                   kernel_components=30, seed=seed))
             scores.append(ari(res.consensus.labels, ds.labels))
         results[kernel] = float(np.mean(scores))
-    gap = abs(results["quadratic_exact"] - results["rbf_nystroem"])
+    gap = abs(results["quadratic"] - results["rbf"])
     report(9, gap <= 0.05,
-           f"ARI quadratic {results['quadratic_exact']:.3f}, "
-           f"rbf {results['rbf_nystroem']:.3f} (gap {gap:.3f}), "
-           f"sigmoid {results['sigmoid_nystroem']:.3f}, all completed")
+           f"ARI quadratic {results['quadratic']:.3f}, "
+           f"rbf {results['rbf']:.3f} (gap {gap:.3f}), "
+           f"sigmoid {results['sigmoid']:.3f}, all completed")

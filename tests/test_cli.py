@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from mvkc.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_TIMEOUT,
+    build_parser,
     main,
 )
 from mvkc.data import (
@@ -148,15 +152,15 @@ def test_bad_flags_exit_config(dataset_dir, tmp_path):
 
 
 def test_config_file_and_flag_precedence(dataset_dir, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"f": 2, "temperature": 0.5}))
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("--f=2\n--temperature=0.5\n")
     out = tmp_path / "out"
-    code = main(["run", dataset_dir, "--k", "3", "--temperature", "0.1",
-                 "--seeds", "0", "--config", str(cfg), "--output", str(out)])
+    code = main(["run", dataset_dir, "--k", "3", "--seeds", "0", f"@{cfg}",
+                 "--temperature", "0.1", "--output", str(out)])
     assert code == EXIT_OK
     record = json.loads((out / "run_seed0.json").read_text())
     assert record["config"]["f"] == 2  # from file
-    assert record["config"]["temperature"] == 0.1  # flag wins
+    assert record["config"]["temperature"] == 0.1  # later flag wins
 
 
 def test_prepare_features_only_with_knn(tmp_path):
@@ -237,9 +241,9 @@ def test_run_rejects_p_for_missing_view(dataset_dir, tmp_path):
 
 
 def test_run_rejects_unknown_config_key(dataset_dir, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"temprature": 5.0}))
-    code = main(["run", dataset_dir, "--k", "3", "--seeds", "0", "--config", str(cfg),
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("--temprature=5.0\n")
+    code = main(["run", dataset_dir, "--k", "3", "--seeds", "0", f"@{cfg}",
                  "--output", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
 
@@ -257,3 +261,101 @@ def test_prepare_pads_short_graph_list(tmp_path):
                  "--output", str(out)]) == EXIT_OK
     back = load_dataset(out)
     assert back.n_views == 2 and back.views[1].graph is None
+
+
+def test_missing_args_file_exits_config(dataset_dir, tmp_path, capsys):
+    code = main(["run", dataset_dir, "--k", "2", f"@{tmp_path / 'nope.args'}",
+                 "--output", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "nope.args" in err and "Traceback" not in err
+
+
+def test_run_config_uses_the_names_users_type(dataset_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--kernel", "sigmoid",
+                 "--coef0", "1", "--kernel-components", "20", "--weight-mode", "negated",
+                 "--seeds", "0", "--output", str(out)]) == EXIT_OK
+    config = json.loads((out / "run_seed0.json").read_text())["config"]
+    assert config["kernel"] == "sigmoid" and config["weight_mode"] == "negated"
+    assert config["kernel_params"] == {"coef0": 1.0}
+
+
+@pytest.mark.parametrize("extra", [
+    ["--gamma", "5"],  # the default kernel is quadratic
+    ["--kernel", "quadratic", "--gamma", "5"],
+    ["--kernel", "sigmoid", "--gamma", "5"],
+    ["--kernel", "rbf", "--coef0", "1"],
+])
+def test_run_rejects_kernel_parameter_the_kernel_does_not_read(dataset_dir, tmp_path, extra):
+    code = main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+                 "--output", str(tmp_path / "o")] + extra)
+    assert code == EXIT_CONFIG
+
+
+def test_negative_propagation_order(dataset_dir, tmp_path):
+    fpath = tmp_path / "x.bin"
+    save_features(np.ones((5, 2)), fpath)
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--features", str(fpath), "--p", "-1",
+                 "--output", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert main(["run", dataset_dir, "--k", "3", "--p", "0:-1", "--seeds", "0",
+                 "--output", str(tmp_path / "o1")]) == EXIT_CONFIG
+    manifest = Path(dataset_dir) / "manifest.txt"
+    manifest.write_text(re.sub(r" p 0\n", " p -1\n", manifest.read_text(), count=1))
+    assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+                 "--output", str(tmp_path / "o2")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["eval", "--pred", "BAD", "--truth", "LABELS"], None),
+    (["eval", "--pred", "LABELS", "--truth", "BAD"], "x\n0\n1\n1\n"),
+    (["prepare", "--features", "FEATURES", "--labels", "BAD"], None),
+    (["prepare", "--features", "FEATURES", "--labels", "BAD"], "x\n0\n1\n1\n"),
+    (["prepare", "--features", "FEATURES", "--labels", "BAD"], "0 1\n0 1\n1 0\n1 0\n"),
+    (["prepare", "--features", "BAD"], None),  # text features
+    (["prepare", "--features", "BAD"], "1 2\n3\n"),
+    (["prepare", "--features", "FEATURES", "--graph", "BAD"],
+     "n 4 nnz 1 symmetric 0\n0 1 abc\n"),
+    (["prepare", "--features", "FEATURES", "--graph", "BAD"],
+     "n 4 nnz 1 symmetric 0\n1.5 0 1.0\n"),
+], ids=["eval-missing-pred", "eval-truth-x", "prepare-missing-labels", "prepare-labels-x",
+        "prepare-labels-two-columns", "prepare-missing-text-features",
+        "prepare-ragged-text-features", "prepare-graph-weight-abc", "prepare-graph-index-1.5"])
+def test_missing_or_malformed_input_file_exits_data(tmp_path, capsys, argv, content):
+    bad, labels, features = tmp_path / "bad.txt", tmp_path / "y.txt", tmp_path / "x.bin"
+    if content is not None:
+        bad.write_text(content)
+    labels.write_text("0\n0\n1\n1\n")
+    save_features(np.ones((4, 2)), features)
+    paths = {"BAD": str(bad), "LABELS": str(labels), "FEATURES": str(features)}
+    argv = [paths.get(arg, arg) for arg in argv]
+    if argv[0] == "prepare":
+        argv += ["--output", str(tmp_path / "prepared")]
+    assert main(argv) == EXIT_DATA
+    assert "bad.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, content", [("labels.txt", "x\n"), ("manifest.txt", None)],
+                         ids=["labels-x", "manifest-p-two"])
+def test_malformed_dataset_file_exits_data(dataset_dir, tmp_path, entry, content):
+    path = Path(dataset_dir) / entry
+    if content is None:  # a propagation order that is not an integer
+        content = re.sub(r" p 0\n", " p two\n", path.read_text(), count=1)
+    path.write_text(content)
+    assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+                 "--output", str(tmp_path / "o")]) == EXIT_DATA
+
+
+def test_readme_names_every_flag_and_no_other():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", cli_section))
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    flags = {option for parser in subparsers.choices.values()
+             for action in parser._actions for option in action.option_strings
+             if option.startswith("--") and option != "--help"}
+    assert sorted(flags - documented) == []
+    assert sorted(documented - flags) == []

@@ -121,6 +121,14 @@ def test_graph_more_edge_lines_than_nnz(tmp_path):
     assert load_graph(path).nnz == 2
 
 
+@pytest.mark.parametrize("edge", ["0 1 abc", "1.5 0 1.0"])
+def test_graph_edge_field_that_does_not_parse_names_the_line(tmp_path, edge):
+    path = tmp_path / "g.txt"
+    path.write_text(f"n 3 nnz 2 symmetric 0\n1 2 1.0\n{edge}\n")
+    with pytest.raises(FormatError, match=f"edge line 1: '{edge}'"):
+        load_graph(path)
+
+
 def test_labels_length_mismatch(tmp_path):
     ds = MultiViewDataset([View(np.ones((5, 2)))], labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(SizeMismatchError):

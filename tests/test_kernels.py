@@ -5,18 +5,18 @@ from mvkc.kernels import apply_map, fit_kernel_map, kernel_matrix
 
 
 def test_quadratic_output_dim():
-    kmap = fit_kernel_map("quadratic_exact", np.zeros((5, 3)))
+    kmap = fit_kernel_map("quadratic", np.zeros((5, 3)))
     assert kmap.output_dim == 6
 
 
 def test_quadratic_basis_vector():
-    kmap = fit_kernel_map("quadratic_exact", np.zeros((1, 2)))
+    kmap = fit_kernel_map("quadratic", np.zeros((1, 2)))
     out = apply_map(kmap, np.array([[1.0, 0.0]]))
     assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
 
 def test_quadratic_reproduces_kernel():
-    kmap = fit_kernel_map("quadratic_exact", np.zeros((1, 2)))
+    kmap = fit_kernel_map("quadratic", np.zeros((1, 2)))
     u = apply_map(kmap, np.array([[1.0, 2.0]]))[0]
     v = apply_map(kmap, np.array([[3.0, 4.0]]))[0]
     assert u @ v == pytest.approx(121.0, abs=1e-12)  # (1*3 + 2*4)^2
@@ -25,7 +25,7 @@ def test_quadratic_reproduces_kernel():
 def test_quadratic_random_pairs():
     rng = np.random.default_rng(0)
     U = rng.normal(size=(50, 6))
-    kmap = fit_kernel_map("quadratic_exact", U)
+    kmap = fit_kernel_map("quadratic", U)
     Phi = apply_map(kmap, U)
     assert np.allclose(Phi @ Phi.T, (U @ U.T) ** 2, atol=1e-10)
 
@@ -33,18 +33,18 @@ def test_quadratic_random_pairs():
 def test_rbf_full_landmarks_exact():
     rng = np.random.default_rng(1)
     U = rng.normal(size=(150, 5))
-    kmap = fit_kernel_map("rbf_nystroem", U, m=150, seed=0)
+    kmap = fit_kernel_map("rbf", U, m=150, seed=0)
     Phi = apply_map(kmap, U)
-    exact = kernel_matrix("rbf_nystroem", U, U, kmap.params)
+    exact = kernel_matrix("rbf", U, U, kmap.params)
     assert np.abs(Phi @ Phi.T - exact).max() < 1e-6
 
 
 def test_rbf_random_pair_products():
     rng = np.random.default_rng(2)
     U = rng.normal(size=(100, 4))
-    kmap = fit_kernel_map("rbf_nystroem", U, m=100, seed=3)
+    kmap = fit_kernel_map("rbf", U, m=100, seed=3)
     Phi = apply_map(kmap, U)
-    exact = kernel_matrix("rbf_nystroem", U, U, kmap.params)
+    exact = kernel_matrix("rbf", U, U, kmap.params)
     for _ in range(100):
         i, j = rng.integers(0, 100, size=2)
         assert abs(Phi[i] @ Phi[j] - exact[i, j]) < 1e-6
@@ -53,20 +53,20 @@ def test_rbf_random_pair_products():
 def test_sigmoid_landmarks_deterministic():
     rng = np.random.default_rng(4)
     U = rng.normal(size=(500, 4))
-    a = fit_kernel_map("sigmoid_nystroem", U, m=50, seed=9)
-    b = fit_kernel_map("sigmoid_nystroem", U, m=50, seed=9)
+    a = fit_kernel_map("sigmoid", U, m=50, seed=9)
+    b = fit_kernel_map("sigmoid", U, m=50, seed=9)
     assert np.array_equal(a.landmarks, b.landmarks)
-    c = fit_kernel_map("sigmoid_nystroem", U, m=50, seed=10)
+    c = fit_kernel_map("sigmoid", U, m=50, seed=10)
     assert not np.array_equal(a.landmarks, c.landmarks)
 
 
 def test_nystroem_m_too_large():
     with pytest.raises(ValueError):
-        fit_kernel_map("rbf_nystroem", np.zeros((5, 2)), m=6)
+        fit_kernel_map("rbf", np.zeros((5, 2)), m=6)
 
 
 def test_input_dim_mismatch():
-    kmap = fit_kernel_map("quadratic_exact", np.zeros((3, 4)))
+    kmap = fit_kernel_map("quadratic", np.zeros((3, 4)))
     with pytest.raises(ValueError):
         apply_map(kmap, np.zeros((3, 5)))
 
@@ -75,8 +75,8 @@ def test_concatenation_summation_identity():
     # concatenated maps realize the kernel sum exactly
     rng = np.random.default_rng(5)
     U = rng.normal(size=(30, 4))
-    quad = fit_kernel_map("quadratic_exact", U)
-    rbf = fit_kernel_map("rbf_nystroem", U, m=30, seed=0)
+    quad = fit_kernel_map("quadratic", U)
+    rbf = fit_kernel_map("rbf", U, m=30, seed=0)
     Pa = apply_map(quad, U)
     Pb = apply_map(rbf, U)
     concat = np.hstack([Pa, Pb])
@@ -90,7 +90,7 @@ def test_concatenation_summation_identity():
 def test_quadratic_kernel_nonnegative():
     rng = np.random.default_rng(6)
     U = rng.normal(size=(40, 5))
-    kmap = fit_kernel_map("quadratic_exact", U)
+    kmap = fit_kernel_map("quadratic", U)
     Phi = apply_map(kmap, U)
     assert (Phi @ Phi.T).min() >= -1e-12
 
@@ -98,7 +98,7 @@ def test_quadratic_kernel_nonnegative():
 def test_scaled_map_scales_kernel():
     rng = np.random.default_rng(7)
     U = rng.normal(size=(20, 3))
-    kmap = fit_kernel_map("quadratic_exact", U)
+    kmap = fit_kernel_map("quadratic", U)
     Phi = apply_map(kmap, U)
     lam = 0.37
     scaled = np.sqrt(lam) * Phi

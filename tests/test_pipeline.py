@@ -100,7 +100,7 @@ def test_peak_memory_linear_in_n():
 
 def test_timings_cover_stages():
     ds = synth_multiview(100, 2, 2, noise=0.1, seed=5)
-    res = run_pipeline(ds, PipelineConfig(k=2, f=1, kernel="rbf_nystroem", seed=0))
+    res = run_pipeline(ds, PipelineConfig(k=2, f=1, kernel="rbf", seed=0))
     for stage in ("svd", "kernel_map", "embedding", "kmeans", "consensus"):
         assert stage in res.timings
 

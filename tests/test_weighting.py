@@ -92,7 +92,7 @@ def test_largest_trace_gets_largest_weight():
 
 
 def test_negated_mode_flips_direction():
-    w = softmax_weights([3.0, 1.0, 2.0], 0.5, mode="negated_softmax")
+    w = softmax_weights([3.0, 1.0, 2.0], 0.5, mode="negated")
     assert np.argmax(w.lambdas) == np.argmin(w.raw_traces)
 
 
