@@ -2,13 +2,16 @@
 dataset directory, ``run`` clusters it over seeds, ``eval`` scores labels.
 
 Each ``run`` setting has one flag. An argument ``@file`` stands for the lines
-of that file, one argument per line; a later argument wins.
+of that file, one argument per line, blank lines skipped; a later argument
+wins. ``--p`` overrides the manifest order of the views it names only.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure.
-A missing or malformed input file is a data error. A setting that would be
-ignored is a config error: a ``--p`` entry for a view the dataset lacks, a
-kernel parameter the kernel does not read, or ``prepare`` counts of ``--p``
-orders and ``--graph`` entries that do not fit the feature files.
+A missing or malformed input file, or ``eval`` label files of different
+lengths, is a data error. A setting that would be ignored or make the run
+meaningless is a config error: a ``--p`` entry for a view the dataset lacks,
+a kernel parameter the kernel does not read, a temperature, gamma or
+``--kernel-components`` that is not positive, or ``prepare`` counts of
+``--p`` orders and ``--graph`` entries that do not fit the feature files.
 """
 
 import argparse
@@ -25,6 +28,7 @@ from . import metrics
 from .data import (
     DataError,
     MultiViewDataset,
+    SizeMismatchError,
     View,
     build_knn_graph,
     load_dataset,
@@ -56,8 +60,8 @@ def _parse_p(text):
     return out
 
 
-def _build_config(args, n_views):
-    """A ``PipelineConfig`` from the ``run`` flags that were given."""
+def _build_config(args, views):
+    """A ``PipelineConfig`` from the ``run`` flags given; ``--p`` sets only the views it names."""
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     settings = {name: value for name, value in vars(args).items()
                 if name in fields and value is not None}
@@ -65,10 +69,11 @@ def _build_config(args, n_views):
                                  if getattr(args, name) is not None}
     if args.p is not None:
         mapping = _parse_p(args.p)
-        missing = sorted(set(mapping) - set(range(n_views)))
+        missing = sorted(set(mapping) - set(range(len(views))))
         if missing:
-            raise ValueError(f"--p names views {missing}, but the dataset has {n_views} views")
-        settings["propagation_orders"] = [mapping.get(v, 0) for v in range(n_views)]
+            raise ValueError(f"--p names views {missing}, but the dataset has {len(views)} views")
+        settings["propagation_orders"] = [mapping.get(v, view.propagation_order)
+                                          for v, view in enumerate(views)]
     return PipelineConfig(**settings)
 
 
@@ -137,7 +142,7 @@ def _single_run(dataset, config, time_limit):
 
 def cmd_run(args):
     dataset = load_dataset(args.dataset)
-    config = _build_config(args, dataset.n_views)
+    config = _build_config(args, dataset.views)
     seeds = [int(s) for s in args.seeds.split(",")]
     os.makedirs(args.output, exist_ok=True)
 
@@ -156,6 +161,7 @@ def cmd_run(args):
         elif "error" in payload:
             record["status"] = "Error"
             record["error"] = payload["error"]
+            record["exit_code"] = payload["exit_code"]
             failure = failure or payload
         else:
             record["status"] = "ok"
@@ -251,6 +257,9 @@ def cmd_prepare(args):
 def cmd_eval(args):
     pred = load_labels(args.pred)
     truth = load_labels(args.truth)
+    if len(pred) != len(truth):
+        raise SizeMismatchError(f"{args.pred} has {len(pred)} labels but "
+                                f"{args.truth} has {len(truth)}")
     print(json.dumps(metrics.evaluate(pred, truth), indent=2))
     return EXIT_OK
 
@@ -258,6 +267,8 @@ def cmd_eval(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="mvkc", fromfile_prefix_chars="@",
                                      description="Multi-view kernel clustering")
+    # an @file holds one argument per line; blank lines hold none
+    parser.convert_arg_line_to_args = lambda line: [line] if line.strip() else []
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run seeded clustering on a dataset")

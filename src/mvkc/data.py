@@ -42,7 +42,7 @@ class SizeMismatchError(DataError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseGraph:
     """Undirected or directed weighted graph in coordinate form.
 
@@ -83,19 +83,6 @@ class SparseGraph:
     def to_csr(self):
         return sp.csr_matrix(
             (self.weights, (self.rows, self.cols)), shape=(self.n, self.n)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseGraph):
-            return NotImplemented
-        if self.n != other.n or self.symmetric != other.symmetric:
-            return False
-        a = np.lexsort((self.cols, self.rows))
-        b = np.lexsort((other.cols, other.rows))
-        return (
-            np.array_equal(self.rows[a], other.rows[b])
-            and np.array_equal(self.cols[a], other.cols[b])
-            and np.array_equal(self.weights[a], other.weights[b])
         )
 
 

@@ -38,18 +38,6 @@ def _fix_signs(U, V):
     return U * signs, V * signs
 
 
-def exact_svd(X):
-    """Full dense SVD, guarded to small matrices; the oracle for tests."""
-    X = np.asarray(X, dtype=np.float64)
-    if min(X.shape) > EXACT_SVD_MAX_DIM:
-        raise ValueError(
-            f"exact_svd limited to min dim {EXACT_SVD_MAX_DIM}, got {X.shape}"
-        )
-    U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
-    U, V = _fix_signs(U, Vt.T)
-    return SVDResult(U, s, V)
-
-
 def randomized_svd(X, r, seed=0):
     """Seeded randomized truncated SVD of rank r.
 
@@ -79,6 +67,7 @@ def truncated_svd(X, r, seed=0):
     """Rank-r SVD, exact for small inputs and randomized above the guard."""
     X = np.asarray(X, dtype=np.float64)
     if min(X.shape) <= EXACT_SVD_MAX_DIM:
-        res = exact_svd(X)
-        return SVDResult(res.U[:, :r], res.s[:r], res.V[:, :r])
+        U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
+        U, V = _fix_signs(U[:, :r], Vt[:r].T)
+        return SVDResult(U, s[:r], V)
     return randomized_svd(X, r, seed=seed)

@@ -1,9 +1,10 @@
 """External clustering evaluation: accuracy, macro F1, NMI, ARI.
 
-All four scores are functions of the contingency table between the
+All four scores are computed from one contingency table between the
 predicted and ground-truth partitions, so they are invariant to relabeling
-on either side. Accuracy and F1 use an exact optimal one-to-one matching of
-clusters to classes (rectangular tables padded with zeros).
+on either side. Accuracy and F1 share one exact optimal one-to-one matching
+of clusters to classes on the (possibly rectangular) table; a class left
+without a cluster scores F1 = 0.
 """
 
 import logging
@@ -14,65 +15,36 @@ from scipy.optimize import linear_sum_assignment
 log = logging.getLogger(__name__)
 
 
-def _as_labels(x):
-    x = np.asarray(getattr(x, "labels", x))
-    _, inv = np.unique(x, return_inverse=True)
-    return inv
-
-
 def contingency_table(pred, truth):
     """k_pred x k_true table of co-occurrence counts."""
-    pred = _as_labels(pred)
-    truth = _as_labels(truth)
     if len(pred) != len(truth):
         raise ValueError(
             f"length mismatch: pred has {len(pred)}, truth has {len(truth)}"
         )
+    _, pred = np.unique(pred, return_inverse=True)
+    _, truth = np.unique(truth, return_inverse=True)
     kp, kt = pred.max() + 1, truth.max() + 1
     counts = np.bincount(pred * kt + truth, minlength=kp * kt)
     return counts.reshape(kp, kt)
 
 
-def _optimal_assignment(table):
-    kp, kt = table.shape
-    size = max(kp, kt)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[:kp, :kt] = table
-    rows, cols = linear_sum_assignment(-padded)
-    return rows, cols
-
-
 def clustering_accuracy(pred, truth):
     """Best accuracy over one-to-one cluster-to-class assignments."""
     table = contingency_table(pred, truth)
-    rows, cols = _optimal_assignment(table)
-    size = max(table.shape)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    return float(padded[rows, cols].sum()) / table.sum()
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return float(table[rows, cols].sum()) / table.sum()
 
 
 def macro_f1(pred, truth):
-    """Macro-averaged F1 over classes, after the optimal cluster matching."""
-    pred = _as_labels(pred)
-    truth = _as_labels(truth)
+    """Macro-averaged F1 over classes, after the optimal cluster matching.
+
+    Class c matched to cluster r scores 2 table[r, c] / (|r| + |c|).
+    """
     table = contingency_table(pred, truth)
-    rows, cols = _optimal_assignment(table)
-    kt = table.shape[1]
-    # relabel predicted clusters to their matched class; unmatched -> -1
-    mapping = np.full(table.shape[0], -1, dtype=np.int64)
-    for r, c in zip(rows, cols):
-        if r < table.shape[0] and c < kt:
-            mapping[r] = c
-    matched = mapping[pred]
-    scores = []
-    for c in range(kt):
-        tp = np.count_nonzero((matched == c) & (truth == c))
-        fp = np.count_nonzero((matched == c) & (truth != c))
-        fn = np.count_nonzero((matched != c) & (truth == c))
-        denom = 2 * tp + fp + fn
-        scores.append(2.0 * tp / denom if denom else 0.0)
-    return float(np.mean(scores))
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    f1 = np.zeros(table.shape[1])
+    f1[cols] = 2.0 * table[rows, cols] / (table.sum(axis=1)[rows] + table.sum(axis=0)[cols])
+    return float(np.mean(f1))
 
 
 def _entropy(counts, n):
@@ -84,20 +56,16 @@ def nmi(pred, truth):
     """Normalized mutual information with arithmetic-mean normalization."""
     table = contingency_table(pred, truth)
     n = table.sum()
-    hp = _entropy(table.sum(axis=1), n)
-    ht = _entropy(table.sum(axis=0), n)
+    rowsum, colsum = table.sum(axis=1), table.sum(axis=0)
+    hp = _entropy(rowsum, n)
+    ht = _entropy(colsum, n)
     if hp == 0.0 and ht == 0.0:
         return 1.0
     if hp == 0.0 or ht == 0.0:
         return 0.0
-    pi = table.sum(axis=1) / n
-    pj = table.sum(axis=0) / n
-    mi = 0.0
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            if table[i, j]:
-                pij = table[i, j] / n
-                mi += pij * np.log(pij / (pi[i] * pj[j]))
+    i, j = np.nonzero(table)
+    pij = table[i, j] / n
+    mi = (pij * np.log(pij / ((rowsum[i] / n) * (colsum[j] / n)))).sum()
     return float(mi / (0.5 * (hp + ht)))
 
 

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,8 @@ from .weighting import WEIGHT_MODES, ViewWeights, clusterability_trace, softmax_
 
 @dataclass
 class PipelineConfig:
-    """All tunables of a clustering run."""
+    """All tunables of a clustering run, checked when it is built: a value
+    that would make the run meaningless raises ``ValueError``."""
 
     k: int
     f: int | None = None  # components per view; defaults to k
@@ -34,8 +36,6 @@ class PipelineConfig:
     kernel: str = "quadratic"
     kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k
     kernel_params: dict = field(default_factory=dict)
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-6
     weight_mode: str = "softmax"
     propagation_orders: list | None = None  # per-view override
     seed: int = 0
@@ -50,11 +50,17 @@ class PipelineConfig:
             raise ValueError(f"need k >= 2 clusters, got {self.k}")
         if self.f < 1:
             raise ValueError(f"need f >= 1 components, got {self.f}")
+        if self.temperature <= 0:
+            raise ValueError(f"need temperature > 0, got {self.temperature}")
+        if self.kernel_components < 1:
+            raise ValueError(f"need kernel_components >= 1, got {self.kernel_components}")
         if self.kernel not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel: {self.kernel}")
         unused = sorted(set(self.kernel_params) - set(default_params(self.kernel, self.f)))
         if unused:
             raise ValueError(f"kernel {self.kernel} does not read {unused}")
+        if self.kernel_params.get("gamma", 1.0) <= 0:
+            raise ValueError(f"need gamma > 0, got {self.kernel_params['gamma']}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode: {self.weight_mode}")
         if self.propagation_orders is not None and min(self.propagation_orders, default=0) < 0:
@@ -74,15 +80,6 @@ class ClusteringResult:
     per_view: list
     weights: ViewWeights
     timings: dict
-    config: PipelineConfig
-
-
-class _StageTimer:
-    def __init__(self):
-        self.totals = {}
-
-    def add(self, stage, start):
-        self.totals[stage] = self.totals.get(stage, 0.0) + (time.perf_counter() - start)
 
 
 def _derived_seeds(seed, n_views):
@@ -94,30 +91,30 @@ def _derived_seeds(seed, n_views):
 def _cluster_factor(B, config, seed, timer, stages):
     """Degree-normalize the factor, embed it spectrally and run k-means.
 
-    ``stages`` names the timer stages of (normalize + embed, k-means).
+    ``stages`` names the ``timer`` entries of (normalize + embed, k-means).
     Returns the normalized factor and the partition.
     """
     t0 = time.perf_counter()
     B = degree_normalize(B, implicit_degrees(B))
     coords = spectral_embedding(B, config.f, seed=seed)
-    timer.add(stages[0], t0)
+    timer[stages[0]] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    partition, _ = kmeans(coords, config.k, seed=seed,
-                          max_iter=config.kmeans_max_iter, tol=config.kmeans_tol)
-    timer.add(stages[1], t0)
+    partition, _ = kmeans(coords, config.k, seed=seed)
+    timer[stages[1]] += time.perf_counter() - t0
     return B, partition
 
 
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
     """Run the full multi-view clustering pass and return all partitions.
 
-    An exception raised while processing a view keeps its class and carries
+    ``timings`` maps each stage to its seconds, summed over the views. An
+    exception raised while processing a view keeps its class and carries
     a ``view <index>`` note.
     """
     n_views = dataset.n_views
     seeds = _derived_seeds(config.seed, n_views)
-    timer = _StageTimer()
+    timer = defaultdict(float)  # seconds by stage, summed over views
     # views that propagate without a graph of their own use the first one given
     shared_graph = next((view.graph for view in dataset.views if view.graph is not None), None)
 
@@ -137,25 +134,25 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
                 X = propagate_cached(graph, view.features, p, cache_dir=config.cache_dir)
             else:
                 X = view.features
-            timer.add("propagation", t0)
+            timer["propagation"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
             Xc = center_columns(X)
             svd = truncated_svd(Xc, config.f, seed=seeds[v])
-            timer.add("svd", t0)
+            timer["svd"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
             kmap = fit_kernel_map(config.kernel, svd.U,
                                   m=min(config.kernel_components, dataset.n),
                                   params=config.kernel_params, seed=seeds[v])
             B = apply_map(kmap, svd.U)
-            timer.add("kernel_map", t0)
+            timer["kernel_map"] += time.perf_counter() - t0
 
             B, G = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))
 
             t0 = time.perf_counter()
             traces.append(clusterability_trace(B, G))
-            timer.add("weighting", t0)
+            timer["weighting"] += time.perf_counter() - t0
             factors.append(B)
             partitions.append(G)
         except Exception as exc:
@@ -167,8 +164,8 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     # scaling factor v by sqrt(lambda_v) gives the concatenation the Gram
     # matrix sum_v lambda_v B_v B_v^T, the weighted consensus affinity
     concat = np.hstack([np.sqrt(lam) * B for lam, B in zip(weights.lambdas, factors)])
-    timer.add("weighting", t0)
+    timer["weighting"] += time.perf_counter() - t0
 
     _, consensus = _cluster_factor(concat, config, seeds[n_views], timer,
                                    ("consensus", "consensus"))
-    return ClusteringResult(consensus, partitions, weights, timer.totals, config)
+    return ClusteringResult(consensus, partitions, weights, dict(timer))

@@ -18,7 +18,6 @@ WEIGHT_MODES = ("softmax", "negated", "uniform")
 @dataclass
 class ViewWeights:
     lambdas: np.ndarray
-    temperature: float
     raw_traces: np.ndarray
 
 
@@ -57,4 +56,4 @@ def softmax_weights(traces, temperature, mode="softmax"):
         z = z - z.max()
         e = np.exp(z)
         lambdas = e / e.sum()
-    return ViewWeights(lambdas, temperature, traces.copy())
+    return ViewWeights(lambdas, traces.copy())

@@ -1,8 +1,11 @@
 """Dense reference computations that the tests compare the factorized code
-against. They materialize n x n or n x k matrices, so they suit small inputs
-only."""
+against. They materialize n x n or n x k matrices or full SVDs, so they suit
+small inputs only."""
 
 import numpy as np
+import scipy.linalg
+
+from mvkc.linalg import EXACT_SVD_MAX_DIM, SVDResult
 
 
 def consensus_affinity_oracle(factor_values, lambdas, max_n=2048):
@@ -24,3 +27,30 @@ def indicator(partition):
     F = np.zeros((partition.n, partition.k))
     F[np.arange(partition.n), partition.labels] = 1.0
     return F
+
+
+def exact_svd(X):
+    """Full dense SVD, guarded to small matrices, with the sign convention of
+    ``mvkc.linalg``: the largest-magnitude entry of each left vector is positive."""
+    X = np.asarray(X, dtype=np.float64)
+    if min(X.shape) > EXACT_SVD_MAX_DIM:
+        raise ValueError(
+            f"exact_svd limited to min dim {EXACT_SVD_MAX_DIM}, got {X.shape}"
+        )
+    U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
+    signs = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
+    signs[signs == 0] = 1.0
+    return SVDResult(U * signs, s, Vt.T * signs)
+
+
+def same_graph(a, b):
+    """True when two graphs hold the same edges and weights, in any order."""
+    if a.n != b.n or a.symmetric != b.symmetric:
+        return False
+    i = np.lexsort((a.cols, a.rows))
+    j = np.lexsort((b.cols, b.rows))
+    return (
+        np.array_equal(a.rows[i], b.rows[j])
+        and np.array_equal(a.cols[i], b.cols[j])
+        and np.array_equal(a.weights[i], b.weights[j])
+    )

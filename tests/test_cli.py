@@ -128,6 +128,24 @@ def test_view_failure_exit_code(tmp_path, kind, expected, time_limit):
         assert "view 0" in record["error"]
 
 
+@pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
+def test_data_failure_inside_a_seed_exits_data(tmp_path, time_limit):
+    ds = synth_multiview(60, 3, 1, seed=0)
+    ds.views[0].propagation_order = 1
+    path = tmp_path / "ds"
+    save_dataset(ds, path)
+    cache = tmp_path / "cache"
+    argv = ["run", str(path), "--k", "3", "--f", "2", "--seeds", "0",
+            "--cache-dir", str(cache)] + time_limit
+    assert main(argv + ["--output", str(tmp_path / "warm")]) == EXIT_OK
+    for entry in cache.iterdir():  # a truncated cache file no longer parses
+        entry.write_bytes(entry.read_bytes()[:-8])
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == EXIT_DATA
+    record = json.loads((out / "run_seed0.json").read_text())
+    assert record["status"] == "Error" and record["exit_code"] == EXIT_DATA
+
+
 def test_run_timeout(tmp_path):
     ds = synth_multiview(5000, 5, 2, noise=0.1, seed=0)
     path = tmp_path / "big"
@@ -161,6 +179,43 @@ def test_config_file_and_flag_precedence(dataset_dir, tmp_path):
     record = json.loads((out / "run_seed0.json").read_text())
     assert record["config"]["f"] == 2  # from file
     assert record["config"]["temperature"] == 0.1  # later flag wins
+
+
+def test_blank_lines_in_args_file_are_skipped(dataset_dir, tmp_path):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("--f=2\n\n  \n")
+    out = tmp_path / "out"
+    code = main(["run", dataset_dir, "--k", "3", "--seeds", "0", f"@{cfg}",
+                 "--output", str(out)])
+    assert code == EXIT_OK
+    assert json.loads((out / "run_seed0.json").read_text())["config"]["f"] == 2
+
+
+def test_partial_p_keeps_manifest_order_of_other_views(tmp_path):
+    ds = synth_multiview(60, 3, 2, seed=0)
+    ds.views[1].propagation_order = 1
+    path = tmp_path / "ds"
+    save_dataset(ds, path)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--k", "3", "--f", "2", "--p", "0:2",
+                 "--seeds", "0", "--output", str(out)]) == EXIT_OK
+    config = json.loads((out / "run_seed0.json").read_text())["config"]
+    assert config["propagation_orders"] == [2, 1]
+
+
+@pytest.mark.parametrize("extra, setting", [
+    (["--temperature", "0"], "temperature"),
+    (["--kernel-components", "0"], "kernel_components"),
+    (["--kernel", "rbf", "--gamma", "-5"], "gamma"),
+])
+def test_meaningless_setting_fails_before_any_seed(dataset_dir, tmp_path, capsys,
+                                                   extra, setting):
+    out = tmp_path / "out"
+    code = main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+                 "--output", str(out)] + extra)
+    assert code == EXIT_CONFIG
+    assert setting in capsys.readouterr().err
+    assert not (out / "run_seed0.json").exists()
 
 
 def test_prepare_features_only_with_knn(tmp_path):
@@ -207,6 +262,16 @@ def test_eval_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["ca"] == 1.0 and out["ari"] == 1.0
 
+
+
+def test_eval_length_mismatch_exits_data(tmp_path, capsys):
+    pred, truth = tmp_path / "p.txt", tmp_path / "t.txt"
+    pred.write_text("0\n1\n")
+    truth.write_text("0\n1\n1\n")
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "SizeMismatchError" in err
+    assert all(part in err for part in (str(pred), str(truth), "2", "3"))
 
 
 def test_prepare_rejects_non_finite_graph_weights(tmp_path):

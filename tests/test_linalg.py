@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvkc.linalg import center_columns, exact_svd, randomized_svd, truncated_svd
+from mvkc.linalg import center_columns, randomized_svd, truncated_svd
+from oracles import exact_svd
 
 
 def test_center_two_points():
