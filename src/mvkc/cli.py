@@ -10,8 +10,9 @@ A missing or malformed input file, or ``eval`` label files of different
 lengths, is a data error. A setting that would be ignored or make the run
 meaningless is a config error: a ``--p`` entry for a view the dataset lacks,
 a kernel parameter the kernel does not read, a temperature, gamma or
-``--kernel-components`` that is not positive, or ``prepare`` counts of
-``--p`` orders and ``--graph`` entries that do not fit the feature files.
+``--time-limit`` that is not positive, too few ``--kernel-components``, a
+repeated seed, or ``prepare`` counts of ``--p`` orders and ``--graph``
+entries that do not fit the feature files.
 """
 
 import argparse
@@ -144,6 +145,10 @@ def cmd_run(args):
     dataset = load_dataset(args.dataset)
     config = _build_config(args, dataset.views)
     seeds = [int(s) for s in args.seeds.split(",")]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"--seeds repeats a seed: {args.seeds}")
+    if args.time_limit is not None and args.time_limit <= 0:
+        raise ValueError(f"--time-limit must be > 0 seconds, got {args.time_limit}")
     os.makedirs(args.output, exist_ok=True)
 
     truth = dataset.labels

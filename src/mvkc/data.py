@@ -7,15 +7,19 @@ A dataset is a directory with a ``manifest.txt`` describing the views:
     labels labels.txt
 
 Graph files are coordinate text (``n <n> nnz <nnz> symmetric <0|1>`` header,
-then exactly ``nnz`` ``i j w`` triples, 0-based; only blank lines may follow).
-Feature files are a one-line ASCII header ``n <n> d <d> dtype f64`` followed
-by little-endian float64 values, row-major.
+then exactly ``nnz`` ``i j w`` triples, 0-based, in any order; only blank
+lines may follow). Feature files are a one-line ASCII header
+``n <n> d <d> dtype f64`` followed by little-endian float64 values, row-major.
 
-A ``SparseGraph`` validates itself when it is built, so every graph, whether
-read from a file, built from k-NN or passed in by a caller, is checked once.
+A graph is one canonical CSR matrix, ``SparseGraph.adj``, so edge order in a
+file does not matter. It is validated once, when it is built, whether it is
+read from a file, built from k-NN or passed in by a caller.
 """
 
+import itertools
 import os
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,48 +46,42 @@ class SizeMismatchError(DataError):
     pass
 
 
-@dataclass(eq=False)
 class SparseGraph:
-    """Undirected or directed weighted graph in coordinate form.
+    """Weighted graph on n nodes as one canonical CSR matrix ``adj`` (sorted
+    indices, no duplicates, explicit zeros kept). Building one from coordinate
+    arrays validates it; an invalid edge list raises a ``DataError``."""
 
-    Building one validates it; an invalid edge list raises a ``DataError``.
-    """
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-    symmetric: bool = True
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+    def __init__(self, n, rows, cols, weights, symmetric=True):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if len(rows) and (min(rows.min(), cols.min()) < 0
+                          or max(rows.max(), cols.max()) >= n):
+            raise IndexRangeError(f"graph: edge index out of range [0, {n})")
+        self.adj = sp.csr_matrix((weights, (rows, cols)), shape=(n, n), dtype=np.float64)
+        if self.adj.nnz != len(rows):  # the COO -> CSR conversion summed duplicates
+            raise FormatError("graph: duplicate (row, col) edge entries")
+        self.symmetric = bool(symmetric)
         self.validate()
 
     @property
+    def n(self):
+        return self.adj.shape[0]
+
+    @property
     def nnz(self):
-        return len(self.rows)
+        return self.adj.nnz
 
     def validate(self):
-        if self.nnz and (self.rows.min() < 0 or self.rows.max() >= self.n
-                         or self.cols.min() < 0 or self.cols.max() >= self.n):
-            raise IndexRangeError(f"graph: edge index out of range [0, {self.n})")
-        if not np.isfinite(self.weights).all():
+        """Check for finite weights and, if ``symmetric``, that ``adj`` equals its transpose."""
+        if not np.isfinite(self.adj.data).all():
             raise FormatError("graph: edge weights contain NaN or Inf")
-        keys = self.rows * self.n + self.cols
-        if len(np.unique(keys)) != len(keys):
-            raise FormatError("graph: duplicate (row, col) edge entries")
         if self.symmetric:
-            fwd = set(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
-            rev = set(zip(self.cols.tolist(), self.rows.tolist(), self.weights.tolist()))
-            if fwd != rev:
+            adj, adj_t = self.adj, self.adj.T.tocsr()
+            adj_t.sort_indices()
+            if not (np.array_equal(adj.indptr, adj_t.indptr)
+                    and np.array_equal(adj.indices, adj_t.indices)
+                    and np.array_equal(adj.data, adj_t.data)):
                 raise FormatError("graph: symmetric flag set but edge list is not symmetric")
-
-    def to_csr(self):
-        return sp.csr_matrix(
-            (self.weights, (self.rows, self.cols)), shape=(self.n, self.n)
-        )
 
 
 @dataclass
@@ -151,37 +149,44 @@ class MultiViewDataset:
 
 
 def save_graph(graph, path):
+    coo = graph.adj.tocoo()
     with open(path, "w") as fh:
         fh.write(f"n {graph.n} nnz {graph.nnz} symmetric {int(graph.symmetric)}\n")
-        for i, j, w in zip(graph.rows, graph.cols, graph.weights):
-            fh.write(f"{i} {j} {float(w)!r}\n")
+        fh.writelines(f"{i} {j} {w!r}\n" for i, j, w in
+                      zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+
+
+def _parse_edges(lines):
+    """One ``i j w`` record per line, or None if a line is blank or does not parse."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on input without data
+        try:
+            edges = np.loadtxt(lines, dtype=[("i", "<i8"), ("j", "<i8"), ("w", "<f8")],
+                               comments=None, ndmin=1)
+        except ValueError:
+            return None
+    return edges if len(edges) == len(lines) else None  # loadtxt skips blank lines
 
 
 def load_graph(path):
     if not os.path.isfile(path):
         raise MissingFileError(f"graph file not found: {path}")
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != "n" or header[2] != "nnz" or header[4] != "symmetric":
+        header = re.fullmatch(r"n ([0-9]+) nnz ([0-9]+) symmetric ([01])",
+                              " ".join(fh.readline().split()))
+        if header is None:
             raise FormatError(f"{path}: malformed graph header")
-        try:
-            n, nnz, symmetric = int(header[1]), int(header[3]), int(header[5])
-        except ValueError:
-            raise FormatError(f"{path}: malformed graph header") from None
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        weights = np.empty(nnz, dtype=np.float64)
-        for idx in range(nnz):
-            parts = fh.readline().split()
-            try:
-                i, j, w = parts
-                rows[idx], cols[idx], weights[idx] = int(i), int(j), float(w)
-            except (ValueError, OverflowError):
-                raise FormatError(f"{path}: bad edge line {idx}: {' '.join(parts)!r}") from None
+        n, nnz, symmetric = map(int, header.groups())
+        lines = list(itertools.islice(fh, nnz))
+        lines += [""] * (len(lines) < nnz)  # the first missing line reads as empty
+        edges = _parse_edges(lines)
+        if edges is None:  # name the first line that does not parse alone
+            idx = next(i for i, line in enumerate(lines) if _parse_edges([line]) is None)
+            raise FormatError(f"{path}: bad edge line {idx}: {' '.join(lines[idx].split())!r}")
         if any(line.strip() for line in fh):
             raise FormatError(f"{path}: more edge lines than nnz={nnz}")
     try:
-        return SparseGraph(n, rows, cols, weights, symmetric=bool(symmetric))
+        return SparseGraph(n, edges["i"], edges["j"], edges["w"], symmetric=bool(symmetric))
     except DataError as exc:
         exc.add_note(str(path))
         raise
@@ -309,29 +314,17 @@ def build_knn_graph(features, k_neighbors, self_loops=False):
     if k_neighbors >= n:
         raise ValueError(f"k_neighbors={k_neighbors} must be < n={n}")
     sq = np.einsum("ij,ij->i", features, features)
-    rows = []
-    cols = []
+    neighbors = np.empty((n, k_neighbors), dtype=np.int64)
     for start in range(0, n, KNN_CHUNK):
         stop = min(start + KNN_CHUNK, n)
-        block = features[start:stop]
-        d2 = sq[start:stop, None] - 2.0 * block @ features.T + sq[None, :]
-        # exclude self before selecting neighbors
-        for local in range(stop - start):
-            d2[local, start + local] = np.inf
+        d2 = sq[start:stop, None] - 2.0 * features[start:stop] @ features.T + sq[None, :]
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
         # stable sort keeps the lowest index first among equal distances
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
-        rows.append(np.repeat(np.arange(start, stop), k_neighbors))
-        cols.append(order.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    # symmetrize by union, dedupe
-    all_rows = np.concatenate([rows, cols])
-    all_cols = np.concatenate([cols, rows])
+        neighbors[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
+    knn = sp.csr_matrix((np.ones(neighbors.size), neighbors.ravel(),
+                         np.arange(n + 1) * k_neighbors), shape=(n, n))
+    union = knn + knn.T
     if self_loops:
-        diag = np.arange(n)
-        all_rows = np.concatenate([all_rows, diag])
-        all_cols = np.concatenate([all_cols, diag])
-    keys = np.unique(all_rows * n + all_cols)
-    rows = keys // n
-    cols = keys % n
-    return SparseGraph(n, rows, cols, np.ones(len(rows)), symmetric=True)
+        union = union + sp.identity(n, format="csr")
+    union = union.tocoo()
+    return SparseGraph(n, union.row, union.col, np.ones(union.nnz), symmetric=True)

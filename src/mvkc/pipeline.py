@@ -52,8 +52,10 @@ class PipelineConfig:
             raise ValueError(f"need f >= 1 components, got {self.f}")
         if self.temperature <= 0:
             raise ValueError(f"need temperature > 0, got {self.temperature}")
-        if self.kernel_components < 1:
-            raise ValueError(f"need kernel_components >= 1, got {self.kernel_components}")
+        # a Nystroem factor has kernel_components columns; the embedding needs f + 1
+        least = self.f + 1 if self.kernel in ("rbf", "sigmoid") else 1
+        if self.kernel_components < least:
+            raise ValueError(f"need kernel_components >= {least}, got {self.kernel_components}")
         if self.kernel not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel: {self.kernel}")
         unused = sorted(set(self.kernel_params) - set(default_params(self.kernel, self.f)))

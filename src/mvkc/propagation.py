@@ -4,9 +4,9 @@ Each view's features are pre-multiplied p times by the self-loop,
 symmetrically normalized adjacency D^{-1/2} (A + I) D^{-1/2}, with D the
 degree of A + I, built by ``normalized_adjacency`` as a CSR matrix. Its
 spectral radius is at most 1, so high propagation orders stay bounded.
-Results can be cached on disk under a content hash;
-a cache file is written to a temporary name and then renamed, so a reader
-never sees a partial file.
+Results can be cached on disk under a hash of the CSR arrays of ``graph.adj``,
+the features and p, so edge order in a graph file does not change the key. A
+cache file is written to a temporary name and renamed, so none is seen partial.
 """
 
 import hashlib
@@ -21,7 +21,7 @@ from .data import load_features, save_features
 
 def normalized_adjacency(graph):
     """Sparse propagation operator D^{-1/2} (A + I) D^{-1/2} of a graph, as CSR."""
-    adj = graph.to_csr() + sp.identity(graph.n, format="csr")
+    adj = graph.adj + sp.identity(graph.n, format="csr")
     degrees = np.asarray(adj.sum(axis=1)).ravel()
     inv_sqrt = np.where(degrees > 0, degrees, 1.0) ** -0.5
     inv_sqrt[degrees <= 0] = 0.0
@@ -46,11 +46,10 @@ def propagate(op, features, p):
 
 def _cache_key(graph, features, p):
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(graph.rows).tobytes())
-    h.update(np.ascontiguousarray(graph.cols).tobytes())
-    h.update(np.ascontiguousarray(graph.weights).tobytes())
+    h.update(np.ascontiguousarray(graph.adj.indptr, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(graph.adj.indices, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(graph.adj.data, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(features, dtype="<f8").tobytes())
-    # the operator name stays in the hashed bytes so existing cache files still hit
     h.update(f"p={p};norm=sym_selfloop".encode())
     return h.hexdigest()[:32]
 

@@ -45,12 +45,10 @@ def exact_svd(X):
 
 def same_graph(a, b):
     """True when two graphs hold the same edges and weights, in any order."""
-    if a.n != b.n or a.symmetric != b.symmetric:
-        return False
-    i = np.lexsort((a.cols, a.rows))
-    j = np.lexsort((b.cols, b.rows))
     return (
-        np.array_equal(a.rows[i], b.rows[j])
-        and np.array_equal(a.cols[i], b.cols[j])
-        and np.array_equal(a.weights[i], b.weights[j])
+        a.n == b.n
+        and a.symmetric == b.symmetric
+        and np.array_equal(a.adj.indptr, b.adj.indptr)
+        and np.array_equal(a.adj.indices, b.adj.indices)
+        and np.array_equal(a.adj.data, b.adj.data)
     )

@@ -207,6 +207,11 @@ def test_partial_p_keeps_manifest_order_of_other_views(tmp_path):
     (["--temperature", "0"], "temperature"),
     (["--kernel-components", "0"], "kernel_components"),
     (["--kernel", "rbf", "--gamma", "-5"], "gamma"),
+    (["--kernel", "rbf", "--kernel-components", "3"], "kernel_components"),  # f + 1 = 4
+    (["--kernel", "sigmoid", "--kernel-components", "1"], "kernel_components"),
+    (["--time-limit", "0"], "time-limit"),
+    (["--time-limit", "-1"], "time-limit"),
+    (["--seeds", "0,0"], "seeds"),
 ])
 def test_meaningless_setting_fails_before_any_seed(dataset_dir, tmp_path, capsys,
                                                    extra, setting):
@@ -385,9 +390,13 @@ def test_negative_propagation_order(dataset_dir, tmp_path):
      "n 4 nnz 1 symmetric 0\n0 1 abc\n"),
     (["prepare", "--features", "FEATURES", "--graph", "BAD"],
      "n 4 nnz 1 symmetric 0\n1.5 0 1.0\n"),
+    (["prepare", "--features", "FEATURES", "--graph", "BAD"], "n -1 nnz 0 symmetric 0\n"),
+    (["prepare", "--features", "FEATURES", "--graph", "BAD"], "n 4 nnz -1 symmetric 0\n"),
+    (["prepare", "--features", "FEATURES", "--graph", "BAD"], "n 4 nnz 0 symmetric 7\n"),
 ], ids=["eval-missing-pred", "eval-truth-x", "prepare-missing-labels", "prepare-labels-x",
         "prepare-labels-two-columns", "prepare-missing-text-features",
-        "prepare-ragged-text-features", "prepare-graph-weight-abc", "prepare-graph-index-1.5"])
+        "prepare-ragged-text-features", "prepare-graph-weight-abc", "prepare-graph-index-1.5",
+        "prepare-graph-negative-n", "prepare-graph-negative-nnz", "prepare-graph-symmetric-7"])
 def test_missing_or_malformed_input_file_exits_data(tmp_path, capsys, argv, content):
     bad, labels, features = tmp_path / "bad.txt", tmp_path / "y.txt", tmp_path / "x.bin"
     if content is not None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,35 @@ def test_graph_edge_field_that_does_not_parse_names_the_line(tmp_path, edge):
         load_graph(path)
 
 
+@pytest.mark.parametrize("body, line", [("\n1 2 1.0\n", 0), ("1 2 1.0\n", 1)],
+                         ids=["blank-line", "missing-line"])
+def test_graph_blank_or_missing_edge_line_names_the_line(tmp_path, body, line):
+    path = tmp_path / "g.txt"
+    path.write_text("n 3 nnz 2 symmetric 0\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not leak
+        with pytest.raises(FormatError, match=f"edge line {line}: ''"):
+            load_graph(path)
+
+
+@pytest.mark.parametrize("rows, cols, weights", [([0], [1], [0.0]), ([0, 1], [1, 0], [1.0, 2.0])],
+                         ids=["one-way-zero-weight", "unequal-weights"])
+def test_graph_symmetry_compares_weights_and_explicit_zeros(rows, cols, weights):
+    SparseGraph(3, rows, cols, weights, symmetric=False)
+    with pytest.raises(FormatError, match="not symmetric"):
+        SparseGraph(3, rows, cols, weights, symmetric=True)
+
+
+def test_graph_file_roundtrip_is_byte_identical(tmp_path):
+    g = SparseGraph(3, [2, 0, 1, 0], [0, 1, 0, 2], [0.1, 1 / 3, 1 / 3, 0.1])
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_graph(g, first)
+    save_graph(load_graph(first), second)
+    assert first.read_text() == ("n 3 nnz 4 symmetric 1\n0 1 0.3333333333333333\n"
+                                 "0 2 0.1\n1 0 0.3333333333333333\n2 0 0.1\n")
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_labels_length_mismatch(tmp_path):
     ds = MultiViewDataset([View(np.ones((5, 2)))], labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(SizeMismatchError):
@@ -143,7 +174,7 @@ def test_labels_length_mismatch(tmp_path):
 def test_knn_line_pairs():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     g = build_knn_graph(X, 1)
-    edges = set(zip(g.rows.tolist(), g.cols.tolist()))
+    edges = set(zip(*g.adj.nonzero()))
     assert edges == {(0, 1), (1, 0), (2, 3), (3, 2)}
 
 
@@ -160,7 +191,7 @@ def test_knn_brute_force_oracle():
         for j in np.argsort(d[i], kind="stable")[:k]:
             expected.add((i, int(j)))
             expected.add((int(j), i))
-    assert set(zip(g.rows.tolist(), g.cols.tolist())) == expected
+    assert set(zip(*g.adj.nonzero())) == expected
 
 
 def test_knn_complete_graph():
@@ -175,7 +206,7 @@ def test_knn_ties_lowest_index():
     g2 = build_knn_graph(X, 1)
     assert same_graph(g1, g2)
     # every node picks node 0 (or node 1 for node 0 itself)
-    edges = set(zip(g1.rows.tolist(), g1.cols.tolist()))
+    edges = set(zip(*g1.adj.nonzero()))
     assert edges == {(0, 1), (1, 0), (2, 0), (0, 2)}
 
 
@@ -184,9 +215,9 @@ def test_knn_symmetric_with_self_loops():
     X = rng.normal(size=(20, 3))
     g = build_knn_graph(X, 3, self_loops=True)
     g.validate()
-    diag = [(i, i) in set(zip(g.rows.tolist(), g.cols.tolist())) for i in range(20)]
+    diag = [(i, i) in set(zip(*g.adj.nonzero())) for i in range(20)]
     assert all(diag)
-    assert np.all(g.weights == 1.0)
+    assert np.all(g.adj.data == 1.0)
 
 
 def test_knn_k_too_large():

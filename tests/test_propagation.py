@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import mvkc.propagation
-from mvkc.data import SparseGraph
+from mvkc.data import SparseGraph, load_graph, save_graph
 from mvkc.propagation import normalized_adjacency, propagate, propagate_cached
+from oracles import same_graph
 
 
 def random_graph(n, n_edges, seed=0):
@@ -20,7 +21,7 @@ def random_graph(n, n_edges, seed=0):
 
 
 def dense_operator(graph):
-    A = graph.to_csr().toarray() + np.eye(graph.n)
+    A = graph.adj.toarray() + np.eye(graph.n)
     deg = A.sum(axis=1)
     inv_sqrt = np.where(deg > 0, deg, 1.0) ** -0.5
     inv_sqrt[deg <= 0] = 0.0
@@ -56,7 +57,7 @@ def test_high_order_converges_to_sqrt_degree_direction():
     expected = np.linalg.matrix_power(dense_operator(g), 100) @ X
     assert np.allclose(out, expected, atol=1e-8)
     # limit direction is proportional to sqrt of the self-loop degrees
-    deg = np.asarray((g.to_csr() + np.eye(40)).sum(axis=1)).ravel()
+    deg = np.asarray((g.adj + np.eye(40)).sum(axis=1)).ravel()
     direction = np.sqrt(deg) / np.linalg.norm(np.sqrt(deg))
     for col in out.T:
         if np.linalg.norm(col) > 1e-8:
@@ -79,7 +80,7 @@ def test_bounded_output():
         g = random_graph(30, 150, seed=seed)
         X = np.random.default_rng(seed).normal(size=(30, 3))
         adj = normalized_adjacency(g)
-        degrees = np.asarray((g.to_csr() + np.eye(30)).sum(axis=1)).ravel()
+        degrees = np.asarray((g.adj + np.eye(30)).sum(axis=1)).ravel()
         deg_ratio = degrees.max() / degrees.min()
         out = propagate(adj, X, 50)
         assert np.abs(out).max() <= np.abs(X).max() * np.sqrt(deg_ratio) + 1e-9
@@ -103,6 +104,21 @@ def test_cache_roundtrip(tmp_path):
     # different order gets its own cache entry
     propagate_cached(g, X, 4, cache_dir=str(tmp_path))
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_edge_order_in_file_changes_neither_graph_nor_cache_key(tmp_path):
+    g = random_graph(20, 80, seed=8)
+    save_graph(g, tmp_path / "sorted.txt")
+    header, *edges = (tmp_path / "sorted.txt").read_text().splitlines(keepends=True)
+    shuffled = header + "".join(np.random.default_rng(8).permutation(edges))
+    assert shuffled != (tmp_path / "sorted.txt").read_text()
+    (tmp_path / "shuffled.txt").write_text(shuffled)
+    X = np.random.default_rng(8).normal(size=(20, 3))
+    for name in ("sorted", "shuffled"):
+        loaded = load_graph(tmp_path / f"{name}.txt")
+        assert same_graph(loaded, g)
+        propagate_cached(loaded, X, 2, cache_dir=str(tmp_path / "cache"))
+    assert len(list((tmp_path / "cache").iterdir())) == 1
 
 
 def test_cost_linear_in_edges():
