@@ -8,11 +8,15 @@ wins. ``--p`` overrides the manifest order of the views it names only.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure.
 A missing or malformed input file, or ``eval`` label files of different
 lengths, is a data error. A setting that would be ignored or make the run
-meaningless is a config error: a ``--p`` entry for a view the dataset lacks,
-a kernel parameter the kernel does not read, a temperature, gamma or
-``--time-limit`` that is not positive, too few ``--kernel-components``, a
-repeated seed, or ``prepare`` counts of ``--p`` orders and ``--graph``
-entries that do not fit the feature files.
+meaningless is a config error: a ``--p`` entry for a view the dataset lacks
+or a view named twice, a kernel parameter the kernel does not read,
+``--kernel-components`` with ``quadratic``, a temperature, gamma or
+``--time-limit`` that is not positive, too few ``--kernel-components``, an
+``--f`` below 2 with ``quadratic``, a repeated seed, or ``prepare`` counts of
+``--p`` orders and ``--graph`` entries that do not fit the feature files.
+
+``run`` writes one ``run_seed<N>.json`` record per seed from the fields
+``_run_seed`` returns, and the consensus label array to ``labels_seed<N>.txt``.
 """
 
 import argparse
@@ -57,6 +61,8 @@ def _parse_p(text):
     out = {}
     for item in text.split(","):
         view, order = item.split(":")
+        if int(view) in out:
+            raise ValueError(f"--p names view {int(view)} twice: {text}")
         out[int(view)] = int(order)
     return out
 
@@ -95,7 +101,8 @@ def _describe(exc):
 
 
 def _run_seed(dataset, config):
-    """One seeded run as a JSON-ready payload; a mapped failure becomes an error entry."""
+    """One seeded run as the fields of its run JSON, plus the consensus
+    ``labels`` array on success; a mapped failure gives status ``Error``."""
     start = time.perf_counter()
     try:
         result = run_pipeline(dataset, config)
@@ -103,12 +110,13 @@ def _run_seed(dataset, config):
         code = _exit_code(exc)
         if code is None:
             raise
-        return {"error": _describe(exc), "exit_code": code}
+        return {"status": "Error", "error": _describe(exc), "exit_code": code}
     return {
-        "labels": result.consensus.labels.tolist(),
+        "status": "ok",
+        "labels": result.consensus,
         "weights": result.weights.lambdas.tolist(),
         "traces": result.weights.raw_traces.tolist(),
-        "timings": result.timings,
+        "per_stage_ms": {stage: 1000.0 * s for stage, s in result.timings.items()},
         "seconds": time.perf_counter() - start,
     }
 
@@ -138,7 +146,7 @@ def _single_run(dataset, config, time_limit):
         return payload
     proc.terminate()
     proc.join()
-    return {"timeout": True}
+    return {"status": "Timeout"}
 
 
 def cmd_run(args):
@@ -151,47 +159,28 @@ def cmd_run(args):
         raise ValueError(f"--time-limit must be > 0 seconds, got {args.time_limit}")
     os.makedirs(args.output, exist_ok=True)
 
-    truth = dataset.labels
     rows = []
-    failure = None
-    timed_out = False
     for seed in seeds:
         run_config = dataclasses.replace(config, seed=seed)
-        payload = _single_run(dataset, run_config, args.time_limit)
-        record = {"seed": seed, "config_hash": run_config.hash(),
-                  "config": run_config.to_dict()}
-        if payload.get("timeout"):
-            record["status"] = "Timeout"
-            timed_out = True
-        elif "error" in payload:
-            record["status"] = "Error"
-            record["error"] = payload["error"]
-            record["exit_code"] = payload["exit_code"]
-            failure = failure or payload
-        else:
-            record["status"] = "ok"
-            labels_path = os.path.join(args.output, f"labels_seed{seed}.txt")
-            with open(labels_path, "w") as fh:
-                fh.writelines(f"{lab}\n" for lab in payload["labels"])
-            record["labels_path"] = labels_path
-            record["weights"] = payload["weights"]
-            record["traces"] = payload["traces"]
-            record["per_stage_ms"] = {k: 1000.0 * v for k, v in payload["timings"].items()}
-            record["seconds"] = payload["seconds"]
-            if truth is not None:
-                pred = np.array(payload["labels"])
-                record["metrics"] = metrics.evaluate(pred, truth)
+        record = {"seed": seed, "config_hash": run_config.hash(), "config": run_config.to_dict(),
+                  **_single_run(dataset, run_config, args.time_limit)}
+        labels = record.pop("labels", None)
+        if labels is not None:
+            record["labels_path"] = os.path.join(args.output, f"labels_seed{seed}.txt")
+            with open(record["labels_path"], "w") as fh:
+                fh.writelines(f"{lab}\n" for lab in labels.tolist())
+            if dataset.labels is not None:
+                record["metrics"] = metrics.evaluate(labels, dataset.labels)
         with open(os.path.join(args.output, f"run_seed{seed}.json"), "w") as fh:
             json.dump(record, fh, indent=2)
         rows.append(record)
 
     _write_aggregate(rows, args.output)
-    if failure is not None:
-        print(f"run failed: {failure['error']}", file=sys.stderr)
-        return failure["exit_code"]
-    if timed_out:
-        return EXIT_TIMEOUT
-    return EXIT_OK
+    failed = [r for r in rows if r["status"] == "Error"]
+    if failed:
+        print(f"run failed: {failed[0]['error']}", file=sys.stderr)
+        return failed[0]["exit_code"]
+    return EXIT_TIMEOUT if any(r["status"] == "Timeout" for r in rows) else EXIT_OK
 
 
 def _write_aggregate(rows, output):

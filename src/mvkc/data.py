@@ -1,6 +1,7 @@
 """Multi-view dataset container, on-disk formats, k-NN graphs.
 
-A dataset is a directory with a ``manifest.txt`` describing the views:
+A dataset is a directory with a ``manifest.txt`` describing the views in
+index order:
 
     view 0 graph graph_0.txt features features_0.bin p 2
     view 1 graph none features features_1.bin p 0
@@ -276,7 +277,8 @@ def load_dataset(path):
             if not parts:
                 continue
             if parts[0] == "view":
-                if len(parts) != 8 or parts[2] != "graph" or parts[4] != "features" or parts[6] != "p":
+                if (len(parts) != 8 or parts[1] != str(len(views)) or parts[2] != "graph"
+                        or parts[4] != "features" or parts[6] != "p"):
                     raise FormatError(f"{manifest}: malformed view line: {line.strip()}")
                 graph = None
                 if parts[3] != "none":
@@ -288,6 +290,8 @@ def load_dataset(path):
                     raise FormatError(f"{manifest}: malformed view line: {line.strip()}") from None
                 views.append(View(features, graph, propagation_order=order))
             elif parts[0] == "labels":
+                if len(parts) != 2:
+                    raise FormatError(f"{manifest}: malformed labels line: {line.strip()}")
                 labels = load_labels(os.path.join(path, parts[1]))
             else:
                 raise FormatError(f"{manifest}: unknown manifest entry: {parts[0]}")

@@ -1,25 +1,21 @@
 """Seeded Lloyd k-means with k-means++ initialization.
 
-Deterministic given (data, k, seed). Empty clusters are repaired by moving
-the point currently farthest from its centroid into the empty cluster, so
-every cluster in the returned partition is nonempty.
+Deterministic given (data, k, seed). A clustering is an int64 label array.
+Empty clusters are repaired by moving the point currently farthest from its
+centroid into the empty cluster, so every label 0..k-1 occurs in the result.
+Per-cluster sums, here and in the view weights, come from ``cluster_sums``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse as sp
 
 
-@dataclass
-class Partition:
-    """Hard assignment of n points to k clusters."""
-
-    labels: np.ndarray
-    k: int
-
-    @property
-    def n(self):
-        return len(self.labels)
+def cluster_sums(X, labels, k):
+    """k x m per-cluster row sums of the n x m matrix X: the k x n sparse
+    indicator of ``labels`` times X, summed in row order."""
+    n = len(labels)
+    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
+    return indicator @ X
 
 
 def _plusplus_init(X, k, rng):
@@ -68,8 +64,9 @@ def _assign(X, centroids):
 def kmeans(X, k, seed=0, max_iter=300, tol=1e-6):
     """Lloyd iterations from a k-means++ start.
 
-    Returns (Partition, inertia). Stops when the relative centroid movement
-    drops below ``tol`` or after ``max_iter`` iterations.
+    Returns (labels, inertia), with int64 labels in which all k clusters
+    occur. Stops when the relative centroid movement drops below ``tol`` or
+    after ``max_iter`` iterations.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -77,7 +74,6 @@ def kmeans(X, k, seed=0, max_iter=300, tol=1e-6):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     centroids = _plusplus_init(X, k, rng)
-    labels = np.full(n, -1)
     prev_inertia = np.inf
     repaired = False
     for _ in range(max_iter):
@@ -87,12 +83,7 @@ def kmeans(X, k, seed=0, max_iter=300, tol=1e-6):
         assert repaired or inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12
         prev_inertia = inertia
         repaired = _repair_empty(labels, dists, k)
-        new_centroids = np.zeros_like(centroids)
-        np.add.at(new_centroids, labels, X)
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        empty = counts == 0
-        new_centroids[~empty] /= counts[~empty, None]
-        new_centroids[empty] = centroids[empty]
+        new_centroids = cluster_sums(X, labels, k) / np.bincount(labels, minlength=k)[:, None]
         shift = np.linalg.norm(new_centroids - centroids)
         scale = np.linalg.norm(centroids)
         centroids = new_centroids
@@ -104,4 +95,4 @@ def kmeans(X, k, seed=0, max_iter=300, tol=1e-6):
         diff = X - centroids[labels]
         dists = np.einsum("ij,ij->i", diff, diff)
     inertia = float(dists.sum())
-    return Partition(labels.astype(np.int64), k), inertia
+    return labels.astype(np.int64), inertia

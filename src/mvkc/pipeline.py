@@ -4,7 +4,8 @@ Per view: smooth features, center, take the f leading left singular vectors,
 map them through the kernel feature map, degree-normalize the factor, embed
 and cluster. Then weight the views by clusterability, concatenate the scaled
 factors, and run the same normalize/embed/cluster pass once more for the
-consensus partition. Never allocates an n x n matrix.
+consensus labels. Every clustering is an int64 label array from ``kmeans``.
+Never allocates an n x n matrix.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import numpy as np
 from .data import MultiViewDataset
 from .embedding import degree_normalize, implicit_degrees, spectral_embedding
 from .kernels import KERNEL_KINDS, apply_map, default_params, fit_kernel_map
-from .kmeans import Partition, kmeans
+from .kmeans import kmeans
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
 from .weighting import WEIGHT_MODES, ViewWeights, clusterability_trace, softmax_weights
@@ -34,7 +35,7 @@ class PipelineConfig:
     f: int | None = None  # components per view; defaults to k
     temperature: float = 0.1
     kernel: str = "quadratic"
-    kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k
+    kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k, unset for quadratic
     kernel_params: dict = field(default_factory=dict)
     weight_mode: str = "softmax"
     propagation_orders: list | None = None  # per-view override
@@ -44,7 +45,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.f is None:
             self.f = self.k
-        if self.kernel_components is None:
+        if self.kernel_components is None and self.kernel != "quadratic":
             self.kernel_components = 10 * self.k
         if self.k < 2:
             raise ValueError(f"need k >= 2 clusters, got {self.k}")
@@ -52,10 +53,15 @@ class PipelineConfig:
             raise ValueError(f"need f >= 1 components, got {self.f}")
         if self.temperature <= 0:
             raise ValueError(f"need temperature > 0, got {self.temperature}")
-        # a Nystroem factor has kernel_components columns; the embedding needs f + 1
-        least = self.f + 1 if self.kernel in ("rbf", "sigmoid") else 1
-        if self.kernel_components < least:
-            raise ValueError(f"need kernel_components >= {least}, got {self.kernel_components}")
+        # the embedding needs f + 1 columns: quadratic maps to f(f+1)/2 of them,
+        # a Nystroem kernel to kernel_components
+        if self.kernel == "quadratic":
+            if self.kernel_components is not None:
+                raise ValueError("kernel quadratic does not read kernel_components")
+            if self.f < 2:
+                raise ValueError(f"kernel quadratic needs f >= 2, got f={self.f}")
+        elif self.kernel_components < self.f + 1:
+            raise ValueError(f"need kernel_components >= {self.f + 1}, got {self.kernel_components}")
         if self.kernel not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel: {self.kernel}")
         unused = sorted(set(self.kernel_params) - set(default_params(self.kernel, self.f)))
@@ -78,7 +84,10 @@ class PipelineConfig:
 
 @dataclass
 class ClusteringResult:
-    consensus: Partition
+    """The consensus labels, one label array per view, the view weights and
+    the seconds of each stage."""
+
+    consensus: np.ndarray
     per_view: list
     weights: ViewWeights
     timings: dict
@@ -94,7 +103,7 @@ def _cluster_factor(B, config, seed, timer, stages):
     """Degree-normalize the factor, embed it spectrally and run k-means.
 
     ``stages`` names the ``timer`` entries of (normalize + embed, k-means).
-    Returns the normalized factor and the partition.
+    Returns the normalized factor and the labels.
     """
     t0 = time.perf_counter()
     B = degree_normalize(B, implicit_degrees(B))
@@ -102,13 +111,13 @@ def _cluster_factor(B, config, seed, timer, stages):
     timer[stages[0]] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    partition, _ = kmeans(coords, config.k, seed=seed)
+    labels, _ = kmeans(coords, config.k, seed=seed)
     timer[stages[1]] += time.perf_counter() - t0
-    return B, partition
+    return B, labels
 
 
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
-    """Run the full multi-view clustering pass and return all partitions.
+    """Run the full multi-view clustering pass and return all label arrays.
 
     ``timings`` maps each stage to its seconds, summed over the views. An
     exception raised while processing a view keeps its class and carries
@@ -121,7 +130,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     shared_graph = next((view.graph for view in dataset.views if view.graph is not None), None)
 
     factors = []
-    partitions = []
+    per_view = []
     traces = []
     for v, view in enumerate(dataset.views):
         try:
@@ -144,19 +153,20 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
             timer["svd"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
+            landmarks = config.kernel_components  # None for quadratic
             kmap = fit_kernel_map(config.kernel, svd.U,
-                                  m=min(config.kernel_components, dataset.n),
+                                  m=landmarks and min(landmarks, dataset.n),
                                   params=config.kernel_params, seed=seeds[v])
             B = apply_map(kmap, svd.U)
             timer["kernel_map"] += time.perf_counter() - t0
 
-            B, G = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))
+            B, labels = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))
 
             t0 = time.perf_counter()
-            traces.append(clusterability_trace(B, G))
+            traces.append(clusterability_trace(B, labels))
             timer["weighting"] += time.perf_counter() - t0
             factors.append(B)
-            partitions.append(G)
+            per_view.append(labels)
         except Exception as exc:
             exc.add_note(f"view {v}")
             raise
@@ -170,4 +180,4 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
 
     _, consensus = _cluster_factor(concat, config, seeds[n_views], timer,
                                    ("consensus", "consensus"))
-    return ClusteringResult(consensus, partitions, weights, dict(timer))
+    return ClusteringResult(consensus, per_view, weights, dict(timer))

@@ -1,16 +1,18 @@
 """View weights from the clusterability of each view's implicit affinity.
 
-The score of a view is Tr(G.T (I - W) G) with W = B @ B.T and G the
-indicator matrix of the view's partition; it reduces to
-n - ||B.T G||_F^2 and never needs W. The weights are a temperature softmax
-over the per-view scores, in one of three modes, named as
-``mvkc run --weight-mode`` takes them: ``softmax``, ``negated`` and
-``uniform``.
+The score of a view is Tr(G.T (I - W) G) with W = B @ B.T and G the n x k
+indicator matrix of the view's labels; it reduces to n - ||G.T B||_F^2, where
+G.T B holds the per-cluster sums of ``kmeans.cluster_sums``, and never needs
+W. The weights are a temperature softmax over the per-view scores, in one of
+three modes, named as ``mvkc run --weight-mode`` takes them: ``softmax``,
+``negated`` and ``uniform``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kmeans import cluster_sums
 
 WEIGHT_MODES = ("softmax", "negated", "uniform")
 
@@ -21,16 +23,13 @@ class ViewWeights:
     raw_traces: np.ndarray
 
 
-def clusterability_trace(B, partition):
-    """Tr(G.T (I - B B.T) G) for an n x m factor B, computed in O(nm)."""
-    n, m = B.shape
-    if n != partition.n:
-        raise ValueError(
-            f"factor has n={n} but partition has n={partition.n}"
-        )
-    # B.T @ G accumulated per cluster without materializing G
-    M = np.zeros((partition.k, m))
-    np.add.at(M, partition.labels, B)
+def clusterability_trace(B, labels):
+    """Tr(G.T (I - B B.T) G) for an n x m factor B and the indicator G of
+    the int ``labels``, 0..k-1, computed in O(nm)."""
+    n = B.shape[0]
+    if n != len(labels):
+        raise ValueError(f"factor has n={n} but labels has n={len(labels)}")
+    M = cluster_sums(B, labels, labels.max() + 1)  # G.T @ B
     return float(n - np.einsum("ij,ij->", M, M))
 
 

@@ -22,10 +22,10 @@ def consensus_affinity_oracle(factor_values, lambdas, max_n=2048):
     return out
 
 
-def indicator(partition):
-    """Binary n x k membership matrix with exactly one 1 per row."""
-    F = np.zeros((partition.n, partition.k))
-    F[np.arange(partition.n), partition.labels] = 1.0
+def indicator(labels):
+    """Binary n x k membership matrix of labels 0..k-1, exactly one 1 per row."""
+    F = np.zeros((len(labels), labels.max() + 1))
+    F[np.arange(len(labels)), labels] = 1.0
     return F
 
 

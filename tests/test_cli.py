@@ -212,6 +212,9 @@ def test_partial_p_keeps_manifest_order_of_other_views(tmp_path):
     (["--time-limit", "0"], "time-limit"),
     (["--time-limit", "-1"], "time-limit"),
     (["--seeds", "0,0"], "seeds"),
+    (["--p", "0:1,0:2"], "--p"),
+    (["--kernel", "quadratic", "--kernel-components", "7"], "kernel_components"),
+    (["--f", "1"], "f >= 2"),  # the default quadratic map has f(f+1)/2 columns, not f + 1
 ])
 def test_meaningless_setting_fails_before_any_seed(dataset_dir, tmp_path, capsys,
                                                    extra, setting):
@@ -411,13 +414,15 @@ def test_missing_or_malformed_input_file_exits_data(tmp_path, capsys, argv, cont
     assert "bad.txt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("entry, content", [("labels.txt", "x\n"), ("manifest.txt", None)],
-                         ids=["labels-x", "manifest-p-two"])
-def test_malformed_dataset_file_exits_data(dataset_dir, tmp_path, entry, content):
+@pytest.mark.parametrize("entry, old, new", [
+    ("labels.txt", r"(?s).+", "x\n"),
+    ("manifest.txt", r" p 0\n", " p two\n"),  # a propagation order that is not an integer
+    ("manifest.txt", r"labels labels.txt", "labels"),
+    ("manifest.txt", r"view 0 ", "view 7 "),
+], ids=["labels-x", "manifest-p-two", "manifest-labels-without-file", "manifest-view-index-7"])
+def test_malformed_dataset_file_exits_data(dataset_dir, tmp_path, entry, old, new):
     path = Path(dataset_dir) / entry
-    if content is None:  # a propagation order that is not an integer
-        content = re.sub(r" p 0\n", " p two\n", path.read_text(), count=1)
-    path.write_text(content)
+    path.write_text(re.sub(old, new, path.read_text(), count=1))
     assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
                  "--output", str(tmp_path / "o")]) == EXIT_DATA
 

@@ -11,7 +11,8 @@ from synth import synth_multiview
 def test_config_defaults():
     cfg = PipelineConfig(k=4)
     assert cfg.f == 4
-    assert cfg.kernel_components == 40
+    assert cfg.kernel_components is None  # the default quadratic kernel reads none
+    assert PipelineConfig(k=4, kernel="rbf").kernel_components == 40
     assert cfg.temperature == 0.1
 
 
@@ -27,8 +28,8 @@ def test_config_validation():
 def test_end_to_end_synthetic():
     ds = synth_multiview(300, 3, 2, noise=0.05, seed=0)
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0))
-    assert ari(res.consensus.labels, ds.labels) >= 0.95
-    assert res.consensus.n == ds.n
+    assert ari(res.consensus, ds.labels) >= 0.95
+    assert len(res.consensus) == ds.n
     assert len(res.per_view) == 2
     assert res.weights.lambdas.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -37,7 +38,7 @@ def test_determinism():
     ds = synth_multiview(200, 3, 2, noise=0.2, seed=1)
     a = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=5))
     b = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=5))
-    assert np.array_equal(a.consensus.labels, b.consensus.labels)
+    assert np.array_equal(a.consensus, b.consensus)
     assert np.array_equal(a.weights.lambdas, b.weights.lambdas)
 
 
@@ -46,7 +47,7 @@ def test_single_view_matches_per_view_path():
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0, weight_mode="uniform"))
     assert res.weights.lambdas[0] == pytest.approx(1.0)
     # consensus over one view is the view partition up to relabeling
-    assert ari(res.consensus.labels, res.per_view[0].labels) == pytest.approx(1.0)
+    assert ari(res.consensus, res.per_view[0]) == pytest.approx(1.0)
 
 
 def test_two_identical_views_match_single_view():
@@ -56,7 +57,7 @@ def test_two_identical_views_match_single_view():
                                labels=base.labels)
     single = run_pipeline(base, PipelineConfig(k=3, f=2, seed=0))
     double = run_pipeline(doubled, PipelineConfig(k=3, f=2, seed=0))
-    assert ari(double.consensus.labels, single.consensus.labels) == pytest.approx(1.0)
+    assert ari(double.consensus, single.consensus) == pytest.approx(1.0)
 
 
 def test_propagation_override_and_shared_graph():
@@ -64,7 +65,7 @@ def test_propagation_override_and_shared_graph():
     # second view loses its graph; propagation falls back to the shared one
     ds.views[1] = View(ds.views[1].features, None, propagation_order=0)
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0, propagation_orders=[2, 2]))
-    assert res.consensus.n == 150
+    assert len(res.consensus) == 150
 
 
 def test_propagation_without_any_graph_fails():

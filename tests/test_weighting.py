@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mvkc.kmeans import Partition
 from mvkc.weighting import clusterability_trace, softmax_weights
 from oracles import indicator
 
@@ -10,7 +9,7 @@ def random_partition(n, k, seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, k, size=n)
     labels[:k] = np.arange(k)  # every cluster nonempty
-    return Partition(labels, k)
+    return labels
 
 
 def test_trace_identity_affinity():
