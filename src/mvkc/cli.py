@@ -12,8 +12,11 @@ meaningless is a config error: a ``--p`` entry for a view the dataset lacks
 or a view named twice, a kernel parameter the kernel does not read,
 ``--kernel-components`` with ``quadratic``, a temperature, gamma or
 ``--time-limit`` that is not positive, too few ``--kernel-components``, an
-``--f`` below 2 with ``quadratic``, a repeated seed, or ``prepare`` counts of
-``--p`` orders and ``--graph`` entries that do not fit the feature files.
+``--f`` below 2 with ``quadratic``, a k, f + 1 or ``--kernel-components``
+above the dataset's n, a repeated seed, or ``prepare`` counts of ``--p``
+orders and ``--graph`` entries that do not fit the feature files. A ``--p`` or
+``--seeds`` value that does not parse is an argparse error that names the
+flag and shows the text.
 
 ``run`` writes one ``run_seed<N>.json`` record per seed from the fields
 ``_run_seed`` returns, and the consensus label array to ``labels_seed<N>.txt``.
@@ -56,14 +59,27 @@ ERROR_LABELS = {EXIT_CONFIG: "config error", EXIT_DATA: "data error",
                 EXIT_NUMERIC: "numeric failure"}
 
 
-def _parse_p(text):
-    # "0:2,1:0" -> {0: 2, 1: 0}
+def _int_list(text):
+    """Comma-separated integers: "0,1,2" -> [0, 1, 2]."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _view_orders(text):
+    """Per-view propagation orders: "0:2,1:0" -> {0: 2, 1: 0}."""
     out = {}
     for item in text.split(","):
-        view, order = item.split(":")
-        if int(view) in out:
-            raise ValueError(f"--p names view {int(view)} twice: {text}")
-        out[int(view)] = int(order)
+        try:
+            view, order = (int(part) for part in item.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected view:order pairs such as 0:2,1:0, got {text!r}") from None
+        if view in out:
+            raise argparse.ArgumentTypeError(f"names view {view} twice: {text}")
+        out[view] = order
     return out
 
 
@@ -75,11 +91,10 @@ def _build_config(args, views):
     settings["kernel_params"] = {name: getattr(args, name) for name in ("gamma", "coef0")
                                  if getattr(args, name) is not None}
     if args.p is not None:
-        mapping = _parse_p(args.p)
-        missing = sorted(set(mapping) - set(range(len(views))))
+        missing = sorted(set(args.p) - set(range(len(views))))
         if missing:
             raise ValueError(f"--p names views {missing}, but the dataset has {len(views)} views")
-        settings["propagation_orders"] = [mapping.get(v, view.propagation_order)
+        settings["propagation_orders"] = [args.p.get(v, view.propagation_order)
                                           for v, view in enumerate(views)]
     return PipelineConfig(**settings)
 
@@ -152,15 +167,20 @@ def _single_run(dataset, config, time_limit):
 def cmd_run(args):
     dataset = load_dataset(args.dataset)
     config = _build_config(args, dataset.views)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if len(set(seeds)) != len(seeds):
+    n = dataset.n
+    if max(config.k, config.f + 1) > n:
+        raise ValueError(f"need k <= n and f + 1 <= n for n={n} points, "
+                         f"got k={config.k}, f={config.f}")
+    if config.kernel_components is not None and config.kernel_components > n:
+        raise ValueError(f"need kernel_components <= n={n}, got {config.kernel_components}")
+    if len(set(args.seeds)) != len(args.seeds):
         raise ValueError(f"--seeds repeats a seed: {args.seeds}")
     if args.time_limit is not None and args.time_limit <= 0:
         raise ValueError(f"--time-limit must be > 0 seconds, got {args.time_limit}")
     os.makedirs(args.output, exist_ok=True)
 
     rows = []
-    for seed in seeds:
+    for seed in args.seeds:
         run_config = dataclasses.replace(config, seed=seed)
         record = {"seed": seed, "config_hash": run_config.hash(), "config": run_config.to_dict(),
                   **_single_run(dataset, run_config, args.time_limit)}
@@ -225,11 +245,11 @@ def cmd_prepare(args):
     graph_paths = args.graph or []
     if len(graph_paths) > n_files:
         raise ValueError(f"{len(graph_paths)} --graph entries for {n_files} feature files")
-    orders = [int(p) for p in args.p.split(",")] if args.p else [0] * n_files
+    orders = args.p or [0] * n_files
     if len(orders) != n_files:
         raise ValueError(f"{len(orders)} --p orders for {n_files} feature files")
     if min(orders) < 0:
-        raise ValueError(f"--p orders must be >= 0, got {args.p}")
+        raise ValueError(f"--p orders must be >= 0, got {orders}")
     features = [load_features(p) if p.endswith(".bin") else load_text(p)
                 for p in args.features]
     # a shorter --graph list leaves the remaining views without a graph
@@ -274,8 +294,8 @@ def build_parser():
     run.add_argument("--kernel-components", dest="kernel_components", type=int)
     run.add_argument("--gamma", type=float)
     run.add_argument("--coef0", type=float)
-    run.add_argument("--p", help="per-view propagation orders, e.g. 0:2,1:0")
-    run.add_argument("--seeds", default="0,1,2,3,4")
+    run.add_argument("--p", type=_view_orders, help="per-view propagation orders, e.g. 0:2,1:0")
+    run.add_argument("--seeds", type=_int_list, default="0,1,2,3,4")
     run.add_argument("--weight-mode", dest="weight_mode", choices=WEIGHT_MODES)
     run.add_argument("--time-limit", dest="time_limit", type=float)
     run.add_argument("--cache-dir", dest="cache_dir")
@@ -286,7 +306,8 @@ def build_parser():
     prepare.add_argument("--features", nargs="+", required=True)
     prepare.add_argument("--graph", nargs="*")
     prepare.add_argument("--labels")
-    prepare.add_argument("--p", help="comma-separated propagation orders, one per feature file")
+    prepare.add_argument("--p", type=_int_list,
+                         help="comma-separated propagation orders, one per feature file")
     prepare.add_argument("--add-knn", dest="add_knn", type=int,
                          help="append a k-NN view built from the first feature set")
     prepare.add_argument("--self-loops", dest="self_loops", action="store_true")

@@ -1,9 +1,21 @@
 """Dense linear algebra: column centering and seeded truncated SVDs.
 
-The randomized SVD uses a Gaussian sketch with oversampling and subspace
-power iterations (QR-stabilized), which is accurate enough for spectral
-clustering while costing O(n d r) per pass. Signs are fixed so the
-largest-magnitude entry of each left singular vector is positive.
+``truncated_svd`` takes one of three routes for an n x d input:
+
+- Gram + Rayleigh-Ritz, for tall inputs (n >= d) with d at most
+  ``EXACT_SVD_MAX_DIM``: the top eigenvectors of the d x d Gram matrix X.T X,
+  then one QR Rayleigh-Ritz step on X (Halko, Martinsson and Tropp 2011).
+  It costs O(n d^2) and builds only the r left vectors asked for.
+- exact ``scipy.linalg.svd``, for wide inputs and as the fallback when the
+  kept spectrum is too ill-conditioned for the Gram matrix, which squares
+  the condition number: a top eigenvalue that is not positive, or a kept
+  s_r / s_0 below ``GRAM_COND_FLOOR``.
+- randomized, when min(n, d) exceeds ``EXACT_SVD_MAX_DIM``: a Gaussian
+  sketch with oversampling and QR-stabilized subspace power iterations,
+  O(n d r) per pass.
+
+Signs are fixed so the largest-magnitude entry of each left singular vector
+is positive.
 """
 
 from dataclasses import dataclass
@@ -14,6 +26,7 @@ import scipy.linalg
 EXACT_SVD_MAX_DIM = 2048
 OVERSAMPLE = 10  # extra sketch columns of the randomized SVD
 POWER_ITERS = 4  # subspace iterations of the randomized SVD
+GRAM_COND_FLOOR = 1e-6  # smallest kept s_r / s_0 the Gram route accepts
 
 
 @dataclass
@@ -63,11 +76,34 @@ def randomized_svd(X, r, seed=0):
     return SVDResult(U, s[:r], V)
 
 
+def _gram_svd(X, r):
+    """Top-r (U, s, Vt) of a tall X from the eigenvectors of X.T X and one
+    QR Rayleigh-Ritz step, or None when the kept spectrum is ill-conditioned."""
+    d = X.shape[1]
+    evals, W = scipy.linalg.eigh(X.T @ X, subset_by_index=[d - r, d - 1])
+    # eigenvalues of the Gram matrix are squared singular values
+    if not evals[-1] > 0.0 or evals[0] < GRAM_COND_FLOOR**2 * evals[-1]:
+        return None
+    Q, _ = np.linalg.qr(X @ W)
+    Ub, s, Vt = scipy.linalg.svd(Q.T @ X, full_matrices=False)
+    # U in column-major order, as LAPACK returns it, so that column slices
+    # such as the embedding's U[:, 1:] stay contiguous for k-means
+    return (Ub.T @ Q.T).T, s, Vt
+
+
 def truncated_svd(X, r, seed=0):
-    """Rank-r SVD, exact for small inputs and randomized above the guard."""
+    """Rank-r SVD by the route the module docstring gives for X's shape.
+
+    The Gram and exact routes return min(n, d, r) columns; ``seed`` seeds
+    the randomized route.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if min(X.shape) <= EXACT_SVD_MAX_DIM:
-        U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
-        U, V = _fix_signs(U[:, :r], Vt[:r].T)
-        return SVDResult(U, s[:r], V)
-    return randomized_svd(X, r, seed=seed)
+    n, d = X.shape
+    if min(n, d) > EXACT_SVD_MAX_DIM:
+        return randomized_svd(X, r, seed=seed)
+    factors = _gram_svd(X, min(r, d)) if n >= d else None
+    if factors is None:
+        factors = scipy.linalg.svd(X, full_matrices=False)
+    U, s, Vt = factors
+    U, V = _fix_signs(U[:, :r], Vt[:r].T)
+    return SVDResult(U, s[:r], V)

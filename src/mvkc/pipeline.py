@@ -153,9 +153,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
             timer["svd"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            landmarks = config.kernel_components  # None for quadratic
-            kmap = fit_kernel_map(config.kernel, svd.U,
-                                  m=landmarks and min(landmarks, dataset.n),
+            kmap = fit_kernel_map(config.kernel, svd.U, m=config.kernel_components,
                                   params=config.kernel_params, seed=seeds[v])
             B = apply_map(kmap, svd.U)
             timer["kernel_map"] += time.perf_counter() - t0

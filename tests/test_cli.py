@@ -215,6 +215,10 @@ def test_partial_p_keeps_manifest_order_of_other_views(tmp_path):
     (["--p", "0:1,0:2"], "--p"),
     (["--kernel", "quadratic", "--kernel-components", "7"], "kernel_components"),
     (["--f", "1"], "f >= 2"),  # the default quadratic map has f(f+1)/2 columns, not f + 1
+    # the dataset has n = 150 points
+    (["--kernel", "rbf", "--kernel-components", "151"], "kernel_components <= n=150"),
+    (["--k", "150"], "f + 1 <= n"),  # f defaults to k
+    (["--f", "2", "--k", "151"], "k <= n"),
 ])
 def test_meaningless_setting_fails_before_any_seed(dataset_dir, tmp_path, capsys,
                                                    extra, setting):
@@ -224,6 +228,22 @@ def test_meaningless_setting_fails_before_any_seed(dataset_dir, tmp_path, capsys
     assert code == EXIT_CONFIG
     assert setting in capsys.readouterr().err
     assert not (out / "run_seed0.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("run", "--p", "0"),
+    ("run", "--p", "0:x"),
+    ("run", "--seeds", "a"),
+    ("run", "--seeds", "0,,1"),
+    ("prepare", "--p", "1;2"),
+])
+def test_unparsable_list_names_flag_and_text(dataset_dir, tmp_path, capsys, command, flag, text):
+    out = tmp_path / "out"
+    argv = ["run", dataset_dir, "--k", "3"] if command == "run" else ["prepare", "--features", "x.txt"]
+    assert main(argv + [flag, text, "--output", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and repr(text) in err
+    assert not out.exists()
 
 
 def test_prepare_features_only_with_knn(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvkc.linalg import center_columns, randomized_svd, truncated_svd
+from mvkc.linalg import GRAM_COND_FLOOR, center_columns, randomized_svd, truncated_svd
 from oracles import exact_svd
 
 
@@ -79,7 +79,11 @@ def test_randomized_seed_determinism():
     assert not np.array_equal(a.U, c.U)
 
 
-@pytest.mark.parametrize("factory", [exact_svd, lambda X: randomized_svd(X, 8, seed=0)])
+@pytest.mark.parametrize("factory", [
+    exact_svd,
+    lambda X: randomized_svd(X, 8, seed=0),
+    pytest.param(lambda X: truncated_svd(X, 8), id="truncated_svd"),
+])
 def test_svd_invariants(factory):
     rng = np.random.default_rng(6)
     d = 30
@@ -112,3 +116,40 @@ def test_truncated_svd_dispatch_matches_exact():
     full = exact_svd(X)
     assert np.allclose(res.s, full.s[:4])
     assert np.allclose(res.U, full.U[:, :4])
+
+
+def _with_spectrum(n, d, s, seed):
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(n, len(s))))[0]
+    V = np.linalg.qr(rng.normal(size=(d, len(s))))[0]
+    return U @ np.diag(s) @ V.T
+
+
+def test_truncated_svd_ill_conditioned_tall_matches_exact():
+    # kept s_3 / s_0 lies below the Gram route's floor, and s_3 is not
+    # resolved from s_4 in X.T X, so only the exact SVD recovers U
+    s = np.array([1.0, 0.5, 1e-3, 1e-2 * GRAM_COND_FLOOR, 0.9e-2 * GRAM_COND_FLOOR, 1e-12])
+    X = _with_spectrum(60, 12, s, seed=8)
+    res = truncated_svd(X, 4)
+    full = exact_svd(X)
+    assert np.allclose(res.s, full.s[:4], rtol=0, atol=1e-10)
+    assert np.allclose(res.U, full.U[:, :4], rtol=0, atol=1e-10)
+
+
+def test_truncated_svd_rank_above_width_returns_all_columns():
+    X = np.random.default_rng(9).normal(size=(50, 6))
+    res = truncated_svd(X, 10)
+    assert res.U.shape == (50, 6) and res.s.shape == (6,) and res.V.shape == (6, 6)
+    assert np.allclose(res.U @ np.diag(res.s) @ res.V.T, X, atol=1e-10)
+
+
+def test_truncated_svd_wide_matches_exact():
+    # a near-degenerate kept spectrum above the Gram floor: the Gram matrix
+    # resolves u_4 from u_5 only to about 1e-5, the exact SVD to round-off
+    s = np.array([1.0, 0.5, 0.1, 1e-2, 1e-5, 0.9e-5, 1e-6])
+    X = _with_spectrum(20, 60, s, seed=10)
+    res = truncated_svd(X, 5)
+    full = exact_svd(X)
+    assert res.U.shape == (20, 5)
+    assert np.allclose(res.s, full.s[:5], rtol=0, atol=1e-10)
+    assert np.allclose(res.U, full.U[:, :5], rtol=0, atol=1e-10)
