@@ -12,11 +12,12 @@ meaningless is a config error: a ``--p`` entry for a view the dataset lacks
 or a view named twice, a kernel parameter the kernel does not read,
 ``--kernel-components`` with ``quadratic``, a temperature, gamma or
 ``--time-limit`` that is not positive, too few ``--kernel-components``, an
-``--f`` below 2 with ``quadratic``, a k, f + 1 or ``--kernel-components``
-above the dataset's n, a repeated seed, or ``prepare`` counts of ``--p``
-orders and ``--graph`` entries that do not fit the feature files. A ``--p`` or
-``--seeds`` value that does not parse is an argparse error that names the
-flag and shows the text.
+``--f`` below 2 with ``quadratic`` or above a view's feature dimension, a k,
+f + 1 or ``--kernel-components`` above the dataset's n, a repeated seed,
+``prepare`` counts of ``--p`` orders and ``--graph`` entries that do not fit
+the feature files, an ``--add-knn`` below 1, or ``--self-loops`` without
+``--add-knn``. A ``--p`` or ``--seeds`` value that does not parse is an
+argparse error that names the flag and shows the text.
 
 ``run`` writes one ``run_seed<N>.json`` record per seed from the fields
 ``_run_seed`` returns, and the consensus label array to ``labels_seed<N>.txt``.
@@ -173,6 +174,10 @@ def cmd_run(args):
                          f"got k={config.k}, f={config.f}")
     if config.kernel_components is not None and config.kernel_components > n:
         raise ValueError(f"need kernel_components <= n={n}, got {config.kernel_components}")
+    for v, view in enumerate(dataset.views):
+        if config.f > view.features.shape[1]:
+            raise ValueError(f"--f {config.f} (default: k) is above the feature dimension "
+                             f"d={view.features.shape[1]} of view {v}")
     if len(set(args.seeds)) != len(args.seeds):
         raise ValueError(f"--seeds repeats a seed: {args.seeds}")
     if args.time_limit is not None and args.time_limit <= 0:
@@ -250,6 +255,10 @@ def cmd_prepare(args):
         raise ValueError(f"{len(orders)} --p orders for {n_files} feature files")
     if min(orders) < 0:
         raise ValueError(f"--p orders must be >= 0, got {orders}")
+    if args.add_knn is not None and args.add_knn < 1:
+        raise ValueError(f"--add-knn must be >= 1 neighbours, got {args.add_knn}")
+    if args.self_loops and args.add_knn is None:
+        raise ValueError("--self-loops applies to the k-NN view only and needs --add-knn")
     features = [load_features(p) if p.endswith(".bin") else load_text(p)
                 for p in args.features]
     # a shorter --graph list leaves the remaining views without a graph
@@ -257,7 +266,7 @@ def cmd_prepare(args):
     graphs += [None] * (n_files - len(graphs))
     views = [View(X, g, propagation_order=p)
              for X, g, p in zip(features, graphs, orders)]
-    if args.add_knn:
+    if args.add_knn is not None:
         knn = build_knn_graph(features[0], args.add_knn, self_loops=args.self_loops)
         views.append(View(features[0].copy(), knn, propagation_order=orders[0]))
     labels = load_labels(args.labels) if args.labels else None

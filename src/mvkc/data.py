@@ -304,27 +304,46 @@ def load_dataset(path):
 # k-NN graph construction
 
 
-KNN_CHUNK = 2048  # query rows per distance block
+KNN_BLOCK_BYTES = 16 * 2**20  # float64 query-to-all distances held per block
+
+
+def _k_smallest(d2, k):
+    """Column indices of the k smallest entries of each row of ``d2``, ordered
+    by (value, column): the first k of a stable full sort, by partial selection."""
+    n = d2.shape[1]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    # every entry up to the k-th smallest, more than k only when it is tied; NaN
+    # (from overflow) compares false and sorts last, as in a full sort
+    rows, cols = np.divmod(np.flatnonzero(~(d2 > kth[:, None])), n)
+    order = np.lexsort((cols, d2[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, np.arange(len(d2)))[rows]
+    return cols[rank < k].reshape(-1, k)
 
 
 def build_knn_graph(features, k_neighbors, self_loops=False):
     """Unit-weight k-NN graph under Euclidean distance, symmetrized by union.
 
-    Ties are broken by lowest index so the result is deterministic. Exact
-    brute-force search; fine up to ~50k points, plug in an ANN index beyond.
+    Exact brute-force search over blocks of query rows: each block's squared
+    distances to all n points fill at most ``KNN_BLOCK_BYTES`` (one row at
+    least), so memory stays linear in n. Ties at the k-th distance go to the
+    lowest index, so the result is deterministic.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
-    if k_neighbors >= n:
-        raise ValueError(f"k_neighbors={k_neighbors} must be < n={n}")
+    if not 1 <= k_neighbors < n:
+        raise ValueError(f"k_neighbors={k_neighbors} must be >= 1 and < n={n}")
     sq = np.einsum("ij,ij->i", features, features)
+    block = max(1, KNN_BLOCK_BYTES // (8 * n))
     neighbors = np.empty((n, k_neighbors), dtype=np.int64)
-    for start in range(0, n, KNN_CHUNK):
-        stop = min(start + KNN_CHUNK, n)
-        d2 = sq[start:stop, None] - 2.0 * features[start:stop] @ features.T + sq[None, :]
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d2 = features[start:stop] @ features.T  # in place, rounded as sq_i - 2 g_ij + sq_j
+        d2 *= -2.0
+        d2 += sq[start:stop, None]
+        d2 += sq[None, :]
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
-        # stable sort keeps the lowest index first among equal distances
-        neighbors[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
+        neighbors[start:stop] = _k_smallest(d2, k_neighbors)
     knn = sp.csr_matrix((np.ones(neighbors.size), neighbors.ravel(),
                          np.arange(n + 1) * k_neighbors), shape=(n, n))
     union = knn + knn.T

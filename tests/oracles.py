@@ -5,6 +5,7 @@ small inputs only."""
 import numpy as np
 import scipy.linalg
 
+from mvkc.data import SparseGraph
 from mvkc.linalg import EXACT_SVD_MAX_DIM, SVDResult
 
 
@@ -52,3 +53,21 @@ def same_graph(a, b):
         and np.array_equal(a.adj.indices, b.adj.indices)
         and np.array_equal(a.adj.data, b.adj.data)
     )
+
+
+def knn_oracle(features, k, self_loops=False):
+    """The k-NN graph of ``mvkc.data.build_knn_graph`` from a full stable sort
+    of each row of the n x n squared distances, sq_i - 2 g_ij + sq_j, so equal
+    distances keep the lowest index first."""
+    X = np.asarray(features, dtype=np.float64)
+    n = len(X)
+    sq = np.einsum("ij,ij->i", X, X)
+    d2 = sq[:, None] - 2.0 * X @ X.T + sq[None, :]
+    np.fill_diagonal(d2, np.inf)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows = np.repeat(np.arange(n), k)
+    cols = neighbors.ravel()
+    loops = np.arange(n) if self_loops else np.arange(0)
+    # the union of both edge directions, each edge once
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows, loops * (n + 1)]))
+    return SparseGraph(n, keys // n, keys % n, np.ones(len(keys)), symmetric=True)

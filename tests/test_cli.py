@@ -230,6 +230,18 @@ def test_meaningless_setting_fails_before_any_seed(dataset_dir, tmp_path, capsys
     assert not (out / "run_seed0.json").exists()
 
 
+@pytest.mark.parametrize("extra", [["--f", "5"], []])  # f defaults to k = 3
+def test_run_rejects_f_above_feature_dimension(tmp_path, capsys, extra):
+    ds = synth_multiview(60, 3, 2, seed=0, feature_dim=2)
+    save_dataset(ds, tmp_path / "ds")
+    out = tmp_path / "out"
+    code = main(["run", str(tmp_path / "ds"), "--k", "3", "--seeds", "0",
+                 "--output", str(out)] + extra)
+    assert code == EXIT_CONFIG
+    assert "--f" in capsys.readouterr().err
+    assert not (out / "run_seed0.json").exists()
+
+
 @pytest.mark.parametrize("command, flag, text", [
     ("run", "--p", "0"),
     ("run", "--p", "0:x"),
@@ -257,6 +269,20 @@ def test_prepare_features_only_with_knn(tmp_path):
     ds = load_dataset(out)
     assert ds.n_views == 2
     assert ds.views[1].graph is not None
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--add-knn", "0"], "--add-knn"),
+    (["--add-knn", "-1"], "--add-knn"),
+    (["--self-loops"], "--self-loops"),
+])
+def test_prepare_rejects_knn_flags_that_build_nothing(tmp_path, capsys, extra, flag):
+    feats = tmp_path / "x.txt"
+    np.savetxt(feats, np.random.default_rng(0).normal(size=(40, 3)))
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--features", str(feats), "--output", str(out)] + extra) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_prepare_graph_and_features(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvkc.data import (
+    KNN_BLOCK_BYTES,
     FormatError,
     IndexRangeError,
     MissingFileError,
@@ -19,7 +20,7 @@ from mvkc.data import (
     save_features,
     save_graph,
 )
-from oracles import same_graph
+from oracles import knn_oracle, same_graph
 from synth import synth_multiview
 
 
@@ -223,6 +224,28 @@ def test_knn_symmetric_with_self_loops():
 def test_knn_k_too_large():
     with pytest.raises(ValueError):
         build_knn_graph(np.zeros((3, 1)), 3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_knn_k_below_one(k):
+    with pytest.raises(ValueError, match="k_neighbors"):
+        build_knn_graph(np.arange(5.0)[:, None], k)
+
+
+@pytest.fixture(scope="module")
+def tie_grid():
+    # 2100 points on 24 x 24 integer sites: exact duplicates and exact ties
+    # at the k-th distance, over more than one distance block
+    n = 2100
+    assert KNN_BLOCK_BYTES // (8 * n) < n
+    return np.random.default_rng(11).integers(0, 24, size=(n, 2)).astype(np.float64)
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_knn_matches_stable_sort_oracle_on_ties(tie_grid, k, self_loops):
+    got = build_knn_graph(tie_grid, k, self_loops=self_loops)
+    assert same_graph(got, knn_oracle(tie_grid, k, self_loops=self_loops))
 
 
 # ---------------------------------------------------------------------------
