@@ -15,8 +15,8 @@ or a view named twice, a kernel parameter the kernel does not read,
 ``--f`` below 2 with ``quadratic`` or above a view's feature dimension, a k,
 f + 1 or ``--kernel-components`` above the dataset's n, a repeated seed,
 ``prepare`` counts of ``--p`` orders and ``--graph`` entries that do not fit
-the feature files, an ``--add-knn`` below 1, or ``--self-loops`` without
-``--add-knn``. A ``--p`` or ``--seeds`` value that does not parse is an
+the feature files, an ``--add-knn`` below 1 or at least n, or ``--self-loops``
+without ``--add-knn``. A ``--p`` or ``--seeds`` value that does not parse is an
 argparse error that names the flag and shows the text.
 
 ``run`` writes one ``run_seed<N>.json`` record per seed from the fields
@@ -46,6 +46,7 @@ from .data import (
     load_labels,
     load_text,
     save_dataset,
+    save_labels,
 )
 from .kernels import KERNEL_KINDS
 from .pipeline import PipelineConfig, run_pipeline
@@ -192,8 +193,7 @@ def cmd_run(args):
         labels = record.pop("labels", None)
         if labels is not None:
             record["labels_path"] = os.path.join(args.output, f"labels_seed{seed}.txt")
-            with open(record["labels_path"], "w") as fh:
-                fh.writelines(f"{lab}\n" for lab in labels.tolist())
+            save_labels(labels, record["labels_path"])
             if dataset.labels is not None:
                 record["metrics"] = metrics.evaluate(labels, dataset.labels)
         with open(os.path.join(args.output, f"run_seed{seed}.json"), "w") as fh:
@@ -255,12 +255,13 @@ def cmd_prepare(args):
         raise ValueError(f"{len(orders)} --p orders for {n_files} feature files")
     if min(orders) < 0:
         raise ValueError(f"--p orders must be >= 0, got {orders}")
-    if args.add_knn is not None and args.add_knn < 1:
-        raise ValueError(f"--add-knn must be >= 1 neighbours, got {args.add_knn}")
     if args.self_loops and args.add_knn is None:
         raise ValueError("--self-loops applies to the k-NN view only and needs --add-knn")
     features = [load_features(p) if p.endswith(".bin") else load_text(p)
                 for p in args.features]
+    n = len(features[0])
+    if args.add_knn is not None and not 1 <= args.add_knn < n:
+        raise ValueError(f"--add-knn must be >= 1 and < n={n}, got {args.add_knn}")
     # a shorter --graph list leaves the remaining views without a graph
     graphs = [None if g == "none" else load_graph(g) for g in graph_paths]
     graphs += [None] * (n_files - len(graphs))

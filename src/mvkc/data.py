@@ -242,6 +242,12 @@ def load_labels(path):
     return labels[:, 0]
 
 
+def save_labels(labels, path):
+    """Write integer labels, one per line, as ``load_labels`` reads them."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{lab}\n" for lab in np.asarray(labels, dtype=np.int64).tolist())
+
+
 def save_dataset(dataset, path):
     """Write a dataset directory (manifest + per-view graph/feature files)."""
     os.makedirs(path, exist_ok=True)
@@ -256,9 +262,7 @@ def save_dataset(dataset, path):
         save_features(view.features, os.path.join(path, fname))
         lines.append(f"view {idx} graph {gname} features {fname} p {view.propagation_order}")
     if dataset.labels is not None:
-        with open(os.path.join(path, "labels.txt"), "w") as fh:
-            for lab in dataset.labels:
-                fh.write(f"{int(lab)}\n")
+        save_labels(dataset.labels, os.path.join(path, "labels.txt"))
         lines.append("labels labels.txt")
     with open(os.path.join(path, "manifest.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,10 +2,9 @@
 
 ``truncated_svd`` takes one of three routes for an n x d input:
 
-- Gram + Rayleigh-Ritz, for tall inputs (n >= d) with d at most
-  ``EXACT_SVD_MAX_DIM``: the top eigenvectors of the d x d Gram matrix X.T X,
-  then one QR Rayleigh-Ritz step on X (Halko, Martinsson and Tropp 2011).
-  It costs O(n d^2) and builds only the r left vectors asked for.
+- Gram, for tall inputs (n >= d) with d at most ``EXACT_SVD_MAX_DIM``: the
+  top eigenvectors of the d x d Gram matrix X.T X. It costs O(n d^2) and
+  builds only the r left vectors asked for.
 - exact ``scipy.linalg.svd``, for wide inputs and as the fallback when the
   kept spectrum is too ill-conditioned for the Gram matrix, which squares
   the condition number: a top eigenvalue that is not positive, or a kept
@@ -14,8 +13,10 @@
   sketch with oversampling and QR-stabilized subspace power iterations,
   O(n d r) per pass.
 
-Signs are fixed so the largest-magnitude entry of each left singular vector
-is positive.
+The Gram and randomized routes each find a d x w basis W and end in the
+same QR Rayleigh-Ritz step on X over the range of X W (Halko, Martinsson and
+Tropp 2011). On every route U is column-major, and signs are fixed so the
+largest-magnitude entry of each left singular vector is positive.
 """
 
 from dataclasses import dataclass
@@ -51,44 +52,33 @@ def _fix_signs(U, V):
     return U * signs, V * signs
 
 
+def _ritz(X, W, r):
+    """One QR Rayleigh-Ritz step on X over the range of X W (Halko, Martinsson
+    and Tropp 2011): the top-r SVD of X restricted to that subspace."""
+    Q, _ = np.linalg.qr(X @ W)
+    Ub, s, Vt = scipy.linalg.svd(Q.T @ X, full_matrices=False)
+    # U in column-major order, as LAPACK returns it, so that column slices
+    # such as the embedding's U[:, 1:] stay contiguous for k-means
+    U, V = _fix_signs((Ub[:, :r].T @ Q.T).T, Vt[:r].T)
+    return SVDResult(U, s[:r], V)
+
+
 def randomized_svd(X, r, seed=0):
     """Seeded randomized truncated SVD of rank r.
 
-    Gaussian range sketch of width r + OVERSAMPLE, POWER_ITERS rounds of
-    QR-stabilized subspace iteration, then an exact SVD of the projected
-    (r + OVERSAMPLE) x d matrix.
+    Gaussian range sketch of width r + OVERSAMPLE and POWER_ITERS rounds of
+    QR-stabilized subspace iteration, then the Rayleigh-Ritz step.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if not (1 <= r <= min(n, d)):
         raise ValueError(f"rank r={r} out of range for shape {X.shape}")
     sketch = min(r + OVERSAMPLE, min(n, d))
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((d, sketch))
-    Q, _ = np.linalg.qr(X @ G)
+    W = np.random.default_rng(seed).standard_normal((d, sketch))
     for _ in range(POWER_ITERS):
-        Q, _ = np.linalg.qr(X.T @ Q)
-        Q, _ = np.linalg.qr(X @ Q)
-    B = Q.T @ X
-    Ub, s, Vt = scipy.linalg.svd(B, full_matrices=False)
-    U = Q @ Ub
-    U, V = _fix_signs(U[:, :r], Vt[:r].T)
-    return SVDResult(U, s[:r], V)
-
-
-def _gram_svd(X, r):
-    """Top-r (U, s, Vt) of a tall X from the eigenvectors of X.T X and one
-    QR Rayleigh-Ritz step, or None when the kept spectrum is ill-conditioned."""
-    d = X.shape[1]
-    evals, W = scipy.linalg.eigh(X.T @ X, subset_by_index=[d - r, d - 1])
-    # eigenvalues of the Gram matrix are squared singular values
-    if not evals[-1] > 0.0 or evals[0] < GRAM_COND_FLOOR**2 * evals[-1]:
-        return None
-    Q, _ = np.linalg.qr(X @ W)
-    Ub, s, Vt = scipy.linalg.svd(Q.T @ X, full_matrices=False)
-    # U in column-major order, as LAPACK returns it, so that column slices
-    # such as the embedding's U[:, 1:] stay contiguous for k-means
-    return (Ub.T @ Q.T).T, s, Vt
+        Q, _ = np.linalg.qr(X @ W)
+        W, _ = np.linalg.qr(X.T @ Q)
+    return _ritz(X, W, r)
 
 
 def truncated_svd(X, r, seed=0):
@@ -101,9 +91,12 @@ def truncated_svd(X, r, seed=0):
     n, d = X.shape
     if min(n, d) > EXACT_SVD_MAX_DIM:
         return randomized_svd(X, r, seed=seed)
-    factors = _gram_svd(X, min(r, d)) if n >= d else None
-    if factors is None:
-        factors = scipy.linalg.svd(X, full_matrices=False)
-    U, s, Vt = factors
+    if n >= d:
+        r = min(r, d)
+        evals, W = scipy.linalg.eigh(X.T @ X, subset_by_index=[d - r, d - 1])
+        # eigenvalues of the Gram matrix are squared singular values
+        if evals[-1] > 0.0 and evals[0] >= GRAM_COND_FLOOR**2 * evals[-1]:
+            return _ritz(X, W, r)
+    U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
     U, V = _fix_signs(U[:, :r], Vt[:r].T)
     return SVDResult(U, s[:r], V)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .embedding import degree_normalize, implicit_degrees, spectral_embedding
-from .kernels import KERNEL_KINDS, apply_map, default_params, fit_kernel_map
+from .kernels import KERNEL_KINDS, apply_map, default_params
 from .kmeans import kmeans
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
@@ -153,9 +153,8 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
             timer["svd"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            kmap = fit_kernel_map(config.kernel, svd.U, m=config.kernel_components,
-                                  params=config.kernel_params, seed=seeds[v])
-            B = apply_map(kmap, svd.U)
+            B = apply_map(config.kernel, svd.U, m=config.kernel_components,
+                          params=config.kernel_params, seed=seeds[v])
             timer["kernel_map"] += time.perf_counter() - t0
 
             B, labels = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))

@@ -1,7 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line. Run with ``pytest tests/test_acceptance.py -v -s``."""
 
+import contextlib
+import ctypes
 import functools
+import glob
 import itertools
 import math
 import os
@@ -15,7 +18,7 @@ import scipy.linalg
 import mvkc.pipeline
 from mvkc.data import MultiViewDataset, View, load_dataset
 from mvkc.embedding import degree_normalize, implicit_degrees
-from mvkc.kernels import apply_map, fit_kernel_map
+from mvkc.kernels import apply_map
 from mvkc.kmeans import kmeans
 from mvkc.linalg import randomized_svd, truncated_svd
 from mvkc.metrics import ari, clustering_accuracy, contingency_table, macro_f1, nmi
@@ -53,9 +56,8 @@ def test_criterion_1_kernel_summation_identity():
                 kind = kernels[rng.integers(0, 3)]
                 params = {"coef0": 1.0} if kind == "sigmoid" else None
                 m = None if kind == "quadratic" else int(rng.integers(f + 1, n + 1))
-                kmap = fit_kernel_map(kind, U, m=m, params=params,
-                                      seed=int(rng.integers(0, 1 << 31)))
-                B = apply_map(kmap, U)
+                B = apply_map(kind, U, m=m, params=params,
+                              seed=int(rng.integers(0, 1 << 31)))
                 d = B @ (B.sum(axis=0))
                 if d.min() > 1e-3 * d.max():
                     break
@@ -144,6 +146,32 @@ def _peak_memory(ds, config):
     return peak
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin each OpenBLAS that numpy and scipy bundle to one thread and restore
+    the previous counts on exit. OpenBLAS decides per call, by problem size,
+    whether to use its threads, so the sizes compared could otherwise run on
+    different thread counts and the time ratio would not measure scaling."""
+    pinned = []
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+                get = getattr(lib, name.format("get"), None)
+                if get is not None:
+                    put = getattr(lib, name.format("set"))
+                    pinned.append((put, get()))
+                    put(1)
+                    break
+    try:
+        yield
+    finally:
+        for put, threads in pinned:
+            put(threads)
+
+
 def test_criterion_5_scaling_law(monkeypatch):
     sizes = [10_000, 20_000, 40_000]
     # fixed k-means iteration budget (negative tol disables the convergence
@@ -152,16 +180,17 @@ def test_criterion_5_scaling_law(monkeypatch):
     monkeypatch.setattr(mvkc.pipeline, "kmeans", functools.partial(kmeans, max_iter=15, tol=-1.0))
     config = PipelineConfig(k=10, seed=0)
     datasets = [synth_multiview(n, 10, 2, noise=0.1, seed=0) for n in sizes]
-    for ds in datasets:
-        run_pipeline(ds, config)  # warm-up
-    # interleave sizes per repetition so clock or cache drift over the
-    # measurement window hits all sizes alike, then take the median
     samples = [[] for _ in sizes]
-    for _ in range(5):
-        for i, ds in enumerate(datasets):
-            t0 = time.perf_counter()
-            run_pipeline(ds, config)
-            samples[i].append(time.perf_counter() - t0)
+    with _one_blas_thread():
+        for ds in datasets:
+            run_pipeline(ds, config)  # warm-up
+        # interleave sizes per repetition so clock or cache drift over the
+        # measurement window hits all sizes alike, then take the median
+        for _ in range(5):
+            for i, ds in enumerate(datasets):
+                t0 = time.perf_counter()
+                run_pipeline(ds, config)
+                samples[i].append(time.perf_counter() - t0)
     times = [float(np.median(s)) for s in samples]
     peaks = [_peak_memory(ds, config) for ds in datasets]
     t_ratios = [times[i + 1] / times[i] for i in range(2)]

@@ -275,6 +275,7 @@ def test_prepare_features_only_with_knn(tmp_path):
     (["--add-knn", "0"], "--add-knn"),
     (["--add-knn", "-1"], "--add-knn"),
     (["--self-loops"], "--self-loops"),
+    (["--add-knn", "40"], "--add-knn must be >= 1 and < n=40"),
 ])
 def test_prepare_rejects_knn_flags_that_build_nothing(tmp_path, capsys, extra, flag):
     feats = tmp_path / "x.txt"

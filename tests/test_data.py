@@ -16,9 +16,11 @@ from mvkc.data import (
     load_dataset,
     load_features,
     load_graph,
+    load_labels,
     save_dataset,
     save_features,
     save_graph,
+    save_labels,
 )
 from oracles import knn_oracle, same_graph
 from synth import synth_multiview
@@ -160,6 +162,13 @@ def test_graph_file_roundtrip_is_byte_identical(tmp_path):
     assert first.read_text() == ("n 3 nnz 4 symmetric 1\n0 1 0.3333333333333333\n"
                                  "0 2 0.1\n1 0 0.3333333333333333\n2 0 0.1\n")
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_labels_file_roundtrip(tmp_path):
+    path = tmp_path / "labels.txt"
+    save_labels(np.array([2, 0, -1, 10]), path)
+    assert path.read_text() == "2\n0\n-1\n10\n"
+    assert np.array_equal(load_labels(path), [2, 0, -1, 10])
 
 
 def test_labels_length_mismatch(tmp_path):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvkc.linalg import GRAM_COND_FLOOR, center_columns, randomized_svd, truncated_svd
+from mvkc.linalg import (
+    EXACT_SVD_MAX_DIM,
+    GRAM_COND_FLOOR,
+    center_columns,
+    randomized_svd,
+    truncated_svd,
+)
 from oracles import exact_svd
 
 
@@ -153,3 +159,20 @@ def test_truncated_svd_wide_matches_exact():
     assert res.U.shape == (20, 5)
     assert np.allclose(res.s, full.s[:5], rtol=0, atol=1e-10)
     assert np.allclose(res.U, full.U[:, :5], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape, r, spectrum", [
+    ((60, 12), 4, None),  # Gram
+    ((60, 12), 4, [1.0, 0.5, 1e-3, 1e-2 * GRAM_COND_FLOOR, 1e-12]),  # ill-conditioned fallback
+    ((20, 60), 5, None),  # wide exact
+    ((EXACT_SVD_MAX_DIM + 1, EXACT_SVD_MAX_DIM + 1), 6, None),  # randomized
+], ids=["gram", "fallback", "wide", "randomized"])
+def test_truncated_svd_left_vectors_column_major(shape, r, spectrum):
+    # column-major U keeps the embedding's column slice U[:, 1:] contiguous
+    if spectrum is None:
+        X = np.random.default_rng(11).normal(size=shape)
+    else:
+        X = _with_spectrum(*shape, np.array(spectrum), seed=8)
+    U = truncated_svd(X, r).U
+    assert U.shape == (shape[0], r)
+    assert U.flags.f_contiguous and U[:, 1:].flags.f_contiguous
