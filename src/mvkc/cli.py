@@ -12,12 +12,12 @@ meaningless is a config error: a ``--p`` entry for a view the dataset lacks
 or a view named twice, a kernel parameter the kernel does not read,
 ``--kernel-components`` with ``quadratic``, a temperature, gamma or
 ``--time-limit`` that is not positive, too few ``--kernel-components``, an
-``--f`` below 2 with ``quadratic`` or above a view's feature dimension, a k,
-f + 1 or ``--kernel-components`` above the dataset's n, a repeated seed,
-``prepare`` counts of ``--p`` orders and ``--graph`` entries that do not fit
-the feature files, an ``--add-knn`` below 1 or at least n, or ``--self-loops``
-without ``--add-knn``. A ``--p`` or ``--seeds`` value that does not parse is an
-argparse error that names the flag and shows the text.
+``--f`` below 2 with ``quadratic``, above a view's feature dimension or with
+f + 1 below k, a k, f + 1 or ``--kernel-components`` above the dataset's n, a
+repeated seed, ``prepare`` counts of ``--p`` orders and ``--graph`` entries
+that do not fit the feature files, an ``--add-knn`` below 1 or at least n, or
+``--self-loops`` without ``--add-knn``. A ``--p`` or ``--seeds`` value that
+does not parse is an argparse error that names the flag and shows the text.
 
 ``run`` writes one ``run_seed<N>.json`` record per seed from the fields
 ``_run_seed`` returns, and the consensus label array to ``labels_seed<N>.txt``.
@@ -175,6 +175,9 @@ def cmd_run(args):
                          f"got k={config.k}, f={config.f}")
     if config.kernel_components is not None and config.kernel_components > n:
         raise ValueError(f"need kernel_components <= n={n}, got {config.kernel_components}")
+    if config.f + 1 < config.k:
+        raise ValueError(f"--f {config.f} gives f + 1 = {config.f + 1} spectral vectors, fewer "
+                         f"than k={config.k}; the CPQR start needs f + 1 >= k")
     for v, view in enumerate(dataset.views):
         if config.f > view.features.shape[1]:
             raise ValueError(f"--f {config.f} (default: k) is above the feature dimension "

@@ -225,13 +225,18 @@ def load_features(path):
 
 
 def load_text(path, dtype=np.float64):
-    """Whitespace-separated rows of numbers; a missing or unparsable file is a DataError."""
+    """Whitespace-separated rows of numbers; a missing, unparsable or empty file is a DataError."""
     if not os.path.isfile(path):
         raise MissingFileError(f"file not found: {path}")
-    try:
-        return np.loadtxt(path, dtype=dtype, ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on input without data
+        try:
+            values = np.loadtxt(path, dtype=dtype, ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    if len(values) == 0:
+        raise FormatError(f"{path}: no data rows")
+    return values
 
 
 def load_labels(path):

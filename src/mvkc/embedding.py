@@ -48,16 +48,13 @@ def degree_normalize(B, d):
 
 
 def spectral_embedding(B, r, seed=0):
-    """Top r+1 left singular vectors of the normalized factor, first dropped.
-
-    The first singular vector of a degree-normalized affinity is the trivial
-    quasi-constant one; the remaining r columns, returned as an n x r array,
-    are the clustering coordinates.
-    """
+    """Top r+1 left singular vectors of the normalized factor, as an n x (r+1)
+    array. The first is the trivial quasi-constant one; the other r are the
+    clustering coordinates."""
     n, m = B.shape
     if r + 1 > min(n, m):
         raise ValueError(
             f"need r+1={r + 1} singular vectors but factor is {n} x {m}; "
             "kernel map too small"
         )
-    return truncated_svd(B, r + 1, seed=seed).U[:, 1:]
+    return truncated_svd(B, r + 1, seed=seed).U

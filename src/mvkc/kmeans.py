@@ -1,12 +1,13 @@
-"""Seeded Lloyd k-means with k-means++ initialization.
+"""Deterministic discretization: a seedless CPQR start, then Lloyd k-means.
 
-Deterministic given (data, k, seed). A clustering is an int64 label array.
-Empty clusters are repaired by moving the point currently farthest from its
-centroid into the empty cluster, so every label 0..k-1 occurs in the result.
-Per-cluster sums, here and in the view weights, come from ``cluster_sums``.
+A clustering is an int64 label array. Empty clusters are repaired by moving
+the point currently farthest from its centroid into the empty cluster, so
+every label 0..k-1 occurs in the result. Per-cluster sums, here and in the
+view weights, come from ``cluster_sums``.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 
@@ -18,21 +19,15 @@ def cluster_sums(X, labels, k):
     return indicator @ X
 
 
-def _plusplus_init(X, k, rng):
-    n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    d2 = np.einsum("ij,ij->i", X - centroids[0], X - centroids[0])
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = rng.integers(n)
-        else:
-            idx = rng.choice(n, p=d2 / total)
-        centroids[c] = X[idx]
-        cand = np.einsum("ij,ij->i", X - centroids[c], X - centroids[c])
-        np.minimum(d2, cand, out=d2)
-    return centroids
+def cpqr_labels(U, k):
+    """Labels from the first k spectral vectors U[:, :k] (Damle, Minden and
+    Ying 2019): a column-pivoted QR picks k rows, U[:, :k] is rotated by the
+    polar factor of those rows, and each row takes the column of its largest
+    |entry|. A label may not occur; ``kmeans`` repairs that."""
+    Uk = U[:, :k]
+    _, piv = scipy.linalg.qr(Uk.T, mode="r", pivoting=True)
+    W, _, Vt = np.linalg.svd(Uk[piv[:k]].T)
+    return np.argmax(np.abs(Uk @ (W @ Vt)), axis=1)
 
 
 def _repair_empty(labels, dists, k):
@@ -52,6 +47,11 @@ def _repair_empty(labels, dists, k):
     return changed
 
 
+def _means(X, labels, k):
+    """k x m cluster means; an empty cluster's row is 0."""
+    return cluster_sums(X, labels, k) / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
+
+
 def _assign(X, centroids):
     c2 = np.einsum("ij,ij->i", centroids, centroids)
     d2 = c2[None, :] - 2.0 * X @ centroids.T
@@ -61,19 +61,21 @@ def _assign(X, centroids):
     return labels, dists
 
 
-def kmeans(X, k, seed=0, max_iter=300, tol=1e-6):
-    """Lloyd iterations from a k-means++ start.
+def kmeans(X, k, start, max_iter=300, tol=1e-6):
+    """Lloyd iterations from the means of ``start``, one label in 0..k-1 per
+    row of X, after repairing any cluster it leaves empty.
 
     Returns (labels, inertia), with int64 labels in which all k clusters
     occur. Stops when the relative centroid movement drops below ``tol`` or
     after ``max_iter`` iterations.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    centroids = _plusplus_init(X, k, rng)
+    if not (1 <= k <= len(X)):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={len(X)}")
+    labels = np.array(start, dtype=np.int64)
+    diff = X - _means(X, labels, k)[labels]
+    _repair_empty(labels, np.einsum("ij,ij->i", diff, diff), k)
+    centroids = _means(X, labels, k)
     prev_inertia = np.inf
     repaired = False
     for _ in range(max_iter):
@@ -83,16 +85,14 @@ def kmeans(X, k, seed=0, max_iter=300, tol=1e-6):
         assert repaired or inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12
         prev_inertia = inertia
         repaired = _repair_empty(labels, dists, k)
-        new_centroids = cluster_sums(X, labels, k) / np.bincount(labels, minlength=k)[:, None]
+        new_centroids = _means(X, labels, k)
         shift = np.linalg.norm(new_centroids - centroids)
         scale = np.linalg.norm(centroids)
         centroids = new_centroids
         if shift <= tol * max(scale, 1.0):
             break
     labels, dists = _assign(X, centroids)
-    repaired = _repair_empty(labels, dists, k)
-    if repaired:
+    if _repair_empty(labels, dists, k):
         diff = X - centroids[labels]
         dists = np.einsum("ij,ij->i", diff, diff)
-    inertia = float(dists.sum())
-    return labels.astype(np.int64), inertia
+    return labels.astype(np.int64), float(dists.sum())

@@ -219,6 +219,7 @@ def test_partial_p_keeps_manifest_order_of_other_views(tmp_path):
     (["--kernel", "rbf", "--kernel-components", "151"], "kernel_components <= n=150"),
     (["--k", "150"], "f + 1 <= n"),  # f defaults to k
     (["--f", "2", "--k", "151"], "k <= n"),
+    (["--f", "2", "--k", "4"], "--f 2 gives f + 1 = 3 spectral vectors, fewer than k=4"),
 ])
 def test_meaningless_setting_fails_before_any_seed(dataset_dir, tmp_path, capsys,
                                                    extra, setting):
@@ -443,10 +444,14 @@ def test_negative_propagation_order(dataset_dir, tmp_path):
     (["prepare", "--features", "FEATURES", "--graph", "BAD"], "n -1 nnz 0 symmetric 0\n"),
     (["prepare", "--features", "FEATURES", "--graph", "BAD"], "n 4 nnz -1 symmetric 0\n"),
     (["prepare", "--features", "FEATURES", "--graph", "BAD"], "n 4 nnz 0 symmetric 7\n"),
+    (["eval", "--pred", "BAD", "--truth", "LABELS"], ""),
+    (["prepare", "--features", "BAD"], ""),
 ], ids=["eval-missing-pred", "eval-truth-x", "prepare-missing-labels", "prepare-labels-x",
         "prepare-labels-two-columns", "prepare-missing-text-features",
         "prepare-ragged-text-features", "prepare-graph-weight-abc", "prepare-graph-index-1.5",
-        "prepare-graph-negative-n", "prepare-graph-negative-nnz", "prepare-graph-symmetric-7"])
+        "prepare-graph-negative-n", "prepare-graph-negative-nnz", "prepare-graph-symmetric-7",
+        "eval-empty-pred", "prepare-empty-text-features"])
+@pytest.mark.filterwarnings("error")  # no numpy warning may reach stderr
 def test_missing_or_malformed_input_file_exits_data(tmp_path, capsys, argv, content):
     bad, labels, features = tmp_path / "bad.txt", tmp_path / "y.txt", tmp_path / "x.bin"
     if content is not None:

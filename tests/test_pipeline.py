@@ -42,6 +42,20 @@ def test_determinism():
     assert np.array_equal(a.weights.lambdas, b.weights.lambdas)
 
 
+def test_quadratic_labels_do_not_depend_on_the_seed():
+    # quadratic maps and inputs no wider than EXACT_SVD_MAX_DIM leave no random step
+    ds = synth_multiview(400, 4, 2, noise=0.3, seed=6)
+    runs = [run_pipeline(ds, PipelineConfig(k=4, seed=seed)).consensus for seed in range(4)]
+    for labels in runs[1:]:
+        assert np.array_equal(labels, runs[0])
+
+
+def test_f_plus_one_below_k_is_rejected():
+    ds = synth_multiview(100, 4, 2, noise=0.1, seed=0)
+    with pytest.raises(ValueError, match=r"f \+ 1 >= k, got f=2, k=4"):
+        run_pipeline(ds, PipelineConfig(k=4, f=2))
+
+
 def test_single_view_matches_per_view_path():
     ds = synth_multiview(200, 3, 1, noise=0.05, seed=2)
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0, weight_mode="uniform"))
