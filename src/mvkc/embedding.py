@@ -4,7 +4,8 @@ Factors are plain n x m float arrays B whose implicit affinity is
 W = B @ B.T. W is never formed: its row sums come from B @ (B.T @ 1) in
 O(nm), normalization scales the rows of B, and the spectral coordinates are
 left singular vectors of B, which span the same subspace as the top
-eigenvectors of W.
+eigenvectors of W. ``degree_normalize`` overwrites B rather than copying it:
+the caller owns B and passes a copy if it reads the raw factor again.
 """
 
 import logging
@@ -35,16 +36,18 @@ def implicit_degrees(B):
 
 
 def degree_normalize(B, d):
-    """Scale row i of the factor by d_i^{-1/2}.
+    """Scale row i of the float factor B by d_i^{-1/2}, in place, and return B.
 
-    The implicit affinity becomes D^{-1/2} B B.T D^{-1/2}.
+    The implicit affinity becomes D^{-1/2} B B.T D^{-1/2}. The degrees are
+    checked first, so a rejected call leaves B as it was.
     """
     d = np.asarray(d, dtype=np.float64)
     if len(d) != B.shape[0]:
         raise ValueError(f"degree vector has length {len(d)}, expected {B.shape[0]}")
     if np.any(d <= 0.0):
         raise ValueError("degrees must be strictly positive")
-    return B * (d**-0.5)[:, None]
+    B *= (d**-0.5)[:, None]
+    return B
 
 
 def spectral_embedding(B, r, seed=0):

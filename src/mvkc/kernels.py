@@ -6,7 +6,9 @@ exp(-gamma |u - v|^2), and ``sigmoid``, tanh(slope u.v + coef0), are
 infinite-dimensional and get landmark (Nystroem) approximations: sample m
 rows, form the landmark kernel matrix, and whiten by its inverse square root.
 ``apply_map`` does either in one call and returns the factor Phi(U); the
-implicit affinity of the mapped data is then Phi(U) @ Phi(U).T."""
+implicit affinity of the mapped data is then Phi(U) @ Phi(U).T. The n x m
+kernel block K_nm is built in its own buffer, one elementwise step at a time,
+so a Nystroem map holds no n x m temporary beside K_nm and the factor."""
 
 import numpy as np
 import scipy.linalg
@@ -20,12 +22,22 @@ EIG_FLOOR = 1e-12
 def _rbf(X, Y, gamma):
     x2 = np.einsum("ij,ij->i", X, X)
     y2 = np.einsum("ij,ij->i", Y, Y)
-    d2 = np.maximum(x2[:, None] - 2.0 * X @ Y.T + y2[None, :], 0.0)
-    return np.exp(-gamma * d2)
+    # -2 scales an operand, not the product, so this stays a general matrix
+    # multiply when Y is X; X @ X.T would take BLAS's symmetric route, which
+    # rounds differently
+    K = X @ (-2.0 * Y).T
+    K += x2[:, None]
+    K += y2
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def _sigmoid(X, Y, slope, coef0):
-    return np.tanh(slope * (X @ Y.T) + coef0)
+    K = X @ Y.T
+    K *= slope
+    K += coef0
+    return np.tanh(K, out=K)
 
 
 def kernel_matrix(kind, X, Y, params):

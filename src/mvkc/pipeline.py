@@ -2,10 +2,19 @@
 
 Per view: smooth features, center, take the f leading left singular vectors,
 map them through the kernel feature map, degree-normalize the factor, embed
-and cluster. Then weight the views by clusterability, concatenate the scaled
-factors, and run the same normalize/embed/cluster pass once more for the
-consensus labels. Every clustering is an int64 label array from ``kmeans``,
-started from the seedless ``cpqr_labels``. Never allocates an n x n matrix.
+and cluster. A view whose centered features have no singular value above
+round-off raises ``FloatingPointError``. Then weight the views by
+clusterability, concatenate the scaled factors, and run the same
+normalize/embed/cluster pass once more for the consensus labels. Every
+clustering is an int64 label array from ``kmeans``, started from the seedless
+``cpqr_labels``. Never allocates an n x n matrix.
+
+Memory: each factor is normalized in place, and the caller of
+``degree_normalize`` owns the factor it overwrites. The consensus is one
+column-major n x sum(m_v) array, filled one view's column block at a time;
+each view's factor is released as soon as its block is written, and the
+consensus pass normalizes the array in place. So the resident peak is about
+one n x sum(m_v) array plus one view's n x m kernel block.
 """
 
 import dataclasses
@@ -100,20 +109,21 @@ def _derived_seeds(seed, n_views):
 
 
 def _cluster_factor(B, config, seed, timer, stages):
-    """Degree-normalize the factor, embed it spectrally, then CPQR and k-means.
+    """Degree-normalize the factor in place, embed it spectrally, then CPQR
+    and k-means.
 
     ``stages`` names the ``timer`` entries of (normalize + embed, k-means).
-    Returns the normalized factor and the labels.
+    Returns the labels.
     """
     t0 = time.perf_counter()
-    B = degree_normalize(B, implicit_degrees(B))
+    degree_normalize(B, implicit_degrees(B))
     U = spectral_embedding(B, config.f, seed=seed)
     timer[stages[0]] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     labels, _ = kmeans(U[:, 1:], config.k, cpqr_labels(U, config.k))
     timer[stages[1]] += time.perf_counter() - t0
-    return B, labels
+    return labels
 
 
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
@@ -153,13 +163,17 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
             Xc = center_columns(X)
             svd = truncated_svd(Xc, config.f, seed=seeds[v])
             timer["svd"] += time.perf_counter() - t0
+            # centering leaves round-off of at most about n eps ||X||_F; a view
+            # with nothing above it has no variance to cluster
+            if svd.s[0] <= len(X) * np.finfo(np.float64).eps * np.linalg.norm(X):
+                raise FloatingPointError("centered features have no variance above round-off")
 
             t0 = time.perf_counter()
             B = apply_map(config.kernel, svd.U, m=config.kernel_components,
                           params=config.kernel_params, seed=seeds[v])
             timer["kernel_map"] += time.perf_counter() - t0
 
-            B, labels = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))
+            labels = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))
 
             t0 = time.perf_counter()
             traces.append(clusterability_trace(B, labels))
@@ -173,10 +187,17 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     t0 = time.perf_counter()
     weights = softmax_weights(np.array(traces), config.temperature, mode=config.weight_mode)
     # scaling factor v by sqrt(lambda_v) gives the concatenation the Gram
-    # matrix sum_v lambda_v B_v B_v^T, the weighted consensus affinity
-    concat = np.hstack([np.sqrt(lam) * B for lam, B in zip(weights.lambdas, factors)])
+    # matrix sum_v lambda_v B_v B_v^T, the weighted consensus affinity.
+    # Column-major, so writing one view's block touches only that block's pages.
+    concat = np.empty((dataset.n, sum(B.shape[1] for B in factors)), order="F")
+    start = 0
+    for v, lam in enumerate(weights.lambdas):
+        stop = start + factors[v].shape[1]
+        np.multiply(factors[v], np.sqrt(lam), out=concat[:, start:stop])
+        factors[v] = None
+        start = stop
     timer["weighting"] += time.perf_counter() - t0
 
-    _, consensus = _cluster_factor(concat, config, seeds[n_views], timer,
-                                   ("consensus", "consensus"))
+    consensus = _cluster_factor(concat, config, seeds[n_views], timer,
+                                ("consensus", "consensus"))
     return ClusteringResult(consensus, per_view, weights, dict(timer))

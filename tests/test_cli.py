@@ -128,6 +128,23 @@ def test_view_failure_exit_code(tmp_path, kind, expected, time_limit):
         assert "view 0" in record["error"]
 
 
+@pytest.mark.parametrize("value", [1.0, 0.1])
+def test_view_without_variance_exits_numeric(tmp_path, value):
+    # centering rows of 0.1 leaves round-off (about 4e-17), not zeros
+    good, const = tmp_path / "good.txt", tmp_path / "const.txt"
+    np.savetxt(good, np.random.default_rng(0).normal(size=(40, 3)))
+    np.savetxt(const, np.full((40, 3), value))
+    prepared, out = tmp_path / "prepared", tmp_path / "out"
+    assert main(["prepare", "--features", str(good), str(const),
+                 "--output", str(prepared)]) == EXIT_OK
+    assert main(["run", str(prepared), "--k", "3", "--seeds", "0",
+                 "--output", str(out)]) == EXIT_NUMERIC
+    record = json.loads((out / "run_seed0.json").read_text())
+    assert record["status"] == "Error"
+    assert record["error"].startswith("FloatingPointError: ") and "(view 1)" in record["error"]
+    assert not (out / "labels_seed0.txt").exists()
+
+
 @pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
 def test_data_failure_inside_a_seed_exits_data(tmp_path, time_limit):
     ds = synth_multiview(60, 3, 1, seed=0)

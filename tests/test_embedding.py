@@ -51,7 +51,7 @@ def test_normalized_affinity_row_sums_one():
     rng = np.random.default_rng(2)
     values = rng.uniform(0.1, 1.0, size=(40, 6))
     d = implicit_degrees(values)
-    Bn = degree_normalize(values, d)
+    Bn = degree_normalize(values.copy(), d)
     W = Bn @ Bn.T
     # row sums of D^{-1/2} W D^{-1/2} equal d^{-1/2} * (B B.T d^{-1/2})
     expected = (d**-0.5) * ((values @ values.T) @ (d**-0.5))
@@ -61,6 +61,21 @@ def test_normalized_affinity_row_sums_one():
 def test_normalize_rejects_nonpositive():
     with pytest.raises(ValueError):
         degree_normalize(np.ones((2, 2)), np.array([1.0, 0.0]))
+
+
+def test_normalize_in_place():
+    B = np.array([[2.0, 0.0], [3.0, 6.0]])
+    assert degree_normalize(B, np.array([4.0, 9.0])) is B
+    assert np.array_equal(B, [[1.0, 0.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("d", [[1.0, 0.0], [4.0, -1.0], [1.0, 1.0, 1.0]],
+                         ids=["zero", "negative", "wrong-length"])
+def test_rejected_normalize_leaves_factor_unchanged(d):
+    B = np.array([[2.0, 0.0], [3.0, 6.0]])
+    with pytest.raises(ValueError):
+        degree_normalize(B, np.array(d))
+    assert np.array_equal(B, [[2.0, 0.0], [3.0, 6.0]])
 
 
 def normalized_factor(values):

@@ -87,3 +87,34 @@ def test_scaled_map_scales_kernel():
     lam = 0.37
     scaled = np.sqrt(lam) * Phi
     assert np.allclose(scaled @ scaled.T, lam * (Phi @ Phi.T), atol=1e-12)
+
+
+def rbf_oracle(X, Y, gamma):
+    """The out-of-place RBF expression the in-place block must reproduce."""
+    x2 = np.einsum("ij,ij->i", X, X)
+    y2 = np.einsum("ij,ij->i", Y, Y)
+    d2 = np.maximum(x2[:, None] - 2.0 * X @ Y.T + y2[None, :], 0.0)
+    return np.exp(-gamma * d2)
+
+
+def sigmoid_oracle(X, Y, slope, coef0):
+    return np.tanh(slope * (X @ Y.T) + coef0)
+
+
+@pytest.mark.parametrize("n, m, f", [(1, 1, 1), (7, 3, 2), (200, 40, 5), (513, 100, 16)])
+@pytest.mark.parametrize("same", [False, True], ids=["landmarks", "self"])
+def test_in_place_blocks_match_out_of_place_expressions(n, m, f, same):
+    rng = np.random.default_rng(n + f)
+    X = rng.normal(scale=3.0, size=(n, f))
+    # Y is X itself, as for the landmark matrix K_mm, or m of its rows, as
+    # for K_nm: each row of Y meets itself in X, where d^2 is pure round-off
+    Y = X if same else X[np.sort(rng.choice(n, size=min(m, n), replace=False))]
+    rbf = {"gamma": 0.7}
+    sigmoid = {"slope": 1.0 / f, "coef0": 0.3}
+    assert np.array_equal(kernel_matrix("rbf", X, Y, rbf), rbf_oracle(X, Y, **rbf))
+    assert np.array_equal(kernel_matrix("sigmoid", X, Y, sigmoid),
+                          sigmoid_oracle(X, Y, **sigmoid))
+    if n >= 200:  # the larger shapes hold rows where d^2 rounds below 0
+        x2 = np.einsum("ij,ij->i", X, X)
+        y2 = np.einsum("ij,ij->i", Y, Y)
+        assert (x2[:, None] - 2.0 * X @ Y.T + y2[None, :]).min() < 0.0

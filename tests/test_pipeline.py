@@ -113,6 +113,25 @@ def test_peak_memory_linear_in_n():
     assert peaks[1] <= 1.3 * 10 * peaks[0]
 
 
+def test_consensus_peak_memory_is_about_one_concatenation():
+    import tracemalloc
+
+    n, k, m = 20000, 5, 60
+    rng = np.random.default_rng(0)
+    labels = np.arange(n) % k
+    views = [View(rng.normal(size=(k, 16))[labels] + 0.3 * rng.normal(size=(n, 16)))
+             for _ in range(3)]
+    cfg = PipelineConfig(k=k, kernel="rbf", kernel_components=m)
+    tracemalloc.start()
+    res = run_pipeline(MultiViewDataset(views, labels), cfg)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert ari(res.consensus, labels) == pytest.approx(1.0)
+    # the factors plus the n x sum(m_v) consensus array come to about 2.1
+    # concatenations; one more scaled or normalized copy of it, to about 3.4
+    assert peak < 2.5 * n * 3 * m * 8
+
+
 def test_timings_cover_stages():
     ds = synth_multiview(100, 2, 2, noise=0.1, seed=5)
     res = run_pipeline(ds, PipelineConfig(k=2, f=1, kernel="rbf", seed=0))
