@@ -3,20 +3,28 @@
 A dataset is a directory with a ``manifest.txt`` describing the views in
 index order:
 
-    view 0 graph graph_0.txt features features_0.bin p 2
+    view 0 graph graph_0.bin features features_0.bin p 2
     view 1 graph none features features_1.bin p 0
     labels labels.txt
 
-Graph files are coordinate text (``n <n> nnz <nnz> symmetric <0|1>`` header,
-then exactly ``nnz`` ``i j w`` triples, 0-based, in any order; only blank
-lines may follow). Feature files are a one-line ASCII header
-``n <n> d <d> dtype f64`` followed by little-endian float64 values, row-major.
+A prepared graph file is binary CSR: a one-line ASCII header
+``n <n> nnz <nnz> symmetric <0|1> csr``, then little-endian int64 ``indptr``
+(n + 1 values), int64 ``indices`` (nnz values) and float64 ``data`` (nnz
+values) of ``graph.adj``. Text is the input format of ``mvkc prepare``, and
+text graph files in dataset directories written before the binary format
+still load: an ``n <n> nnz <nnz> symmetric <0|1>`` header, then exactly
+``nnz`` ``i j w`` triples, 0-based, in any order; only blank lines may follow.
+``load_graph`` reads either, by the header. Feature files are a one-line
+ASCII header ``n <n> d <d> dtype f64`` followed by little-endian float64
+values, row-major. A binary payload whose byte length is not the one its
+header gives is a ``FormatError``.
 
 A graph is one canonical CSR matrix, ``SparseGraph.adj``, so edge order in a
 file does not matter. It is validated once, when it is built, whether it is
 read from a file, built from k-NN or passed in by a caller.
 """
 
+import io
 import itertools
 import os
 import re
@@ -150,11 +158,38 @@ class MultiViewDataset:
 
 
 def save_graph(graph, path):
-    coo = graph.adj.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"n {graph.n} nnz {graph.nnz} symmetric {int(graph.symmetric)}\n")
-        fh.writelines(f"{i} {j} {w!r}\n" for i, j, w in
-                      zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    """Write ``graph.adj`` as a binary CSR file, as ``load_graph`` reads it."""
+    adj = graph.adj
+    with open(path, "wb") as fh:
+        fh.write(f"n {graph.n} nnz {graph.nnz} symmetric {int(graph.symmetric)} csr\n"
+                 .encode("ascii"))
+        for values, dtype in ((adj.indptr, "<i8"), (adj.indices, "<i8"), (adj.data, "<f8")):
+            np.asarray(values, dtype=dtype).tofile(fh)
+
+
+def _read_payload(fh, path, dtype, count):
+    """The rest of ``fh`` read once into a writable array of ``count`` values;
+    a payload of any other byte length is a FormatError."""
+    expected = count * np.dtype(dtype).itemsize
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found != expected:
+        raise FormatError(f"{path}: expected {expected} payload bytes, found {found}")
+    values = np.empty(count, dtype=dtype)
+    found = fh.readinto(values)  # short only if the file shrank since the check
+    if found != expected:
+        raise FormatError(f"{path}: expected {expected} payload bytes, found {found}")
+    return values
+
+
+def _read_csr(fh, path, n, nnz):
+    """Coordinate arrays of a binary CSR payload; an ``indptr`` that does not
+    rise from 0 to nnz is a FormatError."""
+    payload = _read_payload(fh, path, "<i8", n + 1 + 2 * nnz)
+    indptr, indices = payload[:n + 1], payload[n + 1:n + 1 + nnz]
+    counts = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != nnz or (counts < 0).any():
+        raise FormatError(f"{path}: indptr must rise from 0 to nnz={nnz} and never decrease")
+    return np.repeat(np.arange(n), counts), indices, payload[n + 1 + nnz:].view("<f8")
 
 
 def _parse_edges(lines):
@@ -169,25 +204,36 @@ def _parse_edges(lines):
     return edges if len(edges) == len(lines) else None  # loadtxt skips blank lines
 
 
+def _read_edges(fh, path, nnz):
+    """Coordinate arrays of exactly ``nnz`` text edge lines; only blank lines may follow."""
+    lines = list(itertools.islice(fh, nnz))
+    lines += [""] * (len(lines) < nnz)  # the first missing line reads as empty
+    edges = _parse_edges(lines)
+    if edges is None:  # name the first line that does not parse alone
+        idx = next(i for i, line in enumerate(lines) if _parse_edges([line]) is None)
+        raise FormatError(f"{path}: bad edge line {idx}: {' '.join(lines[idx].split())!r}")
+    if any(line.strip() for line in fh):
+        raise FormatError(f"{path}: more edge lines than nnz={nnz}")
+    return edges["i"], edges["j"], edges["w"]
+
+
 def load_graph(path):
+    """Read a binary CSR or a text graph file, told apart by its header, and
+    build it as a ``SparseGraph``, so both pass the same checks."""
     if not os.path.isfile(path):
         raise MissingFileError(f"graph file not found: {path}")
-    with open(path) as fh:
-        header = re.fullmatch(r"n ([0-9]+) nnz ([0-9]+) symmetric ([01])",
-                              " ".join(fh.readline().split()))
+    with open(path, "rb") as fh:
+        header = re.fullmatch(r"n ([0-9]+) nnz ([0-9]+) symmetric ([01])( csr)?",
+                              " ".join(fh.readline().decode("ascii", "replace").split()))
         if header is None:
             raise FormatError(f"{path}: malformed graph header")
-        n, nnz, symmetric = map(int, header.groups())
-        lines = list(itertools.islice(fh, nnz))
-        lines += [""] * (len(lines) < nnz)  # the first missing line reads as empty
-        edges = _parse_edges(lines)
-        if edges is None:  # name the first line that does not parse alone
-            idx = next(i for i, line in enumerate(lines) if _parse_edges([line]) is None)
-            raise FormatError(f"{path}: bad edge line {idx}: {' '.join(lines[idx].split())!r}")
-        if any(line.strip() for line in fh):
-            raise FormatError(f"{path}: more edge lines than nnz={nnz}")
+        n, nnz, symmetric = map(int, header.groups()[:3])
+        if header[4]:
+            rows, cols, weights = _read_csr(fh, path, n, nnz)
+        else:
+            rows, cols, weights = _read_edges(io.TextIOWrapper(fh, errors="replace"), path, nnz)
     try:
-        return SparseGraph(n, edges["i"], edges["j"], edges["w"], symmetric=bool(symmetric))
+        return SparseGraph(n, rows, cols, weights, symmetric=bool(symmetric))
     except DataError as exc:
         exc.add_note(str(path))
         raise
@@ -198,7 +244,7 @@ def save_features(features, path):
     n, d = features.shape
     with open(path, "wb") as fh:
         fh.write(f"n {n} d {d} dtype f64\n".encode("ascii"))
-        fh.write(features.tobytes())
+        features.tofile(fh)
 
 
 def load_features(path):
@@ -206,19 +252,11 @@ def load_features(path):
         raise MissingFileError(f"feature file not found: {path}")
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
-        if len(header) != 6 or header[0] != "n" or header[2] != "d" or header[5] != "f64":
+        if (len(header) != 6 or header[0] != "n" or header[2] != "d" or header[5] != "f64"
+                or not (header[1].isdigit() and header[3].isdigit())):
             raise FormatError(f"{path}: malformed feature header")
-        try:
-            n, d = int(header[1]), int(header[3])
-        except ValueError:
-            raise FormatError(f"{path}: malformed feature header") from None
-        raw = fh.read()
-    expected = n * d * 8
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} payload bytes, found {len(raw)}"
-        )
-    values = np.frombuffer(raw, dtype="<f8").reshape(n, d).astype(np.float64)
+        n, d = int(header[1]), int(header[3])
+        values = _read_payload(fh, path, "<f8", n * d).reshape(n, d)
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: features contain NaN or Inf")
     return values
@@ -259,7 +297,7 @@ def save_dataset(dataset, path):
     lines = []
     for idx, view in enumerate(dataset.views):
         if view.graph is not None:
-            gname = f"graph_{idx}.txt"
+            gname = f"graph_{idx}.bin"
             save_graph(view.graph, os.path.join(path, gname))
         else:
             gname = "none"

@@ -180,6 +180,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
             timer["weighting"] += time.perf_counter() - t0
             factors.append(B)
             per_view.append(labels)
+            del X, Xc, svd, B  # the factor lives on in `factors` alone
         except Exception as exc:
             exc.add_note(f"view {v}")
             raise

@@ -1,5 +1,6 @@
 """Synthetic labeled multi-view datasets for the tests: Gaussian blobs per
-view plus a planted-partition graph, fully deterministic given the seed."""
+view plus a planted-partition graph, fully deterministic given the seed; and
+a writer of the text graph format that ``mvkc prepare`` reads."""
 
 import numpy as np
 
@@ -77,3 +78,13 @@ def synth_multiview(n, k, n_views, noise=0.1, seed=0, feature_dim=16):
     dataset = MultiViewDataset(views, labels)
     dataset.validate()
     return dataset
+
+
+def write_text_graph(graph, path):
+    """Write ``graph`` as a text edge list, one ``i j w`` line per entry of
+    ``graph.adj`` in row-major order, as ``mvkc prepare --graph`` reads it."""
+    coo = graph.adj.tocoo()
+    with open(path, "w") as fh:
+        fh.write(f"n {graph.n} nnz {graph.nnz} symmetric {int(graph.symmetric)}\n")
+        fh.writelines(f"{i} {j} {w!r}\n" for i, j, w in
+                      zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,13 @@ from mvkc.data import (
     SparseGraph,
     View,
     load_dataset,
+    load_graph,
     save_dataset,
     save_features,
-    save_graph,
 )
-from synth import synth_multiview
+from mvkc.propagation import _cache_key
+from oracles import same_graph
+from synth import synth_multiview, write_text_graph
 
 
 @pytest.fixture
@@ -307,7 +310,7 @@ def test_prepare_rejects_knn_flags_that_build_nothing(tmp_path, capsys, extra, f
 def test_prepare_graph_and_features(tmp_path):
     ds = synth_multiview(30, 2, 1, seed=1)
     gpath, fpath = tmp_path / "g.txt", tmp_path / "x.bin"
-    save_graph(ds.views[0].graph, gpath)
+    write_text_graph(ds.views[0].graph, gpath)
     save_features(ds.views[0].features, fpath)
     out = tmp_path / "prepared"
     code = main(["prepare", "--features", str(fpath), "--graph", str(gpath),
@@ -317,10 +320,85 @@ def test_prepare_graph_and_features(tmp_path):
     assert back.n_views == 1 and back.views[0].propagation_order == 2
 
 
+def test_prepared_graph_is_binary_and_equals_its_text_or_binary_source(tmp_path):
+    ds = synth_multiview(30, 2, 1, seed=1)
+    gpath, fpath = tmp_path / "g.txt", tmp_path / "x.bin"
+    write_text_graph(ds.views[0].graph, gpath)
+    save_features(ds.views[0].features, fpath)
+    text = load_graph(gpath)
+    X = ds.views[0].features
+    # text input, then the binary graph that prepare wrote as input again
+    for source, out in ((gpath, tmp_path / "from_text"), (tmp_path / "from_text" / "graph_0.bin",
+                                                         tmp_path / "from_bin")):
+        assert main(["prepare", "--features", str(fpath), "--graph", str(source),
+                     "--output", str(out)]) == EXIT_OK
+        assert "graph graph_0.bin " in (out / "manifest.txt").read_text()
+        assert (out / "graph_0.bin").read_bytes().startswith(b"n 30 nnz ")
+        prepared = load_graph(out / "graph_0.bin")
+        assert same_graph(prepared, text)
+        assert _cache_key(prepared, X, 2) == _cache_key(text, X, 2)
+
+
+def test_legacy_text_graph_in_dataset_gives_the_labels_of_its_binary_twin(dataset_dir, tmp_path):
+    legacy = tmp_path / "legacy"
+    shutil.copytree(dataset_dir, legacy)
+    write_text_graph(load_graph(legacy / "graph_0.bin"), legacy / "graph_0.txt")
+    (legacy / "graph_0.bin").unlink()
+    manifest = legacy / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("graph_0.bin", "graph_0.txt"))
+    labels = []
+    for path in (dataset_dir, legacy):
+        out = tmp_path / f"out_{Path(path).name}"
+        assert main(["run", str(path), "--k", "3", "--f", "2", "--p", "0:2", "--seeds", "0",
+                     "--output", str(out)]) == EXIT_OK
+        labels.append((out / "labels_seed0.txt").read_text())
+    assert labels[0] == labels[1]
+
+
+def _tiny_binary_graph(change=None):
+    """A 150-node binary graph with edges 0-1 and 1-2 in both directions, with
+    ``change`` replacing arrays or cutting (``cut``) or adding (``extra``) bytes."""
+    change = change or {}
+    arrays = {"indptr": [0, 1, 3] + [4] * 148, "indices": [1, 0, 2, 1], "data": [1.0] * 4,
+              **change}
+    payload = (np.array(arrays["indptr"], "<i8").tobytes()
+               + np.array(arrays["indices"], "<i8").tobytes()
+               + np.array(arrays["data"], "<f8").tobytes())
+    payload = payload[:len(payload) - change.get("cut", 0)] + change.get("extra", b"")
+    return b"n 150 nnz 4 symmetric 1 csr\n" + payload
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"cut": 1}, "expected 1272 payload bytes, found 1271"),
+    ({"extra": b"\0"}, "expected 1272 payload bytes, found 1273"),
+    ({"indptr": [0, 1, 0] + [4] * 148}, "indptr must rise"),
+    ({"indptr": [0, 1, 3] + [3] * 148}, "indptr must rise from 0 to nnz=4"),
+    ({"indices": [150, 0, 2, 1]}, "out of range"),
+    ({"indices": [1, 2, 2, 1]}, "duplicate"),
+    ({"indices": [1, 0, 2, 0]}, "not symmetric"),
+    ({"data": [float("nan"), 1.0, 1.0, 1.0]}, "NaN or Inf"),
+], ids=["truncated", "trailing-bytes", "indptr-decreases", "indptr-end-not-nnz",
+        "column-out-of-range", "duplicate-entry", "one-way-edge", "nan-weight"])
+def test_malformed_binary_graph_exits_data_and_names_the_file(dataset_dir, tmp_path, capsys,
+                                                              change, message):
+    path = Path(dataset_dir) / "graph_0.bin"
+    path.write_bytes(_tiny_binary_graph(change))
+    assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+                 "--output", str(tmp_path / "o")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
+
+
+def test_tiny_binary_graph_without_defect_runs(dataset_dir, tmp_path):
+    (Path(dataset_dir) / "graph_0.bin").write_bytes(_tiny_binary_graph())
+    assert main(["run", dataset_dir, "--k", "3", "--p", "0:1", "--seeds", "0",
+                 "--output", str(tmp_path / "o")]) == EXIT_OK
+
+
 def test_prepare_mismatched_sizes(tmp_path):
     ds = synth_multiview(30, 2, 1, seed=1)
     gpath, fpath = tmp_path / "g.txt", tmp_path / "x.bin"
-    save_graph(ds.views[0].graph, gpath)
+    write_text_graph(ds.views[0].graph, gpath)
     save_features(np.zeros((10, 2)), fpath)
     code = main(["prepare", "--features", str(fpath), "--graph", str(gpath),
                  "--output", str(tmp_path / "prepared")])
@@ -389,7 +467,7 @@ def test_run_rejects_unknown_config_key(dataset_dir, tmp_path):
 def test_prepare_pads_short_graph_list(tmp_path):
     ds = synth_multiview(30, 2, 1, seed=1)
     gpath = tmp_path / "g.txt"
-    save_graph(ds.views[0].graph, gpath)
+    write_text_graph(ds.views[0].graph, gpath)
     paths = []
     for name in ("a.bin", "b.bin"):
         save_features(ds.views[0].features, tmp_path / name)

@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -36,6 +37,20 @@ def test_feature_roundtrip(tmp_path):
     save_features(X, path)
     Y = load_features(path)
     assert np.array_equal(X, Y)
+    assert Y.dtype == np.float64 and Y.flags.writeable and Y.flags.c_contiguous
+
+
+@pytest.mark.parametrize("header, payload, message", [
+    (b"n 2 d 3", struct.pack("<5d", *range(5)), "expected 48 payload bytes, found 40"),
+    (b"n 2 d 3", struct.pack("<6d", *range(6)) + b"\0", "expected 48 payload bytes, found 49"),
+    (b"n 2 d 3", struct.pack("<6d", 0, 1, float("nan"), 3, 4, 5), "NaN or Inf"),
+    (b"n -2 d -3", struct.pack("<6d", *range(6)), "malformed feature header"),
+], ids=["short-payload", "trailing-bytes", "nan", "negative-dims"])
+def test_malformed_feature_file(tmp_path, header, payload, message):
+    path = tmp_path / "f.bin"
+    path.write_bytes(header + b" dtype f64\n" + payload)
+    with pytest.raises(FormatError, match=message):
+        load_features(path)
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path):
@@ -135,6 +150,13 @@ def test_graph_edge_field_that_does_not_parse_names_the_line(tmp_path, edge):
         load_graph(path)
 
 
+def test_graph_edge_line_that_is_not_text_names_the_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"n 3 nnz 2 symmetric 0\n1 2 1.0\n0 1 \xff\n")
+    with pytest.raises(FormatError, match="g.txt: bad edge line 1"):
+        load_graph(path)
+
+
 @pytest.mark.parametrize("body, line", [("\n1 2 1.0\n", 0), ("1 2 1.0\n", 1)],
                          ids=["blank-line", "missing-line"])
 def test_graph_blank_or_missing_edge_line_names_the_line(tmp_path, body, line):
@@ -156,11 +178,13 @@ def test_graph_symmetry_compares_weights_and_explicit_zeros(rows, cols, weights)
 
 def test_graph_file_roundtrip_is_byte_identical(tmp_path):
     g = SparseGraph(3, [2, 0, 1, 0], [0, 1, 0, 2], [0.1, 1 / 3, 1 / 3, 0.1])
-    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
     save_graph(g, first)
     save_graph(load_graph(first), second)
-    assert first.read_text() == ("n 3 nnz 4 symmetric 1\n0 1 0.3333333333333333\n"
-                                 "0 2 0.1\n1 0 0.3333333333333333\n2 0 0.1\n")
+    assert first.read_bytes() == (b"n 3 nnz 4 symmetric 1 csr\n"
+                                  + struct.pack("<4q", 0, 2, 3, 4)  # indptr
+                                  + struct.pack("<4q", 1, 2, 0, 0)  # indices
+                                  + struct.pack("<4d", 1 / 3, 0.1, 1 / 3, 0.1))  # data
     assert second.read_bytes() == first.read_bytes()
 
 

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import mvkc.pipeline
 from mvkc.data import MultiViewDataset, View
 from mvkc.metrics import ari
 from mvkc.pipeline import PipelineConfig, run_pipeline
@@ -167,3 +170,24 @@ def test_oracle_zero_weight_elimination():
 def test_oracle_size_guard():
     with pytest.raises(ValueError):
         consensus_affinity_oracle([np.zeros((3000, 2))], [1.0])
+
+
+def test_every_view_factor_is_released_before_the_consensus_pass(monkeypatch):
+    refs, alive = [], []
+    apply_map, cluster_factor = mvkc.pipeline.apply_map, mvkc.pipeline._cluster_factor
+
+    def recording_apply_map(*args, **kwargs):
+        B = apply_map(*args, **kwargs)
+        refs.append(weakref.ref(B))
+        return B
+
+    def checking_cluster_factor(B, config, seed, timer, stages):
+        if stages == ("consensus", "consensus"):
+            alive.append([ref() is not None for ref in refs])
+        return cluster_factor(B, config, seed, timer, stages)
+
+    monkeypatch.setattr(mvkc.pipeline, "apply_map", recording_apply_map)
+    monkeypatch.setattr(mvkc.pipeline, "_cluster_factor", checking_cluster_factor)
+    run_pipeline(synth_multiview(200, 3, 3, seed=2), PipelineConfig(k=3, f=2))
+    assert len(refs) == 3
+    assert alive == [[False, False, False]]

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import mvkc.propagation
-from mvkc.data import SparseGraph, load_graph, save_graph
+from mvkc.data import SparseGraph, load_graph
 from mvkc.propagation import normalized_adjacency, propagate, propagate_cached
 from oracles import same_graph
+from synth import write_text_graph
 
 
 def random_graph(n, n_edges, seed=0):
@@ -108,7 +109,7 @@ def test_cache_roundtrip(tmp_path):
 
 def test_edge_order_in_file_changes_neither_graph_nor_cache_key(tmp_path):
     g = random_graph(20, 80, seed=8)
-    save_graph(g, tmp_path / "sorted.txt")
+    write_text_graph(g, tmp_path / "sorted.txt")
     header, *edges = (tmp_path / "sorted.txt").read_text().splitlines(keepends=True)
     shuffled = header + "".join(np.random.default_rng(8).permutation(edges))
     assert shuffled != (tmp_path / "sorted.txt").read_text()
