@@ -6,9 +6,14 @@ exp(-gamma |u - v|^2), and ``sigmoid``, tanh(slope u.v + coef0), are
 infinite-dimensional and get landmark (Nystroem) approximations: sample m
 rows, form the landmark kernel matrix, and whiten by its inverse square root.
 ``apply_map`` does either in one call and returns the factor Phi(U); the
-implicit affinity of the mapped data is then Phi(U) @ Phi(U).T. The n x m
-kernel block K_nm is built in its own buffer, one elementwise step at a time,
-so a Nystroem map holds no n x m temporary beside K_nm and the factor."""
+implicit affinity of the mapped data is then Phi(U) @ Phi(U).T.
+
+``apply_map`` writes the factor into ``out`` when given one, such as a
+column block of a larger array, so the caller needs no second copy;
+``map_width`` gives the width ``out`` must have. A Nystroem map builds K_nm
+and its product with the whitening matrix one row block at a time, so it
+never holds an n x m array beside the factor. Each kernel block is built in
+its own buffer, one elementwise step at a time."""
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +22,9 @@ KERNEL_KINDS = ("quadratic", "rbf", "sigmoid")
 
 # relative eigenvalue floor when inverting the landmark kernel matrix
 EIG_FLOOR = 1e-12
+# rows per Nystroem block, at most; the blocks are near-equal, since a tail of
+# a few rows takes another BLAS route and can round differently
+ROW_BLOCK = 4096
 
 
 def _rbf(X, Y, gamma):
@@ -60,27 +68,44 @@ def default_params(kind, input_dim):
     return {}
 
 
-def apply_map(kind, U, m=None, params=None, seed=0):
-    """Map each row of the n x f matrix U through Phi; the result is the
-    n x m factor matrix.
+def map_width(kind, f, m=None):
+    """Columns of the factor ``apply_map`` returns for an n x f input: f(f+1)/2
+    for the exact quadratic map, the m landmarks for a Nystroem map."""
+    return f * (f + 1) // 2 if kind == "quadratic" else m
+
+
+def apply_map(kind, U, m=None, params=None, seed=0, out=None):
+    """Map each row of the n x f matrix U through Phi and return the n x m
+    factor matrix, written into ``out`` if given, else into a new
+    column-major array.
 
     The quadratic map is exact, with m = f(f+1)/2. Nystroem maps sample m
     landmark rows uniformly without replacement and return the landmark
     kernel values K_nm times the inverse square root of the landmark kernel
-    matrix K_mm (eigenvalues floored at a relative threshold).
+    matrix K_mm (eigenvalues floored at a relative threshold). An ``out``
+    that is not n x ``map_width`` raises ``ValueError`` before anything is
+    written.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind: {kind}")
     U = np.asarray(U, dtype=np.float64)
     n, f = U.shape
-    if kind == "quadratic":
-        iu, ju = np.triu_indices(f, k=1)
-        out = np.empty((n, f * (f + 1) // 2))
-        out[:, :f] = U**2
-        out[:, f:] = np.sqrt(2.0) * U[:, iu] * U[:, ju]
-        return out
-    if m is None or m > n:
+    if kind != "quadratic" and (m is None or m > n):
         raise ValueError(f"Nystroem needs m <= n, got m={m}, n={n}")
+    shape = (n, map_width(kind, f, m))
+    if out is None:
+        out = np.empty(shape, order="F")
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the map needs {shape}")
+    if kind == "quadratic":
+        # U**2, then sqrt(2) U_i U_j for i < j in row-major order of (i, j)
+        np.multiply(U, U, out=out[:, :f])
+        start = f
+        for i in range(f - 1):
+            stop = start + f - 1 - i
+            np.multiply(np.sqrt(2.0) * U[:, i:i + 1], U[:, i + 1:], out=out[:, start:stop])
+            start = stop
+        return out
     merged = default_params(kind, f)
     merged.update(params or {})
     rng = np.random.default_rng(seed)
@@ -93,4 +118,8 @@ def apply_map(kind, U, m=None, params=None, seed=0):
         raise ValueError("landmark kernel matrix has no positive spectrum")
     evals = np.maximum(evals, floor)
     whiten = (evecs / np.sqrt(evals)) @ evecs.T
-    return kernel_matrix(kind, U, landmarks, merged) @ whiten
+    n_blocks = -(-n // ROW_BLOCK)
+    for b in range(n_blocks):
+        rows = slice(n * b // n_blocks, n * (b + 1) // n_blocks)
+        out[rows] = kernel_matrix(kind, U[rows], landmarks, merged) @ whiten
+    return out

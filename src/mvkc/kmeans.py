@@ -3,20 +3,22 @@
 A clustering is an int64 label array. Empty clusters are repaired by moving
 the point currently farthest from its centroid into the empty cluster, so
 every label 0..k-1 occurs in the result. Per-cluster sums, here and in the
-view weights, come from ``cluster_sums``.
+view weights, come from ``cluster_sums``, a column-wise ``np.bincount`` with
+no sparse indicator matrix.
 """
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 
 def cluster_sums(X, labels, k):
-    """k x m per-cluster row sums of the n x m matrix X: the k x n sparse
-    indicator of ``labels`` times X, summed in row order."""
-    n = len(labels)
-    indicator = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
-    return indicator @ X
+    """k x m per-cluster row sums of the n x m matrix X, one column at a
+    time, each summed in row order. At most one column is copied at a time,
+    so X may be in either memory order."""
+    sums = np.empty((k, X.shape[1]))
+    for j in range(X.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
+    return sums
 
 
 def cpqr_labels(U, k):

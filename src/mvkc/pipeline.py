@@ -4,17 +4,20 @@ Per view: smooth features, center, take the f leading left singular vectors,
 map them through the kernel feature map, degree-normalize the factor, embed
 and cluster. A view whose centered features have no singular value above
 round-off raises ``FloatingPointError``. Then weight the views by
-clusterability, concatenate the scaled factors, and run the same
-normalize/embed/cluster pass once more for the consensus labels. Every
-clustering is an int64 label array from ``kmeans``, started from the seedless
-``cpqr_labels``. Never allocates an n x n matrix.
+clusterability, scale each factor by the square root of its weight, and run
+the same normalize/embed/cluster pass once more on their concatenation for the
+consensus labels. Every clustering is an int64 label array from ``kmeans``,
+started from the seedless ``cpqr_labels``. Never allocates an n x n matrix.
 
-Memory: each factor is normalized in place, and the caller of
-``degree_normalize`` owns the factor it overwrites. The consensus is one
-column-major n x sum(m_v) array, filled one view's column block at a time;
-each view's factor is released as soon as its block is written, and the
-consensus pass normalizes the array in place. So the resident peak is about
-one n x sum(m_v) array plus one view's n x m kernel block.
+Memory: the consensus is one column-major n x sum(m_v) array, allocated
+before the first view, and each view's factor is its column block: the kernel
+map writes into the block, the per-view pass normalizes it in place, the
+weights scale it in place, and the consensus pass normalizes the whole array
+in place. The caller of ``degree_normalize`` owns the factor it overwrites.
+No factor is ever copied, a Nystroem map holds one row block of K_nm at a
+time, and each view's propagated and centered features are released once
+its SVD is taken. So beyond the input, the resident peak is about one
+n x sum(m_v) array plus the few n x (f + 1) arrays of one spectral embedding.
 """
 
 import dataclasses
@@ -28,7 +31,7 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .embedding import degree_normalize, implicit_degrees, spectral_embedding
-from .kernels import KERNEL_KINDS, apply_map, default_params
+from .kernels import KERNEL_KINDS, apply_map, default_params, map_width
 from .kmeans import cpqr_labels, kmeans
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
@@ -141,7 +144,12 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     # views that propagate without a graph of their own use the first one given
     shared_graph = next((view.graph for view in dataset.views if view.graph is not None), None)
 
-    factors = []
+    # truncated_svd returns min(n, d_v, f) singular vectors for view v
+    widths = [map_width(config.kernel, min(dataset.n, view.features.shape[1], config.f),
+                        config.kernel_components) for view in dataset.views]
+    bounds = np.cumsum([0] + widths)
+    # column-major, so each view's block is contiguous and touches only its pages
+    concat = np.empty((dataset.n, bounds[-1]), order="F")
     per_view = []
     traces = []
     for v, view in enumerate(dataset.views):
@@ -167,20 +175,21 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
             # with nothing above it has no variance to cluster
             if svd.s[0] <= len(X) * np.finfo(np.float64).eps * np.linalg.norm(X):
                 raise FloatingPointError("centered features have no variance above round-off")
+            del X, Xc  # only the singular vectors are read from here on
 
             t0 = time.perf_counter()
             B = apply_map(config.kernel, svd.U, m=config.kernel_components,
-                          params=config.kernel_params, seed=seeds[v])
+                          params=config.kernel_params, seed=seeds[v],
+                          out=concat[:, bounds[v]:bounds[v + 1]])
             timer["kernel_map"] += time.perf_counter() - t0
+            del svd
 
             labels = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))
 
             t0 = time.perf_counter()
             traces.append(clusterability_trace(B, labels))
             timer["weighting"] += time.perf_counter() - t0
-            factors.append(B)
             per_view.append(labels)
-            del X, Xc, svd, B  # the factor lives on in `factors` alone
         except Exception as exc:
             exc.add_note(f"view {v}")
             raise
@@ -188,15 +197,9 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     t0 = time.perf_counter()
     weights = softmax_weights(np.array(traces), config.temperature, mode=config.weight_mode)
     # scaling factor v by sqrt(lambda_v) gives the concatenation the Gram
-    # matrix sum_v lambda_v B_v B_v^T, the weighted consensus affinity.
-    # Column-major, so writing one view's block touches only that block's pages.
-    concat = np.empty((dataset.n, sum(B.shape[1] for B in factors)), order="F")
-    start = 0
+    # matrix sum_v lambda_v B_v B_v^T, the weighted consensus affinity
     for v, lam in enumerate(weights.lambdas):
-        stop = start + factors[v].shape[1]
-        np.multiply(factors[v], np.sqrt(lam), out=concat[:, start:stop])
-        factors[v] = None
-        start = stop
+        concat[:, bounds[v]:bounds[v + 1]] *= np.sqrt(lam)
     timer["weighting"] += time.perf_counter() - t0
 
     consensus = _cluster_factor(concat, config, seeds[n_views], timer,

@@ -2,8 +2,8 @@
 
 The score of a view is Tr(G.T (I - W) G) with W = B @ B.T and G the n x k
 indicator matrix of the view's labels; it reduces to n - ||G.T B||_F^2, where
-G.T B holds the per-cluster sums of ``kmeans.cluster_sums``, and never needs
-W. The weights are a temperature softmax over the per-view scores, in one of
+G.T B holds the per-cluster sums of ``kmeans.cluster_sums``. Neither W nor G
+is ever formed, not even as a sparse matrix. The weights are a temperature softmax over the per-view scores, in one of
 three modes, named as ``mvkc run --weight-mode`` takes them: ``softmax``,
 ``negated`` and ``uniform``.
 """

@@ -4,6 +4,7 @@ small inputs only."""
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from mvkc.data import SparseGraph
 from mvkc.linalg import EXACT_SVD_MAX_DIM, SVDResult
@@ -28,6 +29,14 @@ def indicator(labels):
     F = np.zeros((len(labels), labels.max() + 1))
     F[np.arange(len(labels)), labels] = 1.0
     return F
+
+
+def cluster_sums_oracle(X, labels, k):
+    """k x m per-cluster row sums of X as the k x n sparse indicator of
+    ``labels`` times X; scipy sums each cluster's rows in row order."""
+    n = len(labels)
+    G = sp.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(k, n))
+    return G @ X
 
 
 def exact_svd(X):

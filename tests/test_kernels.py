@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mvkc.kernels import apply_map, default_params, kernel_matrix
+from mvkc.kernels import EIG_FLOOR, apply_map, default_params, kernel_matrix
 
 
 def test_quadratic_output_dim():
@@ -118,3 +119,51 @@ def test_in_place_blocks_match_out_of_place_expressions(n, m, f, same):
         x2 = np.einsum("ij,ij->i", X, X)
         y2 = np.einsum("ij,ij->i", Y, Y)
         assert (x2[:, None] - 2.0 * X @ Y.T + y2[None, :]).min() < 0.0
+
+
+def whole_map_oracle(kind, U, m, seed):
+    """The map as one expression over all n rows, C-ordered: U**2 beside
+    sqrt(2) U_i U_j, or the whole K_nm times the whitening matrix."""
+    n, f = U.shape
+    if kind == "quadratic":
+        iu, ju = np.triu_indices(f, k=1)
+        out = np.empty((n, f * (f + 1) // 2))
+        out[:, :f] = U**2
+        out[:, f:] = np.sqrt(2.0) * U[:, iu] * U[:, ju]
+        return out
+    params = default_params(kind, f)
+    landmarks = U[np.sort(np.random.default_rng(seed).choice(n, size=m, replace=False))]
+    K_mm = kernel_matrix(kind, landmarks, landmarks, params)
+    evals, evecs = scipy.linalg.eigh(0.5 * (K_mm + K_mm.T))
+    evals = np.maximum(evals, EIG_FLOOR * evals.max())
+    whiten = (evecs / np.sqrt(evals)) @ evecs.T
+    return kernel_matrix(kind, U, landmarks, params) @ whiten
+
+
+@pytest.mark.parametrize("n", [100, 4097, 8193, 12289])
+@pytest.mark.parametrize("kind", ["rbf", "sigmoid", "quadratic"])
+def test_map_written_into_out_equals_the_whole_map(kind, n):
+    # n just above a multiple of the row block, where a short tail block
+    # would take another BLAS route
+    f, m = 6, 40
+    U = np.asfortranarray(np.random.default_rng(n).normal(size=(n, f)))
+    width = f * (f + 1) // 2 if kind == "quadratic" else m
+    m = None if kind == "quadratic" else m
+    expected = whole_map_oracle(kind, U, m, seed=5)
+    assert expected.flags.c_contiguous
+    concat = np.full((n, width + 3), np.nan, order="F")
+    out = concat[:, 2:width + 2]
+    assert apply_map(kind, U, m, seed=5, out=out) is out
+    assert np.array_equal(out, expected)
+    assert np.isnan(concat[:, :2]).all() and np.isnan(concat[:, -1]).all()
+    assert np.array_equal(apply_map(kind, U, m, seed=5), expected)
+
+
+@pytest.mark.parametrize("kind, m, width", [("quadratic", None, 10), ("rbf", 8, 8)])
+def test_out_of_the_wrong_shape_is_rejected_untouched(kind, m, width):
+    U = np.random.default_rng(0).normal(size=(30, 4))
+    for shape in [(30, width - 1), (30, width + 1), (29, width)]:
+        out = np.full(shape, 7.0)
+        with pytest.raises(ValueError, match="out has shape"):
+            apply_map(kind, U, m, out=out)
+        assert (out == 7.0).all()

@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mvkc.kmeans import cpqr_labels, kmeans
-from oracles import indicator
+from mvkc.kmeans import cluster_sums, cpqr_labels, kmeans
+from oracles import cluster_sums_oracle, indicator
 
 
 def exhaustive_best_inertia(X, k):
@@ -101,3 +102,26 @@ def test_indicator_matrix():
     F = indicator(part)
     assert np.array_equal(F.sum(axis=1), [1, 1, 1])
     assert F[1, 2] == 1.0
+
+
+@pytest.mark.parametrize("n, m", [(50000, 100), (20000, 55), (7, 3)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cluster_sums_equal_the_sparse_indicator_product(n, m, order):
+    rng = np.random.default_rng(n + m)
+    X = np.asarray(rng.normal(size=(n, m)), order=order)
+    k = 5
+    labels = rng.integers(0, k - 1, size=n)  # label k - 1 does not occur
+    sums = cluster_sums(X, labels, k)
+    assert np.array_equal(sums, cluster_sums_oracle(X, labels, k))
+    assert not sums[k - 1].any()
+
+
+def test_cluster_sums_do_not_copy_a_column_major_input():
+    n, m = 50000, 40
+    X = np.asfortranarray(np.random.default_rng(0).normal(size=(n, m)))
+    labels = np.arange(n) % 7
+    tracemalloc.start()
+    cluster_sums(X, labels, 7)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < n * m * 8 / 4

@@ -1,10 +1,9 @@
-import weakref
-
 import numpy as np
 import pytest
 
 import mvkc.pipeline
 from mvkc.data import MultiViewDataset, View
+from mvkc.kernels import map_width
 from mvkc.metrics import ari
 from mvkc.pipeline import PipelineConfig, run_pipeline
 from oracles import consensus_affinity_oracle
@@ -116,23 +115,49 @@ def test_peak_memory_linear_in_n():
     assert peaks[1] <= 1.3 * 10 * peaks[0]
 
 
-def test_consensus_peak_memory_is_about_one_concatenation():
+def consensus_peak_ratio(n, k, **config):
+    """Traced peak of one run over three 16-column views, in units of the
+    n x sum(m_v) consensus array; asserts the run recovers the clusters."""
     import tracemalloc
 
-    n, k, m = 20000, 5, 60
     rng = np.random.default_rng(0)
     labels = np.arange(n) % k
     views = [View(rng.normal(size=(k, 16))[labels] + 0.3 * rng.normal(size=(n, 16)))
              for _ in range(3)]
-    cfg = PipelineConfig(k=k, kernel="rbf", kernel_components=m)
+    cfg = PipelineConfig(k=k, **config)
+    width = map_width(cfg.kernel, cfg.f, cfg.kernel_components)
     tracemalloc.start()
     res = run_pipeline(MultiViewDataset(views, labels), cfg)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert ari(res.consensus, labels) == pytest.approx(1.0)
-    # the factors plus the n x sum(m_v) consensus array come to about 2.1
-    # concatenations; one more scaled or normalized copy of it, to about 3.4
-    assert peak < 2.5 * n * 3 * m * 8
+    return peak / (n * 3 * width * 8)
+
+
+def test_consensus_peak_memory_is_about_one_concatenation():
+    # the consensus array plus the per-view work (SVD, embedding) comes to
+    # about 1.4; one more copy of a factor beside it, to about 2
+    assert consensus_peak_ratio(20000, 5, kernel="rbf", kernel_components=60) < 1.7
+
+
+def test_quadratic_consensus_peak_memory_is_about_one_concatenation():
+    assert consensus_peak_ratio(20000, 5, kernel="quadratic", f=10) < 1.7
+
+
+def test_views_of_different_widths_fill_their_own_blocks():
+    # quadratic with f = 4 maps a 3-column view to 6 columns and a 16-column
+    # view to 10
+    n, k = 300, 3
+    rng = np.random.default_rng(8)
+    labels = np.arange(n) % k
+    views = [View(rng.normal(size=(k, d))[labels] + 0.5 * rng.normal(size=(n, d)))
+             for d in (3, 16)]
+    cfg = PipelineConfig(k=k, f=4, kernel="quadratic")
+    both = run_pipeline(MultiViewDataset(views, labels), cfg)
+    for view, labels_v in zip(views, both.per_view):
+        alone = run_pipeline(MultiViewDataset([view], labels), cfg)
+        assert np.array_equal(labels_v, alone.per_view[0])
+    assert len(both.consensus) == n
 
 
 def test_timings_cover_stages():
@@ -172,22 +197,23 @@ def test_oracle_size_guard():
         consensus_affinity_oracle([np.zeros((3000, 2))], [1.0])
 
 
-def test_every_view_factor_is_released_before_the_consensus_pass(monkeypatch):
-    refs, alive = [], []
+def test_every_view_factor_is_a_block_of_the_consensus_array(monkeypatch):
+    factors, consensus = [], []
     apply_map, cluster_factor = mvkc.pipeline.apply_map, mvkc.pipeline._cluster_factor
 
     def recording_apply_map(*args, **kwargs):
         B = apply_map(*args, **kwargs)
-        refs.append(weakref.ref(B))
+        factors.append(B)
         return B
 
-    def checking_cluster_factor(B, config, seed, timer, stages):
+    def recording_cluster_factor(B, config, seed, timer, stages):
         if stages == ("consensus", "consensus"):
-            alive.append([ref() is not None for ref in refs])
+            consensus.append(B)
         return cluster_factor(B, config, seed, timer, stages)
 
     monkeypatch.setattr(mvkc.pipeline, "apply_map", recording_apply_map)
-    monkeypatch.setattr(mvkc.pipeline, "_cluster_factor", checking_cluster_factor)
+    monkeypatch.setattr(mvkc.pipeline, "_cluster_factor", recording_cluster_factor)
     run_pipeline(synth_multiview(200, 3, 3, seed=2), PipelineConfig(k=3, f=2))
-    assert len(refs) == 3
-    assert alive == [[False, False, False]]
+    assert len(factors) == 3 and len(consensus) == 1
+    assert all(np.shares_memory(B, consensus[0]) for B in factors)
+    assert sum(B.shape[1] for B in factors) == consensus[0].shape[1]
