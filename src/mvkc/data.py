@@ -383,10 +383,10 @@ def build_knn_graph(features, k_neighbors, self_loops=False):
     sq = np.einsum("ij,ij->i", features, features)
     block = max(1, KNN_BLOCK_BYTES // (8 * n))
     neighbors = np.empty((n, k_neighbors), dtype=np.int64)
+    scaled = -2.0 * features  # exact, so d2 rounds as sq_i - 2 g_ij + sq_j
     for start in range(0, n, block):
         stop = min(start + block, n)
-        d2 = features[start:stop] @ features.T  # in place, rounded as sq_i - 2 g_ij + sq_j
-        d2 *= -2.0
+        d2 = features[start:stop] @ scaled.T
         d2 += sq[start:stop, None]
         d2 += sq[None, :]
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self

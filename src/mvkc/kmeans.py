@@ -27,9 +27,11 @@ def cpqr_labels(U, k):
     polar factor of those rows, and each row takes the column of its largest
     |entry|. A label may not occur; ``kmeans`` repairs that."""
     Uk = U[:, :k]
-    _, piv = scipy.linalg.qr(Uk.T, mode="r", pivoting=True)
+    # U is the finite output of our own SVD, so the finiteness check is skipped
+    _, piv = scipy.linalg.qr(Uk.T, mode="r", pivoting=True, check_finite=False)
     W, _, Vt = np.linalg.svd(Uk[piv[:k]].T)
-    return np.argmax(np.abs(Uk @ (W @ Vt)), axis=1)
+    rotated = Uk @ (W @ Vt)
+    return np.argmax(np.abs(rotated, out=rotated), axis=1)
 
 
 def _repair_empty(labels, dists, k):
@@ -54,11 +56,13 @@ def _means(X, labels, k):
     return cluster_sums(X, labels, k) / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
 
 
-def _assign(X, centroids):
-    c2 = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = c2[None, :] - 2.0 * X @ centroids.T
+def _assign(X, centroids, x2):
+    """Nearest centroid of each row of X and its squared distance; ``x2``
+    holds the squared row norms of X."""
+    # scaling the small operand by -2 is exact, so d2 rounds as c2 - 2 X C.T
+    d2 = X @ (-2.0 * centroids.T)
+    d2 += np.einsum("ij,ij->i", centroids, centroids)
     labels = np.argmin(d2, axis=1)
-    x2 = np.einsum("ij,ij->i", X, X)
     dists = np.maximum(d2[np.arange(len(labels)), labels] + x2, 0.0)
     return labels, dists
 
@@ -75,13 +79,16 @@ def kmeans(X, k, start, max_iter=300, tol=1e-6):
     if not (1 <= k <= len(X)):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={len(X)}")
     labels = np.array(start, dtype=np.int64)
-    diff = X - _means(X, labels, k)[labels]
-    _repair_empty(labels, np.einsum("ij,ij->i", diff, diff), k)
+    if np.bincount(labels, minlength=k).min() == 0:
+        diff = X - _means(X, labels, k)[labels]
+        _repair_empty(labels, np.einsum("ij,ij->i", diff, diff), k)
+        del diff
+    x2 = np.einsum("ij,ij->i", X, X)
     centroids = _means(X, labels, k)
     prev_inertia = np.inf
     repaired = False
     for _ in range(max_iter):
-        labels, dists = _assign(X, centroids)
+        labels, dists = _assign(X, centroids, x2)
         inertia = dists.sum()
         # Lloyd inertia is nonincreasing except right after a repair
         assert repaired or inertia <= prev_inertia * (1.0 + 1e-12) + 1e-12
@@ -93,7 +100,8 @@ def kmeans(X, k, start, max_iter=300, tol=1e-6):
         centroids = new_centroids
         if shift <= tol * max(scale, 1.0):
             break
-    labels, dists = _assign(X, centroids)
+    labels, dists = _assign(X, centroids, x2)
+    del x2  # the n-long labels copy below can take its memory
     if _repair_empty(labels, dists, k):
         diff = X - centroids[labels]
         dists = np.einsum("ij,ij->i", diff, diff)

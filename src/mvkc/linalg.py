@@ -15,8 +15,11 @@
 
 The Gram and randomized routes each find a d x w basis W and end in the
 same QR Rayleigh-Ritz step on X over the range of X W (Halko, Martinsson and
-Tropp 2011). On every route U is column-major, and signs are fixed so the
-largest-magnitude entry of each left singular vector is positive.
+Tropp 2011). Every n-row product is formed as (W.T @ X.T).T, so BLAS runs
+along n and the result is column-major; ``_orth``, the one QR call, then
+factors it in place and forms Q in the same buffer. On every route U is
+column-major, and signs are fixed in place so the largest-magnitude entry of
+each left singular vector is positive.
 """
 
 from dataclasses import dataclass
@@ -46,20 +49,31 @@ def center_columns(X):
 
 
 def _fix_signs(U, V):
+    """Scale U in place and V by the signs that make the largest-magnitude
+    entry of each column of U positive."""
     idx = np.argmax(np.abs(U), axis=0)
     signs = np.sign(U[idx, np.arange(U.shape[1])])
     signs[signs == 0] = 1.0
-    return U * signs, V * signs
+    U *= signs
+    return U, V * signs
+
+
+def _orth(Y):
+    """Orthonormal basis Q of the range of the tall column-major Y, by an
+    economic QR that overwrites Y: Q takes Y's buffer."""
+    return scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
 def _ritz(X, W, r):
     """One QR Rayleigh-Ritz step on X over the range of X W (Halko, Martinsson
     and Tropp 2011): the top-r SVD of X restricted to that subspace."""
-    Q, _ = np.linalg.qr(X @ W)
+    Q = _orth((W.T @ X.T).T)
     Ub, s, Vt = scipy.linalg.svd(Q.T @ X, full_matrices=False)
     # U in column-major order, as LAPACK returns it, so that column slices
     # such as the embedding's U[:, 1:] stay contiguous for k-means
-    U, V = _fix_signs((Ub[:, :r].T @ Q.T).T, Vt[:r].T)
+    U = (Ub[:, :r].T @ Q.T).T
+    del Q  # before the sign fix's n x r |U| temporary
+    U, V = _fix_signs(U, Vt[:r].T)
     return SVDResult(U, s[:r], V)
 
 
@@ -76,8 +90,8 @@ def randomized_svd(X, r, seed=0):
     sketch = min(r + OVERSAMPLE, min(n, d))
     W = np.random.default_rng(seed).standard_normal((d, sketch))
     for _ in range(POWER_ITERS):
-        Q, _ = np.linalg.qr(X @ W)
-        W, _ = np.linalg.qr(X.T @ Q)
+        Q = _orth((W.T @ X.T).T)
+        W = _orth((Q.T @ X).T)
     return _ritz(X, W, r)
 
 

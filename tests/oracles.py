@@ -48,9 +48,15 @@ def exact_svd(X):
             f"exact_svd limited to min dim {EXACT_SVD_MAX_DIM}, got {X.shape}"
         )
     U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
+    return _signed(U, s, Vt.T)
+
+
+def _signed(U, s, V):
+    """SVDResult with each pair of singular vectors flipped so that the
+    largest-magnitude entry of the left one is positive."""
     signs = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
     signs[signs == 0] = 1.0
-    return SVDResult(U * signs, s, Vt.T * signs)
+    return SVDResult(U * signs, s, V * signs)
 
 
 def same_graph(a, b):
@@ -80,3 +86,11 @@ def knn_oracle(features, k, self_loops=False):
     # the union of both edge directions, each edge once
     keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows, loops * (n + 1)]))
     return SparseGraph(n, keys // n, keys % n, np.ones(len(keys)), symmetric=True)
+
+
+def ritz_oracle(X, W, r):
+    """The QR Rayleigh-Ritz step of ``mvkc.linalg`` as first written: X W in
+    row-major order, ``np.linalg.qr`` on a copy, and a sign-fixed copy of U."""
+    Q, _ = np.linalg.qr(X @ W)
+    Ub, s, Vt = scipy.linalg.svd(Q.T @ X, full_matrices=False)
+    return _signed((Ub[:, :r].T @ Q.T).T, s[:r], Vt[:r].T)

@@ -125,3 +125,18 @@ def test_cluster_sums_do_not_copy_a_column_major_input():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < n * m * 8 / 4
+
+
+def test_kmeans_from_a_full_start_holds_no_n_by_f_copy():
+    # a start in which every cluster occurs needs no repair, so no distance
+    # to the start's means is formed, and the row norms are taken once
+    n, f, k = 200000, 10, 10
+    rng = np.random.default_rng(4)
+    truth = rng.integers(0, k, size=n)
+    X = np.asfortranarray(rng.normal(size=(k, f))[truth] * 5 + rng.normal(size=(n, f)))
+    start = np.arange(n) % k
+    tracemalloc.start()
+    kmeans(X, k, start=start)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 2.7 * n * f * 8

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,11 +7,14 @@ import scipy.linalg
 from mvkc.linalg import (
     EXACT_SVD_MAX_DIM,
     GRAM_COND_FLOOR,
+    OVERSAMPLE,
+    POWER_ITERS,
+    _ritz,
     center_columns,
     randomized_svd,
     truncated_svd,
 )
-from oracles import exact_svd
+from oracles import exact_svd, ritz_oracle
 
 
 def test_center_two_points():
@@ -176,3 +181,60 @@ def test_truncated_svd_left_vectors_column_major(shape, r, spectrum):
     U = truncated_svd(X, r).U
     assert U.shape == (shape[0], r)
     assert U.flags.f_contiguous and U[:, 1:].flags.f_contiguous
+
+
+def _reference_basis(X, r, seed):
+    """The d x w basis W that the Gram or randomized route hands to the
+    Rayleigh-Ritz step, computed with ``np.linalg.qr`` on row-major products."""
+    n, d = X.shape
+    if min(n, d) <= EXACT_SVD_MAX_DIM:
+        return scipy.linalg.eigh(X.T @ X, subset_by_index=[d - r, d - 1])[1]
+    W = np.random.default_rng(seed).standard_normal((d, r + OVERSAMPLE))
+    for _ in range(POWER_ITERS):
+        W = np.linalg.qr(X.T @ np.linalg.qr(X @ W)[0])[0]
+    return W
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n, d, r", [
+    (4097, 100, 2),
+    (6000, 16, 5),
+    (20000, 55, 11),
+    (EXACT_SVD_MAX_DIM + 50, EXACT_SVD_MAX_DIM + 10, 6),  # randomized
+])
+def test_truncated_svd_agrees_with_the_row_major_ritz_oracle(n, d, r, order):
+    # the column-major product rounds differently from X @ W in the last bits
+    # on some of these shapes, never by more than round-off
+    s = np.exp(-0.15 * np.arange(min(d, 40)))
+    X = np.asarray(_with_spectrum(n, d, s, seed=n + r), order=order)
+    X += 1e-3 * np.random.default_rng(r).normal(size=X.shape)
+    res = truncated_svd(X, r, seed=3)
+    ref = ritz_oracle(X, _reference_basis(X, r, seed=3), r)
+    assert res.U.flags.f_contiguous
+    assert np.allclose(res.U, ref.U, rtol=0, atol=1e-12)
+    assert np.allclose(res.s, ref.s, rtol=0, atol=1e-12)
+    assert np.allclose(res.V, ref.V, rtol=0, atol=1e-12)
+
+
+def test_ritz_holds_two_n_by_r_arrays():
+    # X W and its Q share one buffer, and U is scaled in place: at most the
+    # basis and U are alive at once
+    n, d, r = 50000, 100, 11
+    X = np.random.default_rng(12).normal(size=(n, d))
+    W = np.linalg.qr(np.random.default_rng(13).normal(size=(d, r)))[0]
+    tracemalloc.start()
+    _ritz(X, W, r)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 2.4 * n * r * 8
+
+
+def test_no_route_calls_numpy_qr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    rng = np.random.default_rng(14)
+    for shape, r in [((300, 20), 5), ((20, 60), 5), ((EXACT_SVD_MAX_DIM + 1, EXACT_SVD_MAX_DIM + 1), 4)]:
+        res = truncated_svd(rng.normal(size=shape), r)
+        assert res.U.shape == (shape[0], r)
