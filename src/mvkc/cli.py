@@ -18,6 +18,8 @@ repeated seed, ``prepare`` counts of ``--p`` orders and ``--graph`` entries
 that do not fit the feature files, an ``--add-knn`` below 1 or at least n, or
 ``--self-loops`` without ``--add-knn``. A ``--p`` or ``--seeds`` value that
 does not parse is an argparse error that names the flag and shows the text.
+``run`` parses only the graphs of views that propagate, but every graph file
+the manifest names must exist.
 
 ``run`` writes one ``run_seed<N>.json`` record per seed from the fields
 ``_run_seed`` returns, and the consensus label array to ``labels_seed<N>.txt``.
@@ -167,7 +169,8 @@ def _single_run(dataset, config, time_limit):
 
 
 def cmd_run(args):
-    dataset = load_dataset(args.dataset)
+    # only the graphs of views that propagate, after --p, are read
+    dataset = load_dataset(args.dataset, orders=args.p or {})
     config = _build_config(args, dataset.views)
     n = dataset.n
     if max(config.k, config.f + 1) > n:

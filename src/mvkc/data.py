@@ -288,7 +288,7 @@ def load_labels(path):
 def save_labels(labels, path):
     """Write integer labels, one per line, as ``load_labels`` reads them."""
     with open(path, "w") as fh:
-        fh.writelines(f"{lab}\n" for lab in np.asarray(labels, dtype=np.int64).tolist())
+        fh.write("".join(f"{lab}\n" for lab in np.asarray(labels, dtype=np.int64).tolist()))
 
 
 def save_dataset(dataset, path):
@@ -311,12 +311,19 @@ def save_dataset(dataset, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_dataset(path):
-    """Load and validate a dataset directory."""
+def load_dataset(path, orders=None):
+    """Load and validate a dataset directory.
+
+    ``orders``, if given, maps view indices to propagation orders that replace
+    the manifest's, and then only the graphs a propagating view (order above
+    0) uses are read: its own graph, or, if it has none, the first graph in
+    the manifest, the shared one. Every other view loads without its graph,
+    but every graph file the manifest names must exist.
+    """
     manifest = os.path.join(path, "manifest.txt")
     if not os.path.isfile(manifest):
         raise MissingFileError(f"manifest not found: {manifest}")
-    views = []
+    entries = []  # (graph path or None, features path, order) per view
     labels = None
     with open(manifest) as fh:
         for line in fh:
@@ -324,25 +331,35 @@ def load_dataset(path):
             if not parts:
                 continue
             if parts[0] == "view":
-                if (len(parts) != 8 or parts[1] != str(len(views)) or parts[2] != "graph"
+                if (len(parts) != 8 or parts[1] != str(len(entries)) or parts[2] != "graph"
                         or parts[4] != "features" or parts[6] != "p"):
                     raise FormatError(f"{manifest}: malformed view line: {line.strip()}")
-                graph = None
-                if parts[3] != "none":
-                    graph = load_graph(os.path.join(path, parts[3]))
-                features = load_features(os.path.join(path, parts[5]))
                 try:
                     order = int(parts[7])
                 except ValueError:
                     raise FormatError(f"{manifest}: malformed view line: {line.strip()}") from None
-                views.append(View(features, graph, propagation_order=order))
+                graph = None if parts[3] == "none" else os.path.join(path, parts[3])
+                entries.append((graph, os.path.join(path, parts[5]), order))
             elif parts[0] == "labels":
                 if len(parts) != 2:
                     raise FormatError(f"{manifest}: malformed labels line: {line.strip()}")
-                labels = load_labels(os.path.join(path, parts[1]))
+                labels = os.path.join(path, parts[1])
             else:
                 raise FormatError(f"{manifest}: unknown manifest entry: {parts[0]}")
-    dataset = MultiViewDataset(views, labels)
+    read = [graph is not None for graph, _, _ in entries]
+    if orders is not None:
+        uses = [orders.get(v, order) > 0 for v, (_, _, order) in enumerate(entries)]
+        # a view that propagates without a graph of its own uses the first one
+        if any(read) and any(u and not r for u, r in zip(uses, read)):
+            uses[read.index(True)] = True
+        read = [r and u for r, u in zip(read, uses)]
+    views = []
+    for (graph, features, order), wanted in zip(entries, read):
+        if graph is not None and not wanted and not os.path.isfile(graph):
+            raise MissingFileError(f"graph file not found: {graph}")
+        graph = load_graph(graph) if wanted else None
+        views.append(View(load_features(features), graph, propagation_order=order))
+    dataset = MultiViewDataset(views, None if labels is None else load_labels(labels))
     dataset.validate()
     return dataset
 

@@ -5,10 +5,16 @@ the point currently farthest from its centroid into the empty cluster, so
 every label 0..k-1 occurs in the result. Per-cluster sums, here and in the
 view weights, come from ``cluster_sums``, a column-wise ``np.bincount`` with
 no sparse indicator matrix.
+
+Memory: beyond the spectral vectors U, ``cpqr_labels`` holds a few n-long
+vectors, and ``_assign`` holds one k x n distance array plus a few n-long
+vectors. The CPQR pivots come from greedy column pivoting in numpy rather
+than LAPACK's pivoted QR, whose workspace and R grow with n, and each
+argmin or argmax over k columns is a running comparison, one column at a
+time, with ties to the lowest index.
 """
 
 import numpy as np
-import scipy.linalg
 
 
 def cluster_sums(X, labels, k):
@@ -21,17 +27,45 @@ def cluster_sums(X, labels, k):
     return sums
 
 
+def _pivot_rows(Uk):
+    """The k rows of the n x k array Uk that QR with column pivoting of Uk.T
+    picks, in pick order (Businger and Golub 1965): take the row of largest
+    remaining squared norm, orthogonalize it twice against the rows taken,
+    and subtract its squared projections from every norm. O(nk^2) time and
+    O(n) memory beyond Uk."""
+    k = Uk.shape[1]
+    norms = np.einsum("ij,ij->i", Uk, Uk)
+    Q = np.zeros((k, k))  # orthonormal basis of the rows taken, one per row
+    piv = np.empty(k, dtype=np.int64)
+    for j in range(k):
+        piv[j] = np.argmax(norms)
+        q = Uk[piv[j]].copy()
+        for _ in range(2):
+            q -= Q.T @ (Q @ q)
+        Q[j] = q / np.linalg.norm(q)
+        proj = Uk @ Q[j]
+        norms -= np.square(proj, out=proj)
+        norms[piv[j]] = -np.inf  # a row taken is never taken again
+    return piv
+
+
 def cpqr_labels(U, k):
     """Labels from the first k spectral vectors U[:, :k] (Damle, Minden and
-    Ying 2019): a column-pivoted QR picks k rows, U[:, :k] is rotated by the
+    Ying 2019): column pivoting picks k rows, U[:, :k] is rotated by the
     polar factor of those rows, and each row takes the column of its largest
     |entry|. A label may not occur; ``kmeans`` repairs that."""
     Uk = U[:, :k]
-    # U is the finite output of our own SVD, so the finiteness check is skipped
-    _, piv = scipy.linalg.qr(Uk.T, mode="r", pivoting=True, check_finite=False)
-    W, _, Vt = np.linalg.svd(Uk[piv[:k]].T)
-    rotated = Uk @ (W @ Vt)
-    return np.argmax(np.abs(rotated, out=rotated), axis=1)
+    W, _, Vt = np.linalg.svd(Uk[_pivot_rows(Uk)].T)
+    R = W @ Vt
+    # argmax of |Uk R| over columns, one column at a time
+    best = np.abs(Uk @ R[:, 0])
+    labels = np.zeros(len(Uk), dtype=np.int64)
+    for c in range(1, k):
+        col = Uk @ R[:, c]
+        np.abs(col, out=col)
+        labels[col > best] = c
+        np.maximum(best, col, out=best)
+    return labels
 
 
 def _repair_empty(labels, dists, k):
@@ -58,13 +92,17 @@ def _means(X, labels, k):
 
 def _assign(X, centroids, x2):
     """Nearest centroid of each row of X and its squared distance; ``x2``
-    holds the squared row norms of X."""
-    # scaling the small operand by -2 is exact, so d2 rounds as c2 - 2 X C.T
-    d2 = X @ (-2.0 * centroids.T)
-    d2 += np.einsum("ij,ij->i", centroids, centroids)
-    labels = np.argmin(d2, axis=1)
-    dists = np.maximum(d2[np.arange(len(labels)), labels] + x2, 0.0)
-    return labels, dists
+    holds the squared row norms of X. Ties go to the lowest index."""
+    # scaling the small operand by -2 is exact, so d2 rounds as c2 - 2 C X.T
+    d2 = (-2.0 * centroids) @ X.T
+    d2 += np.einsum("ij,ij->i", centroids, centroids)[:, None]
+    labels = np.zeros(len(X), dtype=np.int64)
+    best = d2[0].copy()
+    for c in range(1, len(d2)):
+        labels[d2[c] < best] = c
+        np.minimum(best, d2[c], out=best)
+    best += x2
+    return labels, np.maximum(best, 0.0, out=best)
 
 
 def kmeans(X, k, start, max_iter=300, tol=1e-6):

@@ -16,8 +16,11 @@ weights scale it in place, and the consensus pass normalizes the whole array
 in place. The caller of ``degree_normalize`` owns the factor it overwrites.
 No factor is ever copied, a Nystroem map holds one row block of K_nm at a
 time, and each view's propagated and centered features are released once
-its SVD is taken. So beyond the input, the resident peak is about one
-n x sum(m_v) array plus the few n x (f + 1) arrays of one spectral embedding.
+its SVD is taken. The discretization (``cpqr_labels`` and ``kmeans``) holds
+O(n) memory beyond the spectral vectors. So beyond the input, the resident
+peak is about one n x sum(m_v) array plus the few n x (f + 1) arrays of one
+spectral embedding. ``mvkc run`` loads only the graphs of views that
+propagate, so with p = 0 everywhere no graph is held.
 """
 
 import dataclasses

@@ -46,10 +46,11 @@ def propagate(op, features, p):
 
 def _cache_key(graph, features, p):
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(graph.adj.indptr, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(graph.adj.indices, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(graph.adj.data, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(features, dtype="<f8").tobytes())
+    # hashlib reads each contiguous array's buffer in place, with no bytes copy
+    h.update(np.ascontiguousarray(graph.adj.indptr, dtype="<i8"))
+    h.update(np.ascontiguousarray(graph.adj.indices, dtype="<i8"))
+    h.update(np.ascontiguousarray(graph.adj.data, dtype="<f8"))
+    h.update(np.ascontiguousarray(features, dtype="<f8"))
     h.update(f"p={p};norm=sym_selfloop".encode())
     return h.hexdigest()[:32]
 

@@ -39,6 +39,30 @@ def cluster_sums_oracle(X, labels, k):
     return G @ X
 
 
+def lapack_pivots(Uk):
+    """The k rows of the n x k array Uk that LAPACK's QR with column pivoting
+    (``dgeqp3``) of Uk.T picks, in pick order."""
+    _, piv = scipy.linalg.qr(Uk.T, mode="r", pivoting=True, check_finite=False)
+    return piv[:Uk.shape[1]]
+
+
+def cpqr_labels_oracle(U, k):
+    """``mvkc.kmeans.cpqr_labels`` as first written: LAPACK's pivots, then
+    ``np.argmax`` over the whole n x k rotated array."""
+    Uk = U[:, :k]
+    W, _, Vt = np.linalg.svd(Uk[lapack_pivots(Uk)].T)
+    return np.argmax(np.abs(Uk @ (W @ Vt)), axis=1)
+
+
+def assign_oracle(X, centroids, x2):
+    """Nearest centroid of each row of X by ``np.argmin`` over the k x n
+    squared distances c2 - 2 C X.T, rounded as ``mvkc.kmeans`` rounds them,
+    and the squared distance, floored at 0."""
+    d2 = (-2.0 * centroids) @ X.T + np.einsum("ij,ij->i", centroids, centroids)[:, None]
+    labels = np.argmin(d2, axis=0)
+    return labels, np.maximum(d2[labels, np.arange(len(X))] + x2, 0.0)
+
+
 def exact_svd(X):
     """Full dense SVD, guarded to small matrices, with the sign convention of
     ``mvkc.linalg``: the largest-magnitude entry of each left vector is positive."""

@@ -186,7 +186,7 @@ def test_criterion_5_scaling_law(monkeypatch):
             run_pipeline(ds, config)  # warm-up
         # interleave sizes per repetition so clock or cache drift over the
         # measurement window hits all sizes alike, then take the median
-        for _ in range(5):
+        for _ in range(9):
             for i, ds in enumerate(datasets):
                 t0 = time.perf_counter()
                 run_pipeline(ds, config)

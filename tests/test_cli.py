@@ -87,7 +87,7 @@ def test_multi_seed_run_matches_single_seed_runs(dataset_dir, tmp_path, monkeypa
     loads = []
     real_load = mvkc.cli.load_dataset
     monkeypatch.setattr(mvkc.cli, "load_dataset",
-                        lambda path: loads.append(path) or real_load(path))
+                        lambda path, **kw: loads.append(path) or real_load(path, **kw))
     multi = tmp_path / "multi"
     assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", "0,1,2",
                  "--output", str(multi)] + time_limit) == EXIT_OK
@@ -383,7 +383,8 @@ def test_malformed_binary_graph_exits_data_and_names_the_file(dataset_dir, tmp_p
                                                               change, message):
     path = Path(dataset_dir) / "graph_0.bin"
     path.write_bytes(_tiny_binary_graph(change))
-    assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+    # view 0 propagates, so the run reads its graph
+    assert main(["run", dataset_dir, "--k", "3", "--p", "0:1", "--seeds", "0",
                  "--output", str(tmp_path / "o")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert message in err and str(path) in err
@@ -393,6 +394,60 @@ def test_tiny_binary_graph_without_defect_runs(dataset_dir, tmp_path):
     (Path(dataset_dir) / "graph_0.bin").write_bytes(_tiny_binary_graph())
     assert main(["run", dataset_dir, "--k", "3", "--p", "0:1", "--seeds", "0",
                  "--output", str(tmp_path / "o")]) == EXIT_OK
+
+
+def _graph_reads(monkeypatch):
+    """The paths that ``load_graph`` is called with from here on, by file name."""
+    reads = []
+    real = mvkc.data.load_graph
+    monkeypatch.setattr(mvkc.data, "load_graph",
+                        lambda path: reads.append(Path(path).name) or real(path))
+    return reads
+
+
+def test_run_without_propagation_reads_no_graph(dataset_dir, tmp_path, monkeypatch):
+    reads = _graph_reads(monkeypatch)
+    assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+                 "--output", str(tmp_path / "o1")]) == EXIT_OK
+    assert reads == []
+    # a graph the run does not read may be malformed
+    (Path(dataset_dir) / "graph_0.bin").write_bytes(_tiny_binary_graph({"cut": 1}))
+    (Path(dataset_dir) / "graph_1.bin").write_bytes(b"not a graph\n")
+    assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+                 "--output", str(tmp_path / "o2")]) == EXIT_OK
+    assert reads == []
+
+
+@pytest.mark.parametrize("orders, expected", [
+    ("0:1", ["graph_0.bin"]),
+    ("1:2", ["graph_1.bin"]),
+    ("0:1,1:1", ["graph_0.bin", "graph_1.bin"]),
+    ("0:0", []),
+])
+def test_run_reads_the_graphs_of_propagating_views(dataset_dir, tmp_path, monkeypatch,
+                                                    orders, expected):
+    reads = _graph_reads(monkeypatch)
+    assert main(["run", dataset_dir, "--k", "3", "--p", orders, "--seeds", "0",
+                 "--output", str(tmp_path / "o")]) == EXIT_OK
+    assert reads == expected
+
+
+def test_view_propagating_without_a_graph_reads_only_the_first(tmp_path, monkeypatch):
+    ds = synth_multiview(150, 3, 3, noise=0.05, seed=0)
+    ds.views[2].graph = None
+    save_dataset(ds, tmp_path / "ds")
+    reads = _graph_reads(monkeypatch)
+    assert main(["run", str(tmp_path / "ds"), "--k", "3", "--p", "2:1", "--seeds", "0",
+                 "--output", str(tmp_path / "o")]) == EXIT_OK
+    assert reads == ["graph_0.bin"]
+
+
+@pytest.mark.parametrize("p", [[], ["--p", "0:1"]])
+def test_missing_graph_file_exits_data_whether_read_or_not(dataset_dir, tmp_path, capsys, p):
+    (Path(dataset_dir) / "graph_1.bin").unlink()
+    assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
+                 "--output", str(tmp_path / "o")] + p) == EXIT_DATA
+    assert "graph_1.bin" in capsys.readouterr().err
 
 
 def test_prepare_mismatched_sizes(tmp_path):

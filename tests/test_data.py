@@ -195,6 +195,19 @@ def test_labels_file_roundtrip(tmp_path):
     assert np.array_equal(load_labels(path), [2, 0, -1, 10])
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([7]), np.array([2, 0, -1, 10]), np.arange(50000) % 10,
+    np.random.default_rng(9).integers(-5, 2**40, size=1000),
+    np.array([3, 1], dtype=np.int32),
+], ids=["one-label", "signed", "50k", "wide", "int32"])
+def test_labels_file_is_the_one_the_line_writer_wrote(tmp_path, labels):
+    path = tmp_path / "labels.txt"
+    save_labels(labels, path)
+    with open(tmp_path / "lines.txt", "w") as fh:  # one write per label
+        fh.writelines(f"{lab}\n" for lab in np.asarray(labels, dtype=np.int64).tolist())
+    assert path.read_bytes() == (tmp_path / "lines.txt").read_bytes()
+
+
 def test_labels_length_mismatch(tmp_path):
     ds = MultiViewDataset([View(np.ones((5, 2)))], labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(SizeMismatchError):

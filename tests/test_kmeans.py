@@ -3,9 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mvkc.kmeans import cluster_sums, cpqr_labels, kmeans
-from oracles import cluster_sums_oracle, indicator
+from mvkc.embedding import degree_normalize, implicit_degrees, spectral_embedding
+from mvkc.kernels import apply_map
+from mvkc.kmeans import _assign, _pivot_rows, cluster_sums, cpqr_labels, kmeans
+from mvkc.linalg import center_columns, truncated_svd
+from mvkc.pipeline import PipelineConfig, run_pipeline
+from oracles import (
+    assign_oracle,
+    cluster_sums_oracle,
+    cpqr_labels_oracle,
+    indicator,
+    lapack_pivots,
+)
+from synth import synth_multiview
 
 
 def exhaustive_best_inertia(X, k):
@@ -140,3 +152,88 @@ def test_kmeans_from_a_full_start_holds_no_n_by_f_copy():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 2.7 * n * f * 8
+
+
+def _spectral_vectors(n, k, kernel):
+    """U of one view's per-view pass: synthetic blobs, SVD, kernel map,
+    degree normalization and the spectral embedding, with f = k."""
+    X = synth_multiview(n, k, 1, noise=0.3, seed=n + k).views[0].features
+    svd = truncated_svd(center_columns(X), k, seed=k)
+    B = apply_map(kernel, svd.U, m=None if kernel == "quadratic" else 10 * k, params={}, seed=k)
+    degree_normalize(B, implicit_degrees(B))
+    return spectral_embedding(B, k, seed=k)
+
+
+@pytest.mark.parametrize("kernel", ["quadratic", "rbf"])
+@pytest.mark.parametrize("k", [3, 5, 7, 10])
+@pytest.mark.parametrize("n", [3000, 12000, 50000])
+def test_greedy_pivots_and_labels_are_the_lapack_ones(n, k, kernel):
+    U = _spectral_vectors(n, k, kernel)
+    assert np.array_equal(_pivot_rows(U[:, :k]), lapack_pivots(U[:, :k]))
+    assert np.array_equal(cpqr_labels(U, k), cpqr_labels_oracle(U, k))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cpqr_labels_hold_n_long_vectors_only(order):
+    # a few n-long vectors: no pivoting workspace and no n x k rotated array
+    n, k = 200000, 10
+    U = np.asarray(np.linalg.qr(np.random.default_rng(5).normal(size=(n, k + 1)))[0],
+                   order=order)
+    tracemalloc.start()
+    labels = cpqr_labels(U, k)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert labels.shape == (n,) and labels.dtype == np.int64
+    assert peak < 5 * n * 8
+
+
+def test_assign_holds_one_k_by_n_array_and_n_long_vectors():
+    n, f, k = 200000, 10, 10
+    rng = np.random.default_rng(6)
+    X = np.asfortranarray(rng.normal(size=(n, f)))
+    x2 = np.einsum("ij,ij->i", X, X)
+    C = rng.normal(size=(k, f))
+    tracemalloc.start()
+    _assign(X, C, x2)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < (k + 2.5) * n * 8
+
+
+@pytest.mark.parametrize("case", ["random", "duplicate-centroids", "equidistant"])
+def test_assign_equals_the_argmin_oracle_ties_included(case):
+    rng = np.random.default_rng(7)
+    if case == "random":
+        X, C = rng.normal(size=(5000, 6)), rng.normal(size=(7, 6))
+    elif case == "duplicate-centroids":
+        # rows 2 and 4 repeat rows 0 and 1: every point ties exactly
+        X = rng.normal(size=(5000, 6))
+        C = rng.normal(size=(3, 6))[[0, 1, 0, 2, 1]]
+    else:
+        # integer points on the bisector x = 1 of centroids (0, 0) and (2, 0),
+        # computed exactly, so their distances to both are equal
+        X = np.column_stack([rng.integers(0, 3, size=5000), rng.integers(-3, 4, size=5000)])
+        X = X.astype(np.float64)
+        C = np.array([[2.0, 0.0], [0.0, 0.0], [1.0, 5.0], [2.0, 0.0]])
+    x2 = np.einsum("ij,ij->i", X, X)
+    labels, dists = _assign(X, C, x2)
+    want_labels, want_dists = assign_oracle(X, C, x2)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(dists, want_dists)
+    if case == "equidistant":  # (1, y) with |y| <= 2 ties between centroids 0, 1 and 3
+        on_bisector = (X[:, 0] == 1.0) & (np.abs(X[:, 1]) <= 2.0)
+        assert on_bisector.any() and (labels[on_bisector] == 0).all()
+
+
+def test_no_module_calls_pivoted_qr(monkeypatch):
+    qr = scipy.linalg.qr
+
+    def unpivoted_qr(*args, **kwargs):
+        assert not kwargs.get("pivoting", False), "scipy.linalg.qr called with pivoting=True"
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", unpivoted_qr)
+    ds = synth_multiview(600, 3, 2, noise=0.1, seed=8)
+    for kernel in ("quadratic", "rbf"):
+        labels = run_pipeline(ds, PipelineConfig(k=3, kernel=kernel)).consensus
+        assert len(np.unique(labels)) == 3

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import time
 
@@ -6,7 +7,7 @@ import pytest
 
 import mvkc.propagation
 from mvkc.data import SparseGraph, load_graph
-from mvkc.propagation import normalized_adjacency, propagate, propagate_cached
+from mvkc.propagation import _cache_key, normalized_adjacency, propagate, propagate_cached
 from oracles import same_graph
 from synth import write_text_graph
 
@@ -120,6 +121,19 @@ def test_edge_order_in_file_changes_neither_graph_nor_cache_key(tmp_path):
         assert same_graph(loaded, g)
         propagate_cached(loaded, X, 2, cache_dir=str(tmp_path / "cache"))
     assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cache_key_is_the_hash_of_the_array_bytes(order):
+    # cache files written under keys hashed from .tobytes() copies still hit
+    g = random_graph(30, 100, seed=10)
+    X = np.asarray(np.random.default_rng(10).normal(size=(30, 4)), order=order)
+    h = hashlib.sha256()
+    for values, dtype in ((g.adj.indptr, "<i8"), (g.adj.indices, "<i8"), (g.adj.data, "<f8"),
+                          (X, "<f8")):
+        h.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    h.update(b"p=2;norm=sym_selfloop")
+    assert _cache_key(g, X, 2) == h.hexdigest()[:32]
 
 
 def test_cost_linear_in_edges():
