@@ -311,14 +311,21 @@ def save_dataset(dataset, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def graph_sources(has_graph, orders):
+    """Per view, the index of the view whose graph it propagates over: its
+    own or, if it has none, the first one given; None at order 0 or with no graph."""
+    shared = next((v for v, has in enumerate(has_graph) if has), None)
+    return [None if p <= 0 else v if has else shared
+            for v, (has, p) in enumerate(zip(has_graph, orders))]
+
+
 def load_dataset(path, orders=None):
     """Load and validate a dataset directory.
 
     ``orders``, if given, maps view indices to propagation orders that replace
-    the manifest's, and then only the graphs a propagating view (order above
-    0) uses are read: its own graph, or, if it has none, the first graph in
-    the manifest, the shared one. Every other view loads without its graph,
-    but every graph file the manifest names must exist.
+    the manifest's, and then only the graphs that ``graph_sources`` picks are
+    read. Every other view loads without its graph, but every graph file the
+    manifest names must exist.
     """
     manifest = os.path.join(path, "manifest.txt")
     if not os.path.isfile(manifest):
@@ -348,11 +355,9 @@ def load_dataset(path, orders=None):
                 raise FormatError(f"{manifest}: unknown manifest entry: {parts[0]}")
     read = [graph is not None for graph, _, _ in entries]
     if orders is not None:
-        uses = [orders.get(v, order) > 0 for v, (_, _, order) in enumerate(entries)]
-        # a view that propagates without a graph of its own uses the first one
-        if any(read) and any(u and not r for u, r in zip(uses, read)):
-            uses[read.index(True)] = True
-        read = [r and u for r, u in zip(read, uses)]
+        used = set(graph_sources(read, [orders.get(v, order)
+                                        for v, (_, _, order) in enumerate(entries)]))
+        read = [v in used for v in range(len(entries))]
     views = []
     for (graph, features, order), wanted in zip(entries, read):
         if graph is not None and not wanted and not os.path.isfile(graph):

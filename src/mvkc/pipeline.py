@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiViewDataset
+from .data import MultiViewDataset, graph_sources
 from .embedding import degree_normalize, implicit_degrees, spectral_embedding
 from .kernels import KERNEL_KINDS, apply_map, default_params, map_width
 from .kmeans import cpqr_labels, kmeans
@@ -144,8 +144,9 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     n_views = dataset.n_views
     seeds = _derived_seeds(config.seed, n_views)
     timer = defaultdict(float)  # seconds by stage, summed over views
-    # views that propagate without a graph of their own use the first one given
-    shared_graph = next((view.graph for view in dataset.views if view.graph is not None), None)
+    orders = (config.propagation_orders if config.propagation_orders is not None
+              else [view.propagation_order for view in dataset.views])
+    sources = graph_sources([view.graph is not None for view in dataset.views], orders)
 
     # truncated_svd returns min(n, d_v, f) singular vectors for view v
     widths = [map_width(config.kernel, min(dataset.n, view.features.shape[1], config.f),
@@ -157,15 +158,12 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     traces = []
     for v, view in enumerate(dataset.views):
         try:
-            p = view.propagation_order
-            if config.propagation_orders is not None:
-                p = config.propagation_orders[v]
-            graph = view.graph if view.graph is not None else shared_graph
             t0 = time.perf_counter()
-            if p > 0:
-                if graph is None:
+            if orders[v] > 0:
+                if sources[v] is None:
                     raise ValueError("propagation requested but no graph available")
-                X = propagate_cached(graph, view.features, p, cache_dir=config.cache_dir)
+                X = propagate_cached(dataset.views[sources[v]].graph, view.features, orders[v],
+                                     cache_dir=config.cache_dir)
             else:
                 X = view.features
             timer["propagation"] += time.perf_counter() - t0

@@ -2,8 +2,9 @@
 
 Each view's features are pre-multiplied p times by the self-loop,
 symmetrically normalized adjacency D^{-1/2} (A + I) D^{-1/2}, with D the
-degree of A + I, built by ``normalized_adjacency`` as a CSR matrix. Its
-spectral radius is at most 1, so high propagation orders stay bounded.
+degree of A + I, applied by scaling rows: no operator matrix is built, and
+rows of non-positive degree come out zero. Its spectral radius is at most 1,
+so high propagation orders stay bounded.
 Results can be cached on disk under a hash of the CSR arrays of ``graph.adj``,
 the features and p, so edge order in a graph file does not change the key. A
 cache file is written to a temporary name and renamed, so none is seen partial.
@@ -14,31 +15,27 @@ import os
 import tempfile
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import load_features, save_features
 
 
-def normalized_adjacency(graph):
-    """Sparse propagation operator D^{-1/2} (A + I) D^{-1/2} of a graph, as CSR."""
-    adj = graph.adj + sp.identity(graph.n, format="csr")
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    inv_sqrt = np.where(degrees > 0, degrees, 1.0) ** -0.5
-    inv_sqrt[degrees <= 0] = 0.0
-    return (sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)).tocsr()
-
-
-def propagate(op, features, p):
-    """Apply the n x n operator ``op`` p times to the feature matrix."""
-    if op.shape[0] != features.shape[0]:
+def propagate(graph, features, p):
+    """Apply the normalized self-loop adjacency of ``graph`` p times to the
+    feature matrix: y = s X, then X <- A y + y, then X <- s X."""
+    if graph.n != features.shape[0]:
         raise ValueError(
-            f"adjacency has n={op.shape[0]} but features have {features.shape[0]} rows"
+            f"adjacency has n={graph.n} but features have {features.shape[0]} rows"
         )
     if p < 0:
         raise ValueError(f"propagation order must be >= 0, got {p}")
+    degrees = np.asarray(graph.adj.sum(axis=1)).reshape(-1, 1) + 1.0
+    scale = np.where(degrees > 0, degrees, np.inf) ** -0.5  # s = (deg(A) + 1)^{-1/2}
     out = np.asarray(features, dtype=np.float64)
     for _ in range(p):
-        out = op @ out
+        y = scale * out
+        out = graph.adj @ y
+        out += y
+        out *= scale
     if not np.isfinite(out).all():
         raise FloatingPointError("propagation produced non-finite values")
     return out
@@ -57,14 +54,12 @@ def _cache_key(graph, features, p):
 
 def propagate_cached(graph, features, p, cache_dir=None):
     """Propagate, reusing an on-disk result keyed by a content hash."""
-    if p == 0:
-        return np.asarray(features, dtype=np.float64)
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, _cache_key(graph, features, p) + ".bin")
         if os.path.isfile(path):
             return load_features(path)
-    out = propagate(normalized_adjacency(graph), features, p)
+    out = propagate(graph, features, p)
     if cache_dir is not None:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         os.close(fd)

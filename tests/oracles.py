@@ -94,6 +94,22 @@ def same_graph(a, b):
     )
 
 
+def propagation_oracle(graph, features, p):
+    """``mvkc.propagation.propagate`` as first written: the sparse operator
+    D^{-1/2} (A + I) D^{-1/2} built as a CSR matrix from A + I and two
+    diagonal products (zero rows where the A + I degree is not positive),
+    then multiplied into the features p times."""
+    adj = graph.adj + sp.identity(graph.n, format="csr")
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    inv_sqrt = np.where(degrees > 0, degrees, 1.0) ** -0.5
+    inv_sqrt[degrees <= 0] = 0.0
+    op = (sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)).tocsr()
+    out = np.asarray(features, dtype=np.float64)
+    for _ in range(p):
+        out = op @ out
+    return out
+
+
 def knn_oracle(features, k, self_loops=False):
     """The k-NN graph of ``mvkc.data.build_knn_graph`` from a full stable sort
     of each row of the n x n squared distances, sq_i - 2 g_ij + sq_j, so equal

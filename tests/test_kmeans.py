@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,19 +19,23 @@ from oracles import (
 from synth import synth_multiview
 
 
-def exhaustive_best_inertia(X, k):
-    """Minimum inertia over every possible assignment (n <= 12)."""
+def exhaustive_best_inertia(X, k, block=2**15):
+    """Minimum inertia over every assignment of the n <= 12 points that uses
+    all k labels, enumerated as the base-k digits of 0 .. k^n - 1, ``block``
+    assignments at a time."""
     n = len(X)
     best = np.inf
-    for labels in itertools.product(range(k), repeat=n):
-        labels = np.array(labels)
-        if len(np.unique(labels)) < k:
-            continue
-        inertia = 0.0
+    for start in range(0, k**n, block):
+        labels = np.arange(start, min(start + block, k**n))[:, None] // k ** np.arange(n) % k
+        inertia = np.zeros(len(labels))
+        complete = np.ones(len(labels), dtype=bool)
         for c in range(k):
-            pts = X[labels == c]
-            inertia += ((pts - pts.mean(axis=0)) ** 2).sum()
-        best = min(best, inertia)
+            member = (labels == c).astype(np.float64)
+            count = member.sum(axis=1)
+            complete &= count > 0
+            means = (member @ X) / np.maximum(count, 1)[:, None]
+            inertia += (member * ((X - means[:, None]) ** 2).sum(axis=2)).sum(axis=1)
+        best = min(best, inertia[complete].min(initial=np.inf))
     return best
 
 

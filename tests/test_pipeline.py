@@ -1,8 +1,12 @@
+import itertools
+import os
+
 import numpy as np
 import pytest
 
+import mvkc.data
 import mvkc.pipeline
-from mvkc.data import MultiViewDataset, View
+from mvkc.data import MultiViewDataset, View, load_dataset, save_dataset
 from mvkc.kernels import map_width
 from mvkc.metrics import ari
 from mvkc.pipeline import PipelineConfig, run_pipeline
@@ -82,6 +86,45 @@ def test_propagation_override_and_shared_graph():
     ds.views[1] = View(ds.views[1].features, None, propagation_order=0)
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0, propagation_orders=[2, 2]))
     assert len(res.consensus) == 150
+
+
+@pytest.mark.parametrize("override", [False, True])
+def test_loading_reads_exactly_the_graphs_the_run_propagates_over(tmp_path, monkeypatch, override):
+    # every view with or without a graph file, each with order 0 or 1, given
+    # in the manifest or as overrides of the opposite manifest order
+    base = synth_multiview(40, 2, 3, noise=0.1, seed=9)
+    graph_names, used = {}, set()
+    load_graph, propagate_cached = mvkc.data.load_graph, mvkc.pipeline.propagate_cached
+
+    def recording_load_graph(path):
+        graph = load_graph(path)
+        graph_names[id(graph)] = os.path.basename(path)
+        return graph
+
+    def recording_propagate_cached(graph, features, p, cache_dir=None):
+        used.add(graph_names[id(graph)])
+        return propagate_cached(graph, features, p, cache_dir)
+
+    monkeypatch.setattr(mvkc.data, "load_graph", recording_load_graph)
+    monkeypatch.setattr(mvkc.pipeline, "propagate_cached", recording_propagate_cached)
+    for case, (has_graph, orders) in enumerate(itertools.product(
+            itertools.product([False, True], repeat=3), itertools.product([0, 1], repeat=3))):
+        path = str(tmp_path / str(case))
+        manifest_orders = [1 - p for p in orders] if override else orders
+        views = [View(view.features, view.graph if has else None, p)
+                 for view, has, p in zip(base.views, has_graph, manifest_orders)]
+        save_dataset(MultiViewDataset(views, base.labels), path)
+        graph_names.clear()
+        used.clear()
+        dataset = load_dataset(path, dict(enumerate(orders)) if override else {})
+        read = set(graph_names.values())
+        config = PipelineConfig(k=2, f=2, propagation_orders=list(orders) if override else None)
+        if any(orders) and not any(has_graph):
+            with pytest.raises(ValueError, match="no graph available"):
+                run_pipeline(dataset, config)
+        else:
+            run_pipeline(dataset, config)
+        assert read == used, (has_graph, orders)
 
 
 def test_propagation_without_any_graph_fails():

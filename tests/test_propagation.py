@@ -1,14 +1,16 @@
 import hashlib
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mvkc.propagation
 from mvkc.data import SparseGraph, load_graph
-from mvkc.propagation import _cache_key, normalized_adjacency, propagate, propagate_cached
-from oracles import same_graph
+from mvkc.propagation import _cache_key, propagate, propagate_cached
+from oracles import propagation_oracle, same_graph
 from synth import write_text_graph
 
 
@@ -33,14 +35,14 @@ def dense_operator(graph):
 def test_p_zero_is_identity():
     g = random_graph(10, 30)
     X = np.random.default_rng(0).normal(size=(10, 3))
-    out = propagate(normalized_adjacency(g), X, 0)
+    out = propagate(g, X, 0)
     assert np.array_equal(out, X)
 
 
 def test_two_node_hand_computation():
     g = SparseGraph(2, [0, 1], [1, 0], [1.0, 1.0])
     X = np.array([[1.0], [0.0]])
-    out = propagate(normalized_adjacency(g), X, 1)
+    out = propagate(g, X, 1)
     assert np.allclose(out, [[0.5], [0.5]], atol=1e-12)
 
 
@@ -48,14 +50,14 @@ def test_matches_dense_matrix_power_oracle():
     g = random_graph(30, 120, seed=2)
     X = np.random.default_rng(2).normal(size=(30, 4))
     expected = np.linalg.matrix_power(dense_operator(g), 5) @ X
-    got = propagate(normalized_adjacency(g), X, 5)
+    got = propagate(g, X, 5)
     assert np.allclose(got, expected, atol=1e-10)
 
 
 def test_high_order_converges_to_sqrt_degree_direction():
     g = random_graph(40, 400, seed=3)
     X = np.random.default_rng(3).normal(size=(40, 2))
-    out = propagate(normalized_adjacency(g), X, 100)
+    out = propagate(g, X, 100)
     expected = np.linalg.matrix_power(dense_operator(g), 100) @ X
     assert np.allclose(out, expected, atol=1e-8)
     # limit direction is proportional to sqrt of the self-loop degrees
@@ -70,9 +72,8 @@ def test_high_order_converges_to_sqrt_degree_direction():
 def test_composition():
     g = random_graph(25, 100, seed=4)
     X = np.random.default_rng(4).normal(size=(25, 3))
-    adj = normalized_adjacency(g)
-    a = propagate(adj, X, 7)
-    b = propagate(adj, propagate(adj, X, 3), 4)
+    a = propagate(g, X, 7)
+    b = propagate(g, propagate(g, X, 3), 4)
     assert np.allclose(a, b, atol=1e-10)
 
 
@@ -81,17 +82,62 @@ def test_bounded_output():
     for seed in range(5):
         g = random_graph(30, 150, seed=seed)
         X = np.random.default_rng(seed).normal(size=(30, 3))
-        adj = normalized_adjacency(g)
         degrees = np.asarray((g.adj + np.eye(30)).sum(axis=1)).ravel()
         deg_ratio = degrees.max() / degrees.min()
-        out = propagate(adj, X, 50)
+        out = propagate(g, X, 50)
         assert np.abs(out).max() <= np.abs(X).max() * np.sqrt(deg_ratio) + 1e-9
+
+
+def oracle_graphs():
+    """Graphs whose operator the row-scaled propagation must reproduce."""
+    rng = np.random.default_rng(11)
+    g = random_graph(30, 120, seed=11)
+    weighted = g.adj.copy()
+    weighted.data = rng.uniform(0.1, 5.0, size=g.nnz)
+    weighted = weighted + weighted.T  # non-unit, still symmetric
+    loops = g.adj + sp.diags(rng.uniform(0.5, 2.0, size=30))
+    coo = [m.tocoo() for m in (weighted, loops)]
+    one_way = random_graph(30, 120, seed=12).adj.tocoo()
+    keep = one_way.row < one_way.col
+    return {
+        "weighted": SparseGraph(30, coo[0].row, coo[0].col, coo[0].data),
+        "self_loops": SparseGraph(30, coo[1].row, coo[1].col, coo[1].data),
+        "asymmetric": SparseGraph(30, one_way.row[keep], one_way.col[keep],
+                                  rng.uniform(0.1, 2.0, size=keep.sum()), symmetric=False),
+        # A + I degrees: node 0 is -2, node 1 is 0, node 2 is 4
+        "negative": SparseGraph(4, [0, 1, 2, 2, 3], [1, 0, 2, 3, 2], [-3.0, -1.0, 2.0, 1.0, 1.0],
+                                symmetric=False),
+    }
+
+
+@pytest.mark.parametrize("name", ["weighted", "self_loops", "asymmetric", "negative"])
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_matches_the_operator_matrix_oracle(name, p):
+    g = oracle_graphs()[name]
+    X = np.random.default_rng(p).normal(size=(g.n, 3))
+    got = propagate(g, X, p)
+    assert np.allclose(got, propagation_oracle(g, X, p), rtol=0, atol=1e-12)
+    if name == "negative":  # rows whose A + I degree is not positive come out zero
+        assert not got[:2].any() and got[2:].any()
+
+
+def test_propagation_holds_a_few_feature_arrays():
+    # no n x n operator: the traced peak stays within a few n x d arrays
+    n, d = 5000, 4
+    g = random_graph(n, 250_000, seed=13)
+    assert 480_000 < g.nnz < 500_000
+    X = np.random.default_rng(13).normal(size=(n, d))
+    tracemalloc.start()
+    propagate_cached(g, X, 2)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 6 * n * d * 8
 
 
 def test_dimension_mismatch():
     g = random_graph(10, 30)
     with pytest.raises(ValueError):
-        propagate(normalized_adjacency(g), np.ones((11, 2)), 1)
+        propagate(g, np.ones((11, 2)), 1)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -141,19 +187,17 @@ def test_cost_linear_in_edges():
     small = random_graph(n, 100_000, seed=6)
     big = random_graph(n, 200_000, seed=6)
     X = np.random.default_rng(6).normal(size=(n, 32))
-    adj_s = normalized_adjacency(small)
-    adj_b = normalized_adjacency(big)
 
     # best-of-3 wall times to damp scheduler noise
-    def best(adj):
+    def best(g):
         times = []
         for _ in range(3):
             t0 = time.perf_counter()
-            propagate(adj, X, 10)
+            propagate(g, X, 10)
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    ratio = best(adj_b) / best(adj_s)
+    ratio = best(big) / best(small)
     assert ratio <= 2.5 * (big.nnz / small.nnz)
 
 
@@ -174,4 +218,4 @@ def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # neither the cache file nor a temp file
     monkeypatch.undo()
     out = propagate_cached(g, X, 2, cache_dir=str(tmp_path))
-    assert np.allclose(out, propagate(normalized_adjacency(g), X, 2), atol=1e-12)
+    assert np.allclose(out, propagate(g, X, 2), atol=1e-12)
