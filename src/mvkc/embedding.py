@@ -50,14 +50,15 @@ def degree_normalize(B, d):
     return B
 
 
-def spectral_embedding(B, r, seed=0):
-    """Top r+1 left singular vectors of the normalized factor, as an n x (r+1)
-    array. The first is the trivial quasi-constant one; the other r are the
-    clustering coordinates."""
+def spectral_embedding(B, r, seed=0, t=None):
+    """The ``truncated_svd`` of the normalized factor whose U holds its top
+    r+1 left singular vectors, an n x (r+1) array. The first is the trivial
+    quasi-constant one; the other r are the clustering coordinates. Given
+    ``t``, the result also carries B's principal block of up to t columns."""
     n, m = B.shape
     if r + 1 > min(n, m):
         raise ValueError(
             f"need r+1={r + 1} singular vectors but factor is {n} x {m}; "
             "kernel map too small"
         )
-    return truncated_svd(B, r + 1, seed=seed).U
+    return truncated_svd(B, r + 1, seed=seed, t=t)

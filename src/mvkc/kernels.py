@@ -8,12 +8,9 @@ rows, form the landmark kernel matrix, and whiten by its inverse square root.
 ``apply_map`` does either in one call and returns the factor Phi(U); the
 implicit affinity of the mapped data is then Phi(U) @ Phi(U).T.
 
-``apply_map`` writes the factor into ``out`` when given one, such as a
-column block of a larger array, so the caller needs no second copy;
-``map_width`` gives the width ``out`` must have. A Nystroem map builds K_nm
-and its product with the whitening matrix one row block at a time, so it
-never holds an n x m array beside the factor. Each kernel block is built in
-its own buffer, one elementwise step at a time."""
+A Nystroem map builds K_nm and its product with the whitening matrix one row
+block at a time, so it never holds an n x m array beside the factor. Each
+kernel block is built in its own buffer, one elementwise step at a time."""
 
 import numpy as np
 import scipy.linalg
@@ -66,23 +63,14 @@ def default_params(kind, input_dim):
     return {}
 
 
-def map_width(kind, f, m=None):
-    """Columns of the factor ``apply_map`` returns for an n x f input: f(f+1)/2
-    for the exact quadratic map, the m landmarks for a Nystroem map."""
-    return f * (f + 1) // 2 if kind == "quadratic" else m
-
-
-def apply_map(kind, U, m=None, params=None, seed=0, out=None):
+def apply_map(kind, U, m=None, params=None, seed=0):
     """Map each row of the n x f matrix U through Phi and return the n x m
-    factor matrix, written into ``out`` if given, else into a new
-    column-major array.
+    factor matrix, a new column-major array.
 
     The quadratic map is exact, with m = f(f+1)/2. Nystroem maps sample m
     landmark rows uniformly without replacement and return the landmark
     kernel values K_nm times the inverse square root of the landmark kernel
-    matrix K_mm (eigenvalues floored at a relative threshold). An ``out``
-    that is not n x ``map_width`` raises ``ValueError`` before anything is
-    written.
+    matrix K_mm (eigenvalues floored at a relative threshold).
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind: {kind}")
@@ -90,11 +78,7 @@ def apply_map(kind, U, m=None, params=None, seed=0, out=None):
     n, f = U.shape
     if kind != "quadratic" and (m is None or m > n):
         raise ValueError(f"Nystroem needs m <= n, got m={m}, n={n}")
-    shape = (n, map_width(kind, f, m))
-    if out is None:
-        out = np.empty(shape, order="F")
-    elif out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, the map needs {shape}")
+    out = np.empty((n, f * (f + 1) // 2 if kind == "quadratic" else m), order="F")
     if kind == "quadratic":
         # U**2, then sqrt(2) U_i U_j for i < j in row-major order of (i, j)
         np.multiply(U, U, out=out[:, :f])

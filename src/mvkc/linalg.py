@@ -20,6 +20,11 @@ along n and the result is column-major; ``_orth``, the one QR call, then
 factors it in place and forms Q in the same buffer. On every route U is
 column-major, and signs are fixed in place so the largest-magnitude entry of
 each left singular vector is positive.
+
+Given t >= r, ``truncated_svd`` also returns the principal block
+X V_t = U_t diag(s_t) (up to column order and signs): the Gram route forms it
+as X W_t from t eigenpairs but runs the conditioning check and Rayleigh-Ritz
+on the top r only; the other routes scale their top t left vectors.
 """
 
 from dataclasses import dataclass
@@ -40,6 +45,7 @@ class SVDResult:
     U: np.ndarray
     s: np.ndarray
     V: np.ndarray
+    block: np.ndarray | None = None  # n x t principal block X V_t, when asked for
 
 
 def center_columns(X):
@@ -95,22 +101,31 @@ def randomized_svd(X, r, seed=0):
     return _ritz(X, W, r)
 
 
-def truncated_svd(X, r, seed=0):
+def truncated_svd(X, r, seed=0, t=None):
     """Rank-r SVD by the route the module docstring gives for X's shape.
 
     The Gram and exact routes return min(n, d, r) columns; ``seed`` seeds
-    the randomized route.
+    the randomized route. Given ``t``, the result also carries the principal
+    block of min(n, d, t) columns.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if min(n, d) > EXACT_SVD_MAX_DIM:
-        return randomized_svd(X, r, seed=seed)
+        svd = randomized_svd(X, t or r, seed=seed)
+        block = None if t is None else svd.U * svd.s
+        return SVDResult(svd.U[:, :r], svd.s[:r], svd.V[:, :r], block)
     if n >= d:
         r = min(r, d)
-        evals, W = scipy.linalg.eigh(X.T @ X, subset_by_index=[d - r, d - 1])
-        # eigenvalues of the Gram matrix are squared singular values
-        if evals[-1] > 0.0 and evals[0] >= GRAM_COND_FLOOR**2 * evals[-1]:
-            return _ritz(X, W, r)
+        w = r if t is None else min(t, d)
+        evals, W = scipy.linalg.eigh(X.T @ X, subset_by_index=[d - w, d - 1])
+        # eigenvalues of the Gram matrix are squared singular values; the
+        # tail beyond r may sit at round-off, as only its span is kept
+        if evals[-1] > 0.0 and evals[w - r] >= GRAM_COND_FLOOR**2 * evals[-1]:
+            svd = _ritz(X, W[:, w - r:], r)
+            if t is not None:
+                svd.block = (W.T @ X.T).T
+            return svd
     U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
+    block = None if t is None else U[:, :t] * s[:t]
     U, V = _fix_signs(U[:, :r], Vt[:r].T)
-    return SVDResult(U, s[:r], V)
+    return SVDResult(U, s[:r], V, block)

@@ -4,23 +4,28 @@ Per view: smooth features, center, take the f leading left singular vectors,
 map them through the kernel feature map, degree-normalize the factor, embed
 and cluster. A view whose centered features have no singular value above
 round-off raises ``FloatingPointError``. Then weight the views by
-clusterability, scale each factor by the square root of its weight, and run
-the same normalize/embed/cluster pass once more on their concatenation for the
-consensus labels. Every clustering is an int64 label array from ``kmeans``,
-started from the seedless ``cpqr_labels``. Never allocates an n x n matrix.
+clusterability, and run the same normalize/embed/cluster pass once more on
+the consensus for its labels. Every clustering is an int64 label array from
+``kmeans``, started from the seedless ``cpqr_labels``. Never allocates an
+n x n matrix.
 
-Memory: the consensus is one column-major n x sum(m_v) array, allocated
-before the first view, and each view's factor is its column block: the kernel
-map writes into the block, the per-view pass normalizes it in place, the
-weights scale it in place, and the consensus pass normalizes the whole array
-in place. The caller of ``degree_normalize`` owns the factor it overwrites.
-No factor is ever copied, a Nystroem map holds one row block of K_nm at a
-time, and each view's propagated and centered features are released once
-its SVD is taken. The discretization (``cpqr_labels`` and ``kmeans``) holds
-O(n) memory beyond the spectral vectors. So beyond the input, the resident
-peak is about one n x sum(m_v) array plus the few n x (f + 1) arrays of one
-spectral embedding. ``mvkc run`` loads only the graphs of views that
-propagate, so with p = 0 everywhere no graph is held.
+The consensus holds each view's top t = 2(f + 1) spectral directions, not its
+whole factor B: the embedding's SVD of B also returns the principal block
+B V_t = U_t S_t, and the blocks, scaled by the square roots of the weights,
+stand side by side in one column-major n x sum_v min(t, m_v) array. Its Gram
+matrix falls short of sum_v lambda_v B_v B_v^T by at most
+sum_v lambda_v s_{v,t+1}^2 (Eckart-Young).
+
+Memory: a view's factor is normalized in place (the caller of
+``degree_normalize`` owns the factor it overwrites) and released once its
+labels and clusterability trace are taken. A Nystroem map holds one row
+block of K_nm at a time, and each view's propagated and centered features
+are released once its SVD is taken. The discretization (``cpqr_labels`` and
+``kmeans``) holds O(n) memory beyond the spectral vectors. So beyond the
+input, the resident peak is about one view's n x m_v factor, the blocks of
+the views so far and the few n x (f + 1) arrays of one spectral embedding.
+``mvkc run`` loads only the graphs of views that propagate, so with p = 0
+everywhere no graph is held.
 """
 
 import dataclasses
@@ -34,7 +39,7 @@ import numpy as np
 
 from .data import MultiViewDataset, graph_sources
 from .embedding import degree_normalize, implicit_degrees, spectral_embedding
-from .kernels import KERNEL_KINDS, apply_map, default_params, map_width
+from .kernels import KERNEL_KINDS, apply_map, default_params
 from .kmeans import cpqr_labels, kmeans
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
@@ -114,22 +119,23 @@ def _derived_seeds(seed, n_views):
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def _cluster_factor(B, config, seed, timer, stages):
+def _cluster_factor(B, config, seed, timer, stages, t=None):
     """Degree-normalize the factor in place, embed it spectrally, then CPQR
     and k-means.
 
     ``stages`` names the ``timer`` entries of (normalize + embed, k-means).
-    Returns the labels.
+    Returns the labels and, given ``t``, the normalized factor's principal
+    block of up to t columns, else None.
     """
     t0 = time.perf_counter()
     degree_normalize(B, implicit_degrees(B))
-    U = spectral_embedding(B, config.f, seed=seed)
+    svd = spectral_embedding(B, config.f, seed=seed, t=t)
     timer[stages[0]] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    labels, _ = kmeans(U[:, 1:], config.k, cpqr_labels(U, config.k))
+    labels, _ = kmeans(svd.U[:, 1:], config.k, cpqr_labels(svd.U, config.k))
     timer[stages[1]] += time.perf_counter() - t0
-    return labels
+    return labels, svd.block
 
 
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
@@ -148,12 +154,8 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
               else [view.propagation_order for view in dataset.views])
     sources = graph_sources([view.graph is not None for view in dataset.views], orders)
 
-    # truncated_svd returns min(n, d_v, f) singular vectors for view v
-    widths = [map_width(config.kernel, min(dataset.n, view.features.shape[1], config.f),
-                        config.kernel_components) for view in dataset.views]
-    bounds = np.cumsum([0] + widths)
-    # column-major, so each view's block is contiguous and touches only its pages
-    concat = np.empty((dataset.n, bounds[-1]), order="F")
+    t = 2 * (config.f + 1)  # the most spectral directions a view gives the consensus
+    blocks = []
     per_view = []
     traces = []
     for v, view in enumerate(dataset.views):
@@ -180,16 +182,17 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
 
             t0 = time.perf_counter()
             B = apply_map(config.kernel, svd.U, m=config.kernel_components,
-                          params=config.kernel_params, seed=seeds[v],
-                          out=concat[:, bounds[v]:bounds[v + 1]])
+                          params=config.kernel_params, seed=seeds[v])
             timer["kernel_map"] += time.perf_counter() - t0
             del svd
 
-            labels = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"))
+            labels, block = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"), t)
 
             t0 = time.perf_counter()
             traces.append(clusterability_trace(B, labels))
             timer["weighting"] += time.perf_counter() - t0
+            del B  # the consensus reads only the principal block
+            blocks.append(block)
             per_view.append(labels)
         except Exception as exc:
             exc.add_note(f"view {v}")
@@ -197,12 +200,16 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
 
     t0 = time.perf_counter()
     weights = softmax_weights(np.array(traces), config.temperature, mode=config.weight_mode)
-    # scaling factor v by sqrt(lambda_v) gives the concatenation the Gram
-    # matrix sum_v lambda_v B_v B_v^T, the weighted consensus affinity
-    for v, lam in enumerate(weights.lambdas):
-        concat[:, bounds[v]:bounds[v + 1]] *= np.sqrt(lam)
+    # block v scaled by sqrt(lambda_v) adds lambda_v U_v S_v^2 U_v^T to the
+    # Gram matrix; column-major, so each block is contiguous
+    concat = np.empty((dataset.n, sum(block.shape[1] for block in blocks)), order="F")
+    start = 0
+    for lam, block in zip(weights.lambdas, blocks):
+        np.multiply(block, np.sqrt(lam), out=concat[:, start:start + block.shape[1]])
+        start += block.shape[1]
+    del blocks, block
     timer["weighting"] += time.perf_counter() - t0
 
-    consensus = _cluster_factor(concat, config, seeds[n_views], timer,
-                                ("consensus", "consensus"))
+    consensus, _ = _cluster_factor(concat, config, seeds[n_views], timer,
+                                   ("consensus", "consensus"))
     return ClusteringResult(consensus, per_view, weights, dict(timer))

@@ -13,7 +13,9 @@ from mvkc.linalg import EXACT_SVD_MAX_DIM, SVDResult
 def consensus_affinity_oracle(factor_values, lambdas, max_n=2048):
     """Materialized weighted consensus affinity sum_v lambda_v B_v @ B_v.T.
 
-    The pipeline's concatenated factor must have exactly this Gram matrix.
+    The side-by-side weighted factors have exactly this Gram matrix; the
+    pipeline's consensus has it less each view's tail past its top 2(f + 1)
+    directions.
     """
     n = factor_values[0].shape[0]
     if n > max_n:

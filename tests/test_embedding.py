@@ -103,7 +103,7 @@ def test_embedding_separates_blocks():
     blockA = np.hstack([np.ones((10, 2)), np.zeros((10, 2))])
     blockB = np.hstack([np.zeros((12, 2)), np.ones((12, 2))])
     B = normalized_factor(np.vstack([blockA, blockB]))
-    emb = spectral_embedding(B, 1)[:, 1:]
+    emb = spectral_embedding(B, 1).U[:, 1:]
     signs = np.sign(emb[:, 0])
     assert len(set(signs[:10])) == 1 and len(set(signs[10:])) == 1
     assert signs[0] != signs[-1]
@@ -112,14 +112,14 @@ def test_embedding_separates_blocks():
 def test_embedding_orthonormal_columns():
     rng = np.random.default_rng(4)
     B = normalized_factor(rng.uniform(0.1, 1.0, size=(60, 8)))
-    emb = spectral_embedding(B, 5)[:, 1:]
+    emb = spectral_embedding(B, 5).U[:, 1:]
     assert np.allclose(emb.T @ emb, np.eye(5), atol=1e-8)
 
 
 def test_embedding_full_column_space():
     rng = np.random.default_rng(5)
     B = normalized_factor(rng.uniform(0.1, 1.0, size=(30, 5)))
-    emb = spectral_embedding(B, 4)[:, 1:]
+    emb = spectral_embedding(B, 4).U[:, 1:]
     assert emb.shape == (30, 4)
 
 

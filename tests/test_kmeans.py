@@ -164,7 +164,7 @@ def _spectral_vectors(n, k, kernel):
     svd = truncated_svd(center_columns(X), k, seed=k)
     B = apply_map(kernel, svd.U, m=None if kernel == "quadratic" else 10 * k, params={}, seed=k)
     degree_normalize(B, implicit_degrees(B))
-    return spectral_embedding(B, k, seed=k)
+    return spectral_embedding(B, k, seed=k).U
 
 
 @pytest.mark.parametrize("kernel", ["quadratic", "rbf"])

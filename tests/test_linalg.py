@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mvkc.linalg
 from mvkc.linalg import (
     EXACT_SVD_MAX_DIM,
     GRAM_COND_FLOOR,
@@ -129,11 +130,16 @@ def test_truncated_svd_dispatch_matches_exact():
     assert np.allclose(res.U, full.U[:, :4])
 
 
-def _with_spectrum(n, d, s, seed):
+def _with_factors(n, d, s, seed):
+    """X = U diag(s) V.T from random orthonormal U and V, and U diag(s)."""
     rng = np.random.default_rng(seed)
     U = np.linalg.qr(rng.normal(size=(n, len(s))))[0]
     V = np.linalg.qr(rng.normal(size=(d, len(s))))[0]
-    return U @ np.diag(s) @ V.T
+    return U @ np.diag(s) @ V.T, U * s
+
+
+def _with_spectrum(n, d, s, seed):
+    return _with_factors(n, d, s, seed)[0]
 
 
 def test_truncated_svd_ill_conditioned_tall_matches_exact():
@@ -238,3 +244,43 @@ def test_no_route_calls_numpy_qr(monkeypatch):
     for shape, r in [((300, 20), 5), ((20, 60), 5), ((EXACT_SVD_MAX_DIM + 1, EXACT_SVD_MAX_DIM + 1), 4)]:
         res = truncated_svd(rng.normal(size=shape), r)
         assert res.U.shape == (shape[0], r)
+
+
+@pytest.mark.parametrize("shape, r, t, s", [
+    ((300, 20), 4, 8, 0.7 ** np.arange(20)),
+    # tail below the Gram floor, as a Nystroem map's: only the top r is checked
+    ((300, 20), 4, 8, np.r_[0.7 ** np.arange(4), 1e-9 * 0.7 ** np.arange(16)]),
+    ((60, 12), 4, 8, np.array([1.0, 0.5, 1e-3, 1e-2 * GRAM_COND_FLOOR, 1e-12])),
+    ((20, 60), 5, 30, 0.8 ** np.arange(20)),
+    ((EXACT_SVD_MAX_DIM + 1, EXACT_SVD_MAX_DIM + 1), 3, 6, 0.6 ** np.arange(12)),
+], ids=["gram", "gram-tiny-tail", "fallback", "wide", "randomized"])
+def test_principal_block_has_the_gram_matrix_of_the_top_t_directions(shape, r, t, s):
+    X, US = _with_factors(*shape, s, seed=15)
+    res = truncated_svd(X, r, seed=2, t=t)
+    w = min(t, *shape)
+    assert res.block.shape == (shape[0], w) and res.block.flags.f_contiguous
+    assert truncated_svd(X, r, seed=2).block is None
+    # B B.T - R R.T with R = U_w diag(s_w), in an orthonormal basis Q of
+    # both ranges, where it has the same Frobenius norm
+    B, R = res.block, US[:, :w]
+    Q = np.linalg.qr(np.hstack([B, R]))[0]
+    QB, QR = Q.T @ B, Q.T @ R
+    assert np.linalg.norm(QB @ QB.T - QR @ QR.T) < 1e-10
+
+
+def test_principal_block_leaves_the_rank_r_result_unchanged(monkeypatch):
+    ritz_ranks = []
+    ritz = mvkc.linalg._ritz
+
+    def recording_ritz(X, W, r):
+        ritz_ranks.append(W.shape[1])
+        return ritz(X, W, r)
+
+    monkeypatch.setattr(mvkc.linalg, "_ritz", recording_ritz)
+    s = np.r_[0.7 ** np.arange(6), 1e-9 * 0.7 ** np.arange(34)]
+    X = _with_spectrum(5000, 40, s, seed=16)
+    a, b = truncated_svd(X, 6), truncated_svd(X, 6, t=14)
+    # the Gram route both times, with Rayleigh-Ritz at rank r
+    assert ritz_ranks == [6, 6]
+    for name in ("U", "s", "V"):
+        assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12)

@@ -7,7 +7,10 @@ import pytest
 import mvkc.data
 import mvkc.pipeline
 from mvkc.data import MultiViewDataset, View, load_dataset, save_dataset
-from mvkc.kernels import map_width
+from mvkc.embedding import degree_normalize, implicit_degrees
+from mvkc.kernels import apply_map
+from mvkc.kmeans import cpqr_labels, kmeans
+from mvkc.linalg import center_columns, truncated_svd
 from mvkc.metrics import ari
 from mvkc.pipeline import PipelineConfig, run_pipeline
 from oracles import consensus_affinity_oracle
@@ -160,7 +163,8 @@ def test_peak_memory_linear_in_n():
 
 def consensus_peak_ratio(n, k, **config):
     """Traced peak of one run over three 16-column views, in units of the
-    n x sum(m_v) consensus array; asserts the run recovers the clusters."""
+    n x sum(m_v) concatenation of the kernel maps; asserts the run recovers
+    the clusters."""
     import tracemalloc
 
     rng = np.random.default_rng(0)
@@ -168,7 +172,7 @@ def consensus_peak_ratio(n, k, **config):
     views = [View(rng.normal(size=(k, 16))[labels] + 0.3 * rng.normal(size=(n, 16)))
              for _ in range(3)]
     cfg = PipelineConfig(k=k, **config)
-    width = map_width(cfg.kernel, cfg.f, cfg.kernel_components)
+    width = cfg.f * (cfg.f + 1) // 2 if cfg.kernel == "quadratic" else cfg.kernel_components
     tracemalloc.start()
     res = run_pipeline(MultiViewDataset(views, labels), cfg)
     _, peak = tracemalloc.get_traced_memory()
@@ -178,13 +182,15 @@ def consensus_peak_ratio(n, k, **config):
 
 
 def test_consensus_peak_memory_is_about_one_concatenation():
-    # the consensus array plus the per-view work (SVD, embedding) comes to
-    # about 1.4; one more copy of a factor beside it, to about 2
-    assert consensus_peak_ratio(20000, 5, kernel="rbf", kernel_components=60) < 1.7
+    # one view's factor (1/3), the principal blocks of 2(f + 1) = 12 of its
+    # 60 columns (0.2 for all three) and one embedding come to about 0.64;
+    # holding every factor, as an n x sum(m_v) concatenation does, to 1.2
+    assert consensus_peak_ratio(20000, 5, kernel="rbf", kernel_components=60) < 0.7
 
 
 def test_quadratic_consensus_peak_memory_is_about_one_concatenation():
-    assert consensus_peak_ratio(20000, 5, kernel="quadratic", f=10) < 1.7
+    # blocks of 22 of 55 columns: about 0.88, against 1.23 for the concatenation
+    assert consensus_peak_ratio(20000, 5, kernel="quadratic", f=10) < 0.95
 
 
 def test_views_of_different_widths_fill_their_own_blocks():
@@ -240,23 +246,82 @@ def test_oracle_size_guard():
         consensus_affinity_oracle([np.zeros((3000, 2))], [1.0])
 
 
-def test_every_view_factor_is_a_block_of_the_consensus_array(monkeypatch):
+def record_consensus(monkeypatch, dataset, config):
+    """Run the pipeline and return each view's normalized factor, the
+    consensus array as the consensus pass receives it, and the result."""
     factors, consensus = [], []
-    apply_map, cluster_factor = mvkc.pipeline.apply_map, mvkc.pipeline._cluster_factor
+    cluster_factor = mvkc.pipeline._cluster_factor
 
-    def recording_apply_map(*args, **kwargs):
-        B = apply_map(*args, **kwargs)
-        factors.append(B)
-        return B
-
-    def recording_cluster_factor(B, config, seed, timer, stages):
+    def recording_cluster_factor(B, config, seed, timer, stages, t=None):
         if stages == ("consensus", "consensus"):
-            consensus.append(B)
-        return cluster_factor(B, config, seed, timer, stages)
+            consensus.append(B.copy())
+            return cluster_factor(B, config, seed, timer, stages, t)
+        out = cluster_factor(B, config, seed, timer, stages, t)
+        factors.append(B.copy())  # normalized in place by now
+        return out
 
-    monkeypatch.setattr(mvkc.pipeline, "apply_map", recording_apply_map)
     monkeypatch.setattr(mvkc.pipeline, "_cluster_factor", recording_cluster_factor)
-    run_pipeline(synth_multiview(200, 3, 3, seed=2), PipelineConfig(k=3, f=2))
-    assert len(factors) == 3 and len(consensus) == 1
-    assert all(np.shares_memory(B, consensus[0]) for B in factors)
-    assert sum(B.shape[1] for B in factors) == consensus[0].shape[1]
+    res = run_pipeline(dataset, config)
+    assert len(factors) == dataset.n_views and len(consensus) == 1
+    return factors, consensus[0], res
+
+
+def blob_views(n, k, dims, seed, noise=0.5):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % k
+    views = [View(rng.normal(size=(k, d))[labels] + noise * rng.normal(size=(n, d))) for d in dims]
+    return MultiViewDataset(views, labels)
+
+
+@pytest.mark.parametrize("dims, config", [
+    ((16, 16), dict(f=2)),  # quadratic maps of 3 columns, t = 6: exact
+    ((3, 16), dict(f=4)),  # 6 and 10 columns, t = 10: exact
+    ((16, 16, 16), dict(f=4, kernel="rbf", kernel_components=40)),
+    ((8, 16), dict(f=3, kernel="sigmoid", kernel_components=30, kernel_params={"coef0": 1.0})),
+    ((16, 16), dict(f=6)),  # 21 columns, t = 14
+], ids=["quadratic-exact", "mixed-widths-exact", "rbf", "sigmoid", "quadratic"])
+def test_consensus_is_the_top_spectral_blocks_of_the_views(monkeypatch, dims, config):
+    # uniform weights, so that every view's blocks count
+    config = PipelineConfig(k=3, weight_mode="uniform", **config)
+    dataset = blob_views(400, 3, dims, seed=len(dims) + config.f)
+    factors, C, res = record_consensus(monkeypatch, dataset, config)
+    t = 2 * (config.f + 1)
+    assert C.shape == (dataset.n, sum(min(t, B.shape[1]) for B in factors))
+    # Eckart-Young: dropping the directions past t moves lambda_v B_v B_v^T
+    # by lambda_v s_{v,t+1}^2 in spectral norm, so no entry moves more
+    tails = [np.linalg.svd(B, compute_uv=False) for B in factors]
+    bound = sum(lam * s[t] ** 2 for lam, s in zip(res.weights.lambdas, tails) if len(s) > t)
+    if all(B.shape[1] <= t for B in factors):
+        assert bound == 0.0
+    oracle = consensus_affinity_oracle(factors, res.weights.lambdas)
+    assert np.abs(C @ C.T - oracle).max() <= bound + 1e-10
+
+
+def rank_f_plus_one_labels(dataset, config):
+    """Each view's labels from the top f + 1 left singular vectors of its
+    normalized factor alone, as a rank-(f + 1) truncated SVD gives them."""
+    seeds = mvkc.pipeline._derived_seeds(config.seed, dataset.n_views)
+    out = []
+    for view, seed in zip(dataset.views, seeds):
+        svd = truncated_svd(center_columns(view.features), config.f, seed=seed)
+        B = apply_map(config.kernel, svd.U, m=config.kernel_components,
+                      params=config.kernel_params, seed=seed)
+        degree_normalize(B, implicit_degrees(B))
+        U = truncated_svd(B, config.f + 1, seed=seed).U
+        out.append(kmeans(U[:, 1:], config.k, cpqr_labels(U, config.k))[0])
+    return out
+
+
+@pytest.mark.parametrize("config", [
+    dict(k=3, f=2),
+    dict(k=4, f=4),
+    dict(k=5, f=6),
+    dict(k=3, f=3, kernel="rbf", kernel_components=30, seed=1),
+    dict(k=4, f=4, kernel="rbf", kernel_components=60, seed=2),
+], ids=["quadratic-f2", "quadratic-f4", "quadratic-f6", "rbf-m30", "rbf-m60"])
+def test_per_view_labels_are_those_of_the_rank_f_plus_one_embedding(config):
+    config = PipelineConfig(**config)
+    dataset = blob_views(1500, config.k, (16, 10, 16), seed=config.k + config.f, noise=1.0)
+    res = run_pipeline(dataset, config)
+    for labels, expected in zip(res.per_view, rank_f_plus_one_labels(dataset, config)):
+        assert np.array_equal(labels, expected)
