@@ -3,30 +3,34 @@ dataset directory, ``run`` clusters it over seeds, ``eval`` scores labels.
 
 Each ``run`` setting has one flag. An argument ``@file`` stands for the lines
 of that file, one argument per line, blank lines skipped; a later argument
-wins. ``--p`` overrides the manifest order of the views it names only.
+wins. ``--p`` overrides the manifest order of the views it names only;
+``load_dataset`` applies it and parses only the graphs of views that then
+propagate, though every graph file the manifest names must exist.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure.
-A missing or malformed input file, or ``eval`` label files of different
-lengths, is a data error. A setting that would be ignored or make the run
-meaningless is a config error: a ``--p`` entry for a view the dataset lacks
-or a view named twice, a kernel parameter the kernel does not read,
-``--kernel-components`` with ``quadratic``, a temperature, gamma or
+A missing or malformed input file, any other ``OSError``, or ``eval`` label
+files of different lengths, is a data error. A setting that would be ignored
+or make the run meaningless is a config error: a ``--p`` entry for a view the
+dataset lacks or a view named twice, a kernel parameter the kernel does not
+read, ``--kernel-components`` with ``quadratic``, a temperature, gamma or
 ``--time-limit`` that is not positive, too few ``--kernel-components``, an
-``--f`` below 2 with ``quadratic``, above a view's feature dimension or with
-f + 1 below k, a k, f + 1 or ``--kernel-components`` above the dataset's n, a
-repeated seed, ``prepare`` counts of ``--p`` orders and ``--graph`` entries
-that do not fit the feature files, an ``--add-knn`` below 1 or at least n, or
-``--self-loops`` without ``--add-knn``. A ``--p`` or ``--seeds`` value that
-does not parse is an argparse error that names the flag and shows the text.
-``run`` parses only the graphs of views that propagate, but every graph file
-the manifest names must exist.
+``--f`` below 2 with ``quadratic`` or above a view's feature dimension, what
+``PipelineConfig.check_fits`` rejects (a k, f + 1 or ``--kernel-components``
+above n, f + 1 below k), a repeated seed, ``prepare`` counts of ``--p`` orders
+and ``--graph`` entries that do not fit the feature files, an ``--add-knn``
+below 1 or at least n, or ``--self-loops`` without ``--add-knn``. A ``--p`` or
+``--seeds`` value that does not parse or is negative is an argparse error that
+names the flag and shows the text.
 
-``run`` writes one ``run_seed<N>.json`` record per seed from the fields
-``_run_seed`` returns, and the consensus label array to ``labels_seed<N>.txt``.
+``run`` writes each seed's consensus labels to ``labels_seed<N>.txt`` and a
+``run_seed<N>.json`` record of the fields ``_run_seed`` returns; its
+``config`` adds the views' effective ``propagation_orders`` to the
+``PipelineConfig`` fields, and ``config_hash`` hashes that ``config``.
 """
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -63,13 +67,20 @@ ERROR_LABELS = {EXIT_CONFIG: "config error", EXIT_DATA: "data error",
                 EXIT_NUMERIC: "numeric failure"}
 
 
+def _natural(text):
+    """A non-negative integer; anything else raises ``ValueError``."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _int_list(text):
-    """Comma-separated integers: "0,1,2" -> [0, 1, 2]."""
+    """Comma-separated non-negative integers: "0,1,2" -> [0, 1, 2]."""
     try:
-        return [int(item) for item in text.split(",")]
+        return [_natural(item) for item in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+            f"expected comma-separated non-negative integers, got {text!r}") from None
 
 
 def _view_orders(text):
@@ -77,35 +88,29 @@ def _view_orders(text):
     out = {}
     for item in text.split(","):
         try:
-            view, order = (int(part) for part in item.split(":"))
+            view, order = (_natural(part) for part in item.split(":"))
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected view:order pairs such as 0:2,1:0, got {text!r}") from None
+                f"expected non-negative view:order pairs such as 0:2,1:0, got {text!r}") from None
         if view in out:
             raise argparse.ArgumentTypeError(f"names view {view} twice: {text}")
         out[view] = order
     return out
 
 
-def _build_config(args, views):
-    """A ``PipelineConfig`` from the ``run`` flags given; ``--p`` sets only the views it names."""
+def _build_config(args):
+    """A ``PipelineConfig`` from the ``run`` flags given."""
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     settings = {name: value for name, value in vars(args).items()
                 if name in fields and value is not None}
     settings["kernel_params"] = {name: getattr(args, name) for name in ("gamma", "coef0")
                                  if getattr(args, name) is not None}
-    if args.p is not None:
-        missing = sorted(set(args.p) - set(range(len(views))))
-        if missing:
-            raise ValueError(f"--p names views {missing}, but the dataset has {len(views)} views")
-        settings["propagation_orders"] = [args.p.get(v, view.propagation_order)
-                                          for v, view in enumerate(views)]
     return PipelineConfig(**settings)
 
 
 def _exit_code(exc):
     """Documented exit code for an exception class, or None for a program bug."""
-    if isinstance(exc, DataError):
+    if isinstance(exc, (DataError, OSError)):
         return EXIT_DATA
     if isinstance(exc, (ValueError, KeyError, TypeError)):
         return EXIT_CONFIG
@@ -169,18 +174,10 @@ def _single_run(dataset, config, time_limit):
 
 
 def cmd_run(args):
-    # only the graphs of views that propagate, after --p, are read
+    # the views come at their orders after --p; only the graphs they propagate over are read
     dataset = load_dataset(args.dataset, orders=args.p or {})
-    config = _build_config(args, dataset.views)
-    n = dataset.n
-    if max(config.k, config.f + 1) > n:
-        raise ValueError(f"need k <= n and f + 1 <= n for n={n} points, "
-                         f"got k={config.k}, f={config.f}")
-    if config.kernel_components is not None and config.kernel_components > n:
-        raise ValueError(f"need kernel_components <= n={n}, got {config.kernel_components}")
-    if config.f + 1 < config.k:
-        raise ValueError(f"--f {config.f} gives f + 1 = {config.f + 1} spectral vectors, fewer "
-                         f"than k={config.k}; the CPQR start needs f + 1 >= k")
+    config = _build_config(args)
+    config.check_fits(dataset.n)
     for v, view in enumerate(dataset.views):
         if config.f > view.features.shape[1]:
             raise ValueError(f"--f {config.f} (default: k) is above the feature dimension "
@@ -191,11 +188,14 @@ def cmd_run(args):
         raise ValueError(f"--time-limit must be > 0 seconds, got {args.time_limit}")
     os.makedirs(args.output, exist_ok=True)
 
+    orders = [view.propagation_order for view in dataset.views]
     rows = []
     for seed in args.seeds:
         run_config = dataclasses.replace(config, seed=seed)
-        record = {"seed": seed, "config_hash": run_config.hash(), "config": run_config.to_dict(),
-                  **_single_run(dataset, run_config, args.time_limit)}
+        recorded = {**dataclasses.asdict(run_config), "propagation_orders": orders}
+        blob = json.dumps(recorded, sort_keys=True, default=str).encode()
+        record = {"seed": seed, "config_hash": hashlib.sha256(blob).hexdigest()[:16],
+                  "config": recorded, **_single_run(dataset, run_config, args.time_limit)}
         labels = record.pop("labels", None)
         if labels is not None:
             record["labels_path"] = os.path.join(args.output, f"labels_seed{seed}.txt")
@@ -259,8 +259,6 @@ def cmd_prepare(args):
     orders = args.p or [0] * n_files
     if len(orders) != n_files:
         raise ValueError(f"{len(orders)} --p orders for {n_files} feature files")
-    if min(orders) < 0:
-        raise ValueError(f"--p orders must be >= 0, got {orders}")
     if args.self_loops and args.add_knn is None:
         raise ValueError("--self-loops applies to the k-NN view only and needs --add-knn")
     features = [load_features(p) if p.endswith(".bin") else load_text(p)

@@ -322,10 +322,10 @@ def graph_sources(has_graph, orders):
 def load_dataset(path, orders=None):
     """Load and validate a dataset directory.
 
-    ``orders``, if given, maps view indices to propagation orders that replace
-    the manifest's, and then only the graphs that ``graph_sources`` picks are
-    read. Every other view loads without its graph, but every graph file the
-    manifest names must exist.
+    ``orders``, if given, maps view indices to propagation orders (``mvkc run
+    --p``) that replace the manifest's in the views returned; then only the
+    graphs that ``graph_sources`` picks are read. Every other view loads
+    without its graph, but every graph file the manifest names must exist.
     """
     manifest = os.path.join(path, "manifest.txt")
     if not os.path.isfile(manifest):
@@ -346,6 +346,7 @@ def load_dataset(path, orders=None):
                 except ValueError:
                     raise FormatError(f"{manifest}: malformed view line: {line.strip()}") from None
                 graph = None if parts[3] == "none" else os.path.join(path, parts[3])
+                order = (orders or {}).get(len(entries), order)
                 entries.append((graph, os.path.join(path, parts[5]), order))
             elif parts[0] == "labels":
                 if len(parts) != 2:
@@ -355,8 +356,10 @@ def load_dataset(path, orders=None):
                 raise FormatError(f"{manifest}: unknown manifest entry: {parts[0]}")
     read = [graph is not None for graph, _, _ in entries]
     if orders is not None:
-        used = set(graph_sources(read, [orders.get(v, order)
-                                        for v, (_, _, order) in enumerate(entries)]))
+        missing = sorted(set(orders) - set(range(len(entries))))
+        if missing:
+            raise ValueError(f"--p names views {missing}, but the dataset has {len(entries)} views")
+        used = set(graph_sources(read, [order for _, _, order in entries]))
         read = [v in used for v in range(len(entries))]
     views = []
     for (graph, features, order), wanted in zip(entries, read):

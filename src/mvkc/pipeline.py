@@ -1,13 +1,13 @@
 """End-to-end clustering pipeline.
 
-Per view: smooth features, center, take the f leading left singular vectors,
-map them through the kernel feature map, degree-normalize the factor, embed
-and cluster. A view whose centered features have no singular value above
-round-off raises ``FloatingPointError``. Then weight the views by
-clusterability, and run the same normalize/embed/cluster pass once more on
-the consensus for its labels. Every clustering is an int64 label array from
-``kmeans``, started from the seedless ``cpqr_labels``. Never allocates an
-n x n matrix.
+Per view: smooth features at the view's ``propagation_order``, center, take
+the f leading left singular vectors, map them through the kernel feature
+map, degree-normalize the factor, embed and cluster. A view whose centered
+features have no singular value above round-off raises
+``FloatingPointError``. Then weight the views by clusterability, and run the
+same normalize/embed/cluster pass once more on the consensus for its labels.
+Every clustering is an int64 label array from ``kmeans``, started from the
+seedless ``cpqr_labels``. Never allocates an n x n matrix.
 
 The consensus holds each view's top t = 2(f + 1) spectral directions, not its
 whole factor B: the embedding's SVD of B also returns the principal block
@@ -28,9 +28,6 @@ the views so far and the few n x (f + 1) arrays of one spectral embedding.
 everywhere no graph is held.
 """
 
-import dataclasses
-import hashlib
-import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -58,7 +55,6 @@ class PipelineConfig:
     kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k, unset for quadratic
     kernel_params: dict = field(default_factory=dict)
     weight_mode: str = "softmax"
-    propagation_orders: list | None = None  # per-view override
     seed: int = 0  # reaches only Nystroem landmarks and SVDs wider than EXACT_SVD_MAX_DIM
     cache_dir: str | None = None
 
@@ -91,15 +87,18 @@ class PipelineConfig:
             raise ValueError(f"need gamma > 0, got {self.kernel_params['gamma']}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode: {self.weight_mode}")
-        if self.propagation_orders is not None and min(self.propagation_orders, default=0) < 0:
-            raise ValueError(f"propagation orders must be >= 0, got {self.propagation_orders}")
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    def hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    def check_fits(self, n):
+        """Raise ``ValueError`` unless a dataset of n points can carry this
+        run: k, f + 1 and ``kernel_components`` at most n, and f + 1 >= k."""
+        if max(self.k, self.f + 1) > n:
+            raise ValueError(f"need k <= n and f + 1 <= n for n={n} points, "
+                             f"got k={self.k}, f={self.f}")
+        if self.kernel_components is not None and self.kernel_components > n:
+            raise ValueError(f"need kernel_components <= n={n}, got {self.kernel_components}")
+        if self.f + 1 < self.k:
+            raise ValueError(f"--f {self.f} gives f + 1 = {self.f + 1} spectral vectors, fewer than "
+                             f"k={self.k}; the CPQR start needs f + 1 >= k, got f={self.f}, k={self.k}")
 
 
 @dataclass
@@ -141,18 +140,16 @@ def _cluster_factor(B, config, seed, timer, stages, t=None):
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
     """Run the full multi-view clustering pass and return all label arrays.
 
-    ``timings`` maps each stage to its seconds, summed over the views. An
-    exception raised while processing a view keeps its class and carries
-    a ``view <index>`` note.
+    ``timings`` maps each stage to its seconds, summed over the views. A config
+    that does not fit n raises before any view; an exception raised while
+    processing a view keeps its class and carries a ``view <index>`` note.
     """
-    if config.f + 1 < config.k:
-        raise ValueError(f"the CPQR start needs f + 1 >= k, got f={config.f}, k={config.k}")
+    config.check_fits(dataset.n)
     n_views = dataset.n_views
     seeds = _derived_seeds(config.seed, n_views)
     timer = defaultdict(float)  # seconds by stage, summed over views
-    orders = (config.propagation_orders if config.propagation_orders is not None
-              else [view.propagation_order for view in dataset.views])
-    sources = graph_sources([view.graph is not None for view in dataset.views], orders)
+    sources = graph_sources([view.graph is not None for view in dataset.views],
+                            [view.propagation_order for view in dataset.views])
 
     t = 2 * (config.f + 1)  # the most spectral directions a view gives the consensus
     blocks = []
@@ -161,11 +158,11 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     for v, view in enumerate(dataset.views):
         try:
             t0 = time.perf_counter()
-            if orders[v] > 0:
+            if view.propagation_order > 0:
                 if sources[v] is None:
                     raise ValueError("propagation requested but no graph available")
-                X = propagate_cached(dataset.views[sources[v]].graph, view.features, orders[v],
-                                     cache_dir=config.cache_dir)
+                X = propagate_cached(dataset.views[sources[v]].graph, view.features,
+                                     view.propagation_order, cache_dir=config.cache_dir)
             else:
                 X = view.features
             timer["propagation"] += time.perf_counter() - t0

@@ -1,10 +1,15 @@
 """The benchmark's layer probes must all resolve: a probe whose name is gone
-is skipped and its per-layer metrics read 0 without any error."""
+is skipped and its per-layer metrics read 0 without any error. And its traced
+check must hold in-process: one seed's labels and per-call counts repeat."""
 
 import importlib.util
 import os
 
 import pytest
+
+import mvkc.cli
+from mvkc.data import MultiViewDataset, View, save_dataset
+from synth import synth_multiview
 
 PROBES_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "probes.py")
 
@@ -30,3 +35,47 @@ def test_every_probe_resolves():
         except (ImportError, AttributeError):
             unresolved.add(f"{module_name}.{path}")
     assert unresolved == EXPECTED_UNRESOLVED
+
+
+def _counts(probes, spans):
+    """The per-call counts the benchmark's traced check requires to repeat."""
+    calls = probes.counts(spans)
+    return {
+        "truncated_svd.calls": calls.get("linalg.truncated_svd", 0),
+        "truncated_svd.cells": probes.work_sum(spans, "linalg.truncated_svd"),
+        "kmeans.calls": calls.get("kmeans.kmeans", 0),
+        "apply_map.cols": probes.work_sum(spans, "kernels.apply_map"),
+        "load_graph.edges": probes.work_sum(spans, "data.load_graph"),
+    }
+
+
+@pytest.mark.skipif(not os.path.isfile(PROBES_PATH), reason="bench/probes.py not present")
+@pytest.mark.parametrize("graphs", [False, True])
+def test_traced_calls_of_one_seed_repeat_labels_and_counts(tmp_path, graphs):
+    # as the benchmark's traced check: three in-process calls of one seed give
+    # identical labels and counts, the first with a cold propagation cache
+    probes = _load_probes()
+    ds = synth_multiview(400, 3, 2 if graphs else 3, noise=0.3, seed=5)
+    if graphs:
+        extra = ["--p", "0:2,1:2", "--cache-dir", str(tmp_path / "cache")]
+    else:
+        ds = MultiViewDataset([View(view.features) for view in ds.views], ds.labels)
+        extra = ["--kernel", "rbf", "--kernel-components", "40"]
+    save_dataset(ds, tmp_path / "ds")
+    tracer = probes.Tracer()
+    labels, counts, misses = [], [], []
+    for call in range(3):
+        out = tmp_path / f"out{call}"
+        first = len(tracer.spans)
+        with probes.installed(tracer):
+            assert mvkc.cli.main(["run", str(tmp_path / "ds"), "--k", "3", "--seeds", "3",
+                                  "--output", str(out)] + extra) == 0
+        spans = tracer.spans[first:]
+        labels.append((out / "labels_seed3.txt").read_bytes())
+        counts.append(_counts(probes, spans))
+        misses.append(probes.counts(spans).get("propagation.cache_miss", 0))
+    assert labels[1] == labels[0] and labels[2] == labels[0]
+    assert misses == ([2, 0, 0] if graphs else [0, 0, 0])
+    assert counts[1] == counts[0] and counts[2] == counts[0]
+    assert counts[0]["truncated_svd.calls"] > 0 and counts[0]["kmeans.calls"] > 0
+    assert (counts[0]["load_graph.edges"] > 0) == graphs

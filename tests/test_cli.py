@@ -223,6 +223,26 @@ def test_partial_p_keeps_manifest_order_of_other_views(tmp_path):
     assert config["propagation_orders"] == [2, 1]
 
 
+def _run_config(path, out, p):
+    """The hash and the config of a one-seed run's record."""
+    assert main(["run", str(path), "--k", "3", "--f", "2", "--seeds", "0",
+                 "--output", str(out)] + p) == EXIT_OK
+    record = json.loads((out / "run_seed0.json").read_text())
+    return record["config_hash"], record["config"]
+
+
+def test_run_records_effective_orders_and_hashes_them(tmp_path):
+    ds = synth_multiview(60, 3, 2, seed=0)
+    ds.views[0].propagation_order = 1
+    save_dataset(ds, tmp_path / "ds")
+    runs = [_run_config(tmp_path / "ds", tmp_path / str(i), p)
+            for i, p in enumerate([[], ["--p", "0:1"], ["--p", "1:0,0:1"], ["--p", "0:0"]])]
+    assert runs[0][1]["propagation_orders"] == [1, 0]  # the manifest's, without --p
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs[3][1]["propagation_orders"] == [0, 0]
+    assert runs[3][0] != runs[0][0]
+
+
 @pytest.mark.parametrize("extra, setting", [
     (["--temperature", "0"], "temperature"),
     (["--kernel-components", "0"], "kernel_components"),
@@ -268,6 +288,7 @@ def test_run_rejects_f_above_feature_dimension(tmp_path, capsys, extra):
     ("run", "--p", "0:x"),
     ("run", "--seeds", "a"),
     ("run", "--seeds", "0,,1"),
+    ("run", "--seeds", "-1"),
     ("prepare", "--p", "1;2"),
 ])
 def test_unparsable_list_names_flag_and_text(dataset_dir, tmp_path, capsys, command, flag, text):
@@ -505,10 +526,12 @@ def test_prepare_rejects_counts_that_drop_views(tmp_path, extra):
     assert not out.exists()
 
 
-def test_run_rejects_p_for_missing_view(dataset_dir, tmp_path):
+def test_run_rejects_p_for_missing_view(dataset_dir, tmp_path, capsys):
     code = main(["run", dataset_dir, "--k", "3", "--p", "5:2", "--seeds", "0",
                  "--output", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+    assert "--p" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "run_seed0.json").exists()
 
 
 def test_run_rejects_unknown_config_key(dataset_dir, tmp_path):
@@ -577,6 +600,22 @@ def test_negative_propagation_order(dataset_dir, tmp_path):
     manifest.write_text(re.sub(r" p 0\n", " p -1\n", manifest.read_text(), count=1))
     assert main(["run", dataset_dir, "--k", "3", "--seeds", "0",
                  "--output", str(tmp_path / "o2")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["run", "{ds}", "--k", "3", "--seeds", "0", "--output", "{file}/x"], "NotADirectoryError"),
+    (["run", "{ds}", "--k", "3", "--seeds", "0", "--p", "0:1", "--cache-dir", "{file}",
+      "--output", "{out}"], "FileExistsError"),
+    (["prepare", "--features", "{ds}/features_0.bin", "--output", "{file}/x"],
+     "NotADirectoryError"),
+])
+def test_io_error_exits_data(dataset_dir, tmp_path, capsys, argv, error):
+    # a path below a regular file fails whatever the permissions, as root too
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    paths = {"ds": dataset_dir, "file": str(regular), "out": str(tmp_path / "out")}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_DATA
+    assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, content", [

@@ -65,6 +65,17 @@ def test_f_plus_one_below_k_is_rejected():
         run_pipeline(ds, PipelineConfig(k=4, f=2))
 
 
+def test_size_check_comes_before_any_view(monkeypatch):
+    ds = synth_multiview(100, 4, 2, noise=0.1, seed=0)
+    svd_calls = []
+    monkeypatch.setattr(mvkc.pipeline, "truncated_svd",
+                        lambda *args, **kw: svd_calls.append(args) or truncated_svd(*args, **kw))
+    with pytest.raises(ValueError, match=r"k <= n") as excinfo:
+        run_pipeline(ds, PipelineConfig(k=120, f=130))
+    assert not getattr(excinfo.value, "__notes__", None)  # no view note
+    assert svd_calls == []
+
+
 def test_single_view_matches_per_view_path():
     ds = synth_multiview(200, 3, 1, noise=0.05, seed=2)
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0, weight_mode="uniform"))
@@ -86,8 +97,9 @@ def test_two_identical_views_match_single_view():
 def test_propagation_override_and_shared_graph():
     ds = synth_multiview(150, 3, 2, noise=0.2, seed=4)
     # second view loses its graph; propagation falls back to the shared one
-    ds.views[1] = View(ds.views[1].features, None, propagation_order=0)
-    res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0, propagation_orders=[2, 2]))
+    ds.views[0].propagation_order = 2
+    ds.views[1] = View(ds.views[1].features, None, propagation_order=2)
+    res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0))
     assert len(res.consensus) == 150
 
 
@@ -121,7 +133,7 @@ def test_loading_reads_exactly_the_graphs_the_run_propagates_over(tmp_path, monk
         used.clear()
         dataset = load_dataset(path, dict(enumerate(orders)) if override else {})
         read = set(graph_names.values())
-        config = PipelineConfig(k=2, f=2, propagation_orders=list(orders) if override else None)
+        config = PipelineConfig(k=2, f=2)
         if any(orders) and not any(has_graph):
             with pytest.raises(ValueError, match="no graph available"):
                 run_pipeline(dataset, config)
@@ -131,8 +143,8 @@ def test_loading_reads_exactly_the_graphs_the_run_propagates_over(tmp_path, monk
 
 
 def test_propagation_without_any_graph_fails():
-    ds = MultiViewDataset([View(np.random.default_rng(0).normal(size=(50, 4)))])
-    cfg = PipelineConfig(k=2, f=2, propagation_orders=[1])
+    ds = MultiViewDataset([View(np.random.default_rng(0).normal(size=(50, 4)), propagation_order=1)])
+    cfg = PipelineConfig(k=2, f=2)
     with pytest.raises(ValueError, match="view 0"):
         run_pipeline(ds, cfg)
 
