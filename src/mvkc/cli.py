@@ -12,15 +12,16 @@ A missing or malformed input file, any other ``OSError``, or ``eval`` label
 files of different lengths, is a data error. A setting that would be ignored
 or make the run meaningless is a config error: a ``--p`` entry for a view the
 dataset lacks or a view named twice, a kernel parameter the kernel does not
-read, ``--kernel-components`` with ``quadratic``, a temperature, gamma or
-``--time-limit`` that is not positive, too few ``--kernel-components``, an
-``--f`` below 2 with ``quadratic`` or above a view's feature dimension, what
+read, ``--kernel-components`` with ``quadratic``, a temperature or gamma that
+is not positive, too few ``--kernel-components``, an ``--f`` below 2 with
+``quadratic`` or above a view's feature dimension, what
 ``PipelineConfig.check_fits`` rejects (a k, f + 1 or ``--kernel-components``
-above n, f + 1 below k), a repeated seed, ``prepare`` counts of ``--p`` orders
-and ``--graph`` entries that do not fit the feature files, an ``--add-knn``
-below 1 or at least n, or ``--self-loops`` without ``--add-knn``. A ``--p`` or
-``--seeds`` value that does not parse or is negative is an argparse error that
-names the flag and shows the text.
+above n, f + 1 below k), ``prepare`` counts of ``--p`` orders and ``--graph``
+entries that do not fit the feature files, an ``--add-knn`` below 1 or at
+least n, or ``--self-loops`` without ``--add-knn``. A ``--p`` or ``--seeds``
+value that does not parse, is negative or repeats a seed, or a
+``--time-limit`` that is not positive, is an argparse error that names the
+flag and shows the text.
 
 ``run`` writes each seed's consensus labels to ``labels_seed<N>.txt`` and a
 ``run_seed<N>.json`` record of the fields ``_run_seed`` returns; its
@@ -81,6 +82,21 @@ def _int_list(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated non-negative integers, got {text!r}") from None
+
+
+def _seed_list(text):
+    """Distinct seeds, as ``_int_list`` parses them."""
+    seeds = _int_list(text)
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeats a seed: {text!r}")
+    return seeds
+
+
+def _positive(text):
+    """A float above 0."""
+    if float(text) > 0:
+        return float(text)
+    raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
 
 
 def _view_orders(text):
@@ -145,13 +161,6 @@ def _run_seed(dataset, config):
     }
 
 
-def _run_worker(dataset, config, conn):
-    try:
-        conn.send(_run_seed(dataset, config))
-    finally:
-        conn.close()
-
-
 def _single_run(dataset, config, time_limit):
     """One seeded run, optionally bounded by a wall-clock limit.
 
@@ -161,7 +170,8 @@ def _single_run(dataset, config, time_limit):
         return _run_seed(dataset, config)
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe()
-    proc = ctx.Process(target=_run_worker, args=(dataset, config, child))
+    # the child's end of the pipe closes when it exits, so a crash reads as EOF
+    proc = ctx.Process(target=lambda: child.send(_run_seed(dataset, config)))
     proc.start()
     child.close()
     if parent.poll(time_limit):
@@ -182,10 +192,6 @@ def cmd_run(args):
         if config.f > view.features.shape[1]:
             raise ValueError(f"--f {config.f} (default: k) is above the feature dimension "
                              f"d={view.features.shape[1]} of view {v}")
-    if len(set(args.seeds)) != len(args.seeds):
-        raise ValueError(f"--seeds repeats a seed: {args.seeds}")
-    if args.time_limit is not None and args.time_limit <= 0:
-        raise ValueError(f"--time-limit must be > 0 seconds, got {args.time_limit}")
     os.makedirs(args.output, exist_ok=True)
 
     orders = [view.propagation_order for view in dataset.views]
@@ -228,21 +234,15 @@ def _write_aggregate(rows, output):
         agg["runs"].append({k: r.get(k) for k in
                             ("seed", "status", "metrics", "seconds", "weights", "traces")})
     if ok and "metrics" in ok[0]:
-        summary = {}
-        for key in ("ca", "cf1", "nmi", "ari"):
-            vals = np.array([r["metrics"][key] for r in ok])
-            summary[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
-        secs = np.array([r["seconds"] for r in ok])
-        summary["seconds"] = {"mean": float(secs.mean()), "std": float(secs.std())}
+        columns = {key: [r["metrics"][key] for r in ok] for key in ("ca", "cf1", "nmi", "ari")}
+        columns["seconds"] = [r["seconds"] for r in ok]
+        summary = {key: {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
+                   for key, vals in columns.items()}
         agg["summary"] = summary
-        lines.append(
-            "mean±std\t\t"
-            + "\t".join(
-                f"{100 * summary[key]['mean']:.2f}±{100 * summary[key]['std']:.2f}"
-                for key in ("ca", "cf1", "nmi", "ari")
-            )
-            + f"\t{summary['seconds']['mean']:.3f}±{summary['seconds']['std']:.3f}"
-        )
+        cells = [f"{100 * summary[key]['mean']:.2f}±{100 * summary[key]['std']:.2f}"
+                 for key in ("ca", "cf1", "nmi", "ari")]
+        lines.append("mean±std\t\t" + "\t".join(cells)
+                     + f"\t{summary['seconds']['mean']:.3f}±{summary['seconds']['std']:.3f}")
     with open(os.path.join(output, "aggregate.json"), "w") as fh:
         json.dump(agg, fh, indent=2)
     table = "\n".join(lines)
@@ -309,9 +309,9 @@ def build_parser():
     run.add_argument("--gamma", type=float)
     run.add_argument("--coef0", type=float)
     run.add_argument("--p", type=_view_orders, help="per-view propagation orders, e.g. 0:2,1:0")
-    run.add_argument("--seeds", type=_int_list, default="0,1,2,3,4")
+    run.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4")
     run.add_argument("--weight-mode", dest="weight_mode", choices=WEIGHT_MODES)
-    run.add_argument("--time-limit", dest="time_limit", type=float)
+    run.add_argument("--time-limit", dest="time_limit", type=_positive)
     run.add_argument("--cache-dir", dest="cache_dir")
     run.add_argument("--output", required=True)
     run.set_defaults(func=cmd_run)

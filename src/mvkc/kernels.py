@@ -9,8 +9,21 @@ rows, form the landmark kernel matrix, and whiten by its inverse square root.
 implicit affinity of the mapped data is then Phi(U) @ Phi(U).T.
 
 A Nystroem map builds K_nm and its product with the whitening matrix one row
-block at a time, so it never holds an n x m array beside the factor. Each
-kernel block is built in its own buffer, one elementwise step at a time."""
+block at a time, so it never holds an n x m array beside the factor. The
+blocks run on every usable core, one worker thread each, and worker w takes
+blocks w, w + workers, and so on. A row comes out of the same arithmetic
+whichever block holds it, so the factor is bit-identical on any number of
+cores; on one core the partition is that of ``ROW_BLOCK`` alone. The blocks
+in flight hold at most one single-core block plus one row per worker in all.
+Each worker builds its kernel block and its whitened product, one
+elementwise step at a time, in two buffers that the calling thread allocates
+before any worker starts: a buffer freed on a worker thread stays in that
+thread's allocator arena, where the rest of the run cannot reuse it. The
+pool lives for one call, and one core starts no thread, so no thread
+outlives ``apply_map`` (``mvkc run --time-limit`` forks)."""
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg
@@ -24,13 +37,13 @@ EIG_FLOOR = 1e-12
 ROW_BLOCK = 4096
 
 
-def _rbf(X, Y, gamma):
+def _rbf(X, Y, gamma, out=None):
     x2 = np.einsum("ij,ij->i", X, X)
     y2 = np.einsum("ij,ij->i", Y, Y)
     # -2 scales an operand, not the product, so this stays a general matrix
     # multiply when Y is X; X @ X.T would take BLAS's symmetric route, which
     # rounds differently
-    K = X @ (-2.0 * Y).T
+    K = np.matmul(X, (-2.0 * Y).T, out=out)
     K += x2[:, None]
     K += y2
     np.maximum(K, 0.0, out=K)
@@ -38,19 +51,20 @@ def _rbf(X, Y, gamma):
     return np.exp(K, out=K)
 
 
-def _sigmoid(X, Y, slope, coef0):
-    K = X @ Y.T
+def _sigmoid(X, Y, slope, coef0, out=None):
+    K = np.matmul(X, Y.T, out=out)
     K *= slope
     K += coef0
     return np.tanh(K, out=K)
 
 
-def kernel_matrix(kind, X, Y, params):
-    """Exact values of a Nystroem kernel between the rows of X and Y."""
+def kernel_matrix(kind, X, Y, params, out=None):
+    """Exact values of a Nystroem kernel between the rows of X and Y, written
+    into ``out`` (C-ordered, len(X) x len(Y)) when given."""
     if kind == "rbf":
-        return _rbf(X, Y, params["gamma"])
+        return _rbf(X, Y, params["gamma"], out)
     if kind == "sigmoid":
-        return _sigmoid(X, Y, params["slope"], params["coef0"])
+        return _sigmoid(X, Y, params["slope"], params["coef0"], out)
     raise ValueError(f"unknown kernel kind: {kind}")
 
 
@@ -100,8 +114,32 @@ def apply_map(kind, U, m=None, params=None, seed=0):
         raise ValueError("landmark kernel matrix has no positive spectrum")
     evals = np.maximum(evals, floor)
     whiten = (evecs / np.sqrt(evals)) @ evecs.T
-    n_blocks = -(-n // ROW_BLOCK)
-    for b in range(n_blocks):
-        rows = slice(n * b // n_blocks, n * (b + 1) // n_blocks)
-        out[rows] = kernel_matrix(kind, U[rows], landmarks, merged) @ whiten
+    # each worker splits every single-core block once more; an n below
+    # ROW_BLOCK / cores gets fewer workers than cores, so no block is tiny
+    cores = _usable_cores()
+    workers = min(cores, -(-n * cores // ROW_BLOCK))
+    n_blocks = workers * -(-n // ROW_BLOCK)
+    size = -(-n // n_blocks)  # the largest block's rows
+    buffers = [(np.empty((size, m)), np.empty((size, m))) for _ in range(workers)]
+
+    def blocks_of(w):
+        K, P = buffers[w]
+        for b in range(w, n_blocks, workers):
+            start, stop = n * b // n_blocks, n * (b + 1) // n_blocks
+            kernel_matrix(kind, U[start:stop], landmarks, merged, out=K[:stop - start])
+            out[start:stop] = np.matmul(K[:stop - start], whiten, out=P[:stop - start])
+
+    if workers == 1:
+        blocks_of(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(blocks_of, range(workers)))  # re-raises a worker's error
     return out
+
+
+def _usable_cores():
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1

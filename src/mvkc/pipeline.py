@@ -18,12 +18,15 @@ sum_v lambda_v s_{v,t+1}^2 (Eckart-Young).
 
 Memory: a view's factor is normalized in place (the caller of
 ``degree_normalize`` owns the factor it overwrites) and released once its
-labels and clusterability trace are taken. A Nystroem map holds one row
-block of K_nm at a time, and each view's propagated and centered features
-are released once its SVD is taken. The discretization (``cpqr_labels`` and
-``kmeans``) holds O(n) memory beyond the spectral vectors. So beyond the
-input, the resident peak is about one view's n x m_v factor, the blocks of
-the views so far and the few n x (f + 1) arrays of one spectral embedding.
+labels and clusterability trace are taken. A Nystroem map runs its row
+blocks of K_nm on every usable core, and the blocks in flight hold at most
+one single-core block plus a row per worker; the calling thread allocates
+their buffers, and the worker threads live for one ``apply_map`` call. Each
+view's propagated and centered features are released once its SVD is
+taken. The discretization (``cpqr_labels`` and ``kmeans``) holds O(n)
+memory beyond the spectral vectors. So beyond the input, the resident peak
+is about one view's n x m_v factor, the blocks of the views so far and the
+few n x (f + 1) arrays of one spectral embedding.
 ``mvkc run`` loads only the graphs of views that propagate, so with p = 0
 everywhere no graph is held.
 """

@@ -8,6 +8,7 @@ import os
 import pytest
 
 import mvkc.cli
+import mvkc.kernels
 from mvkc.data import MultiViewDataset, View, save_dataset
 from synth import synth_multiview
 
@@ -49,18 +50,10 @@ def _counts(probes, spans):
     }
 
 
-@pytest.mark.skipif(not os.path.isfile(PROBES_PATH), reason="bench/probes.py not present")
-@pytest.mark.parametrize("graphs", [False, True])
-def test_traced_calls_of_one_seed_repeat_labels_and_counts(tmp_path, graphs):
-    # as the benchmark's traced check: three in-process calls of one seed give
-    # identical labels and counts, the first with a cold propagation cache
+def _traced_calls(tmp_path, ds, extra):
+    """Labels, per-call counts and propagation cache misses of three traced
+    in-process calls of one seed, the first with a cold propagation cache."""
     probes = _load_probes()
-    ds = synth_multiview(400, 3, 2 if graphs else 3, noise=0.3, seed=5)
-    if graphs:
-        extra = ["--p", "0:2,1:2", "--cache-dir", str(tmp_path / "cache")]
-    else:
-        ds = MultiViewDataset([View(view.features) for view in ds.views], ds.labels)
-        extra = ["--kernel", "rbf", "--kernel-components", "40"]
     save_dataset(ds, tmp_path / "ds")
     tracer = probes.Tracer()
     labels, counts, misses = [], [], []
@@ -74,8 +67,38 @@ def test_traced_calls_of_one_seed_repeat_labels_and_counts(tmp_path, graphs):
         labels.append((out / "labels_seed3.txt").read_bytes())
         counts.append(_counts(probes, spans))
         misses.append(probes.counts(spans).get("propagation.cache_miss", 0))
+    return labels, counts, misses
+
+
+@pytest.mark.skipif(not os.path.isfile(PROBES_PATH), reason="bench/probes.py not present")
+@pytest.mark.parametrize("graphs", [False, True])
+def test_traced_calls_of_one_seed_repeat_labels_and_counts(tmp_path, graphs):
+    # as the benchmark's traced check: three in-process calls of one seed give
+    # identical labels and counts, the first with a cold propagation cache
+    ds = synth_multiview(400, 3, 2 if graphs else 3, noise=0.3, seed=5)
+    if graphs:
+        extra = ["--p", "0:2,1:2", "--cache-dir", str(tmp_path / "cache")]
+    else:
+        ds = MultiViewDataset([View(view.features) for view in ds.views], ds.labels)
+        extra = ["--kernel", "rbf", "--kernel-components", "40"]
+    labels, counts, misses = _traced_calls(tmp_path, ds, extra)
     assert labels[1] == labels[0] and labels[2] == labels[0]
     assert misses == ([2, 0, 0] if graphs else [0, 0, 0])
     assert counts[1] == counts[0] and counts[2] == counts[0]
     assert counts[0]["truncated_svd.calls"] > 0 and counts[0]["kmeans.calls"] > 0
     assert (counts[0]["load_graph.edges"] > 0) == graphs
+
+
+@pytest.mark.skipif(not os.path.isfile(PROBES_PATH), reason="bench/probes.py not present")
+def test_traced_calls_repeat_when_the_nystroem_map_runs_on_worker_threads(tmp_path,
+                                                                         monkeypatch):
+    # n above two row blocks: the map's blocks run on two worker threads,
+    # while the probes' spans stay on the calling thread
+    monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: 2)
+    ds = synth_multiview(9000, 3, 2, noise=0.3, seed=5)
+    assert ds.n > 2 * mvkc.kernels.ROW_BLOCK
+    ds = MultiViewDataset([View(view.features) for view in ds.views], ds.labels)
+    labels, counts, _ = _traced_calls(tmp_path, ds, ["--kernel", "rbf", "--kernel-components", "40"])
+    assert labels[1] == labels[0] and labels[2] == labels[0]
+    assert counts[1] == counts[0] and counts[2] == counts[0]
+    assert counts[0]["apply_map.cols"] == 2 * 40

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mvkc.cli
+import mvkc.kernels
 from mvkc.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -176,6 +177,19 @@ def test_run_timeout(tmp_path):
     assert code == EXIT_TIMEOUT
     record = json.loads((out / "run_seed0.json").read_text())
     assert record["status"] == "Timeout"
+
+
+def test_time_limited_rbf_run_after_an_in_process_one_exits_ok(tmp_path, monkeypatch):
+    # both runs map on two worker threads; the in-process run leaves no pool
+    # behind for the forked child of --time-limit to inherit
+    monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: 2)
+    ds = synth_multiview(mvkc.kernels.ROW_BLOCK + 1000, 3, 2, noise=0.1, seed=0)
+    save_dataset(ds, tmp_path / "ds")
+    argv = ["run", str(tmp_path / "ds"), "--k", "3", "--seeds", "0", "--kernel", "rbf"]
+    assert main(argv + ["--output", str(tmp_path / "in")]) == EXIT_OK
+    assert main(argv + ["--time-limit", "60", "--output", str(tmp_path / "forked")]) == EXIT_OK
+    labels = [(tmp_path / out / "labels_seed0.txt").read_bytes() for out in ("in", "forked")]
+    assert labels[1] == labels[0]
 
 
 def test_run_missing_dataset_exits_data(tmp_path):

@@ -1,7 +1,11 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import mvkc.kernels
 from mvkc.kernels import EIG_FLOOR, apply_map, default_params, kernel_matrix
 
 
@@ -142,15 +146,47 @@ def whole_map_oracle(kind, U, m, seed):
 
 @pytest.mark.parametrize("n", [100, 4097, 8193, 12289])
 @pytest.mark.parametrize("kind", ["rbf", "sigmoid", "quadratic"])
-def test_map_written_into_out_equals_the_whole_map(kind, n):
-    # apply_map writes the map, row block by row block, into the column-major
-    # array it returns; n just above a multiple of the row block, where a
-    # short tail block would take another BLAS route
+def test_map_written_into_out_equals_the_whole_map(kind, n, monkeypatch):
+    # apply_map writes the map, row block by row block and on every core, into
+    # the column-major array it returns; n just above a multiple of the row
+    # block, where a short tail block would take another BLAS route
     f, m = 6, 40
     U = np.asfortranarray(np.random.default_rng(n).normal(size=(n, f)))
     m = None if kind == "quadratic" else m
     expected = whole_map_oracle(kind, U, m, seed=5)
     assert expected.flags.c_contiguous
-    out = apply_map(kind, U, m, seed=5)
-    assert out.flags.f_contiguous
-    assert np.array_equal(out, expected)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: cores)
+        out = apply_map(kind, U, m, seed=5)
+        assert out.flags.f_contiguous
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("kind", ["rbf", "sigmoid"])
+def test_map_of_a_features_rbf_view_has_the_same_bits_on_any_core_count(kind, monkeypatch):
+    # one features-rbf view: n = 50000, f = 10, m = 100; no thread outlives a call
+    U = np.asfortranarray(np.random.default_rng(8).normal(size=(50000, 10)))
+    expected = whole_map_oracle(kind, U, 100, seed=2)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: cores)
+        threads = threading.active_count()
+        assert np.array_equal(apply_map(kind, U, 100, seed=2), expected)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("kind", ["rbf", "sigmoid"])
+def test_map_on_more_cores_takes_no_more_memory(kind, monkeypatch):
+    # the blocks in flight hold at most one single-core block plus a row per
+    # worker; each worker's own temporaries, such as numpy's 64 KiB iterator
+    # buffer of a broadcast step, stay within 1% at m = 300
+    U = np.asfortranarray(np.random.default_rng(9).normal(size=(50000, 10)))
+    peaks = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: cores)
+        tracemalloc.start()
+        try:
+            out = apply_map(kind, U, 300, seed=2)
+            peaks[cores] = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.01 * peaks[1] and peaks[3] <= 1.01 * peaks[1]
