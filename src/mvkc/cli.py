@@ -11,17 +11,19 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure.
 A missing or malformed input file, any other ``OSError``, or ``eval`` label
 files of different lengths, is a data error. A setting that would be ignored
 or make the run meaningless is a config error: a ``--p`` entry for a view the
-dataset lacks or a view named twice, a kernel parameter the kernel does not
-read, ``--kernel-components`` with ``quadratic``, a temperature or gamma that
-is not positive, too few ``--kernel-components``, an ``--f`` below 2 with
-``quadratic`` or above a view's feature dimension, what
-``PipelineConfig.check_fits`` rejects (a k, f + 1 or ``--kernel-components``
-above n, f + 1 below k), ``prepare`` counts of ``--p`` orders and ``--graph``
-entries that do not fit the feature files, an ``--add-knn`` below 1 or at
-least n, or ``--self-loops`` without ``--add-knn``. A ``--p`` or ``--seeds``
-value that does not parse, is negative or repeats a seed, or a
-``--time-limit`` that is not positive, is an argparse error that names the
-flag and shows the text.
+dataset lacks or a view named twice, a view that propagates when the dataset
+has no graph, ``--gamma`` or ``--kernel-components`` with ``quadratic``, a
+temperature or gamma that is not finite and positive, too few
+``--kernel-components``, an ``--f`` below 2 with ``quadratic`` or above a
+view's feature dimension, what ``PipelineConfig.check_fits`` rejects (a k,
+f + 1 or ``--kernel-components`` above n, f + 1 below k), ``prepare`` counts
+of ``--p`` orders and ``--graph`` entries that do not fit the feature files,
+an ``--add-knn`` below 1 or at least n, or ``--self-loops`` without
+``--add-knn``. A ``--p`` or ``--seeds`` value that does not parse, is
+negative or repeats a seed, a ``--kernel`` other than ``quadratic`` or
+``rbf``, or a ``--time-limit`` that is not positive or is above
+``MAX_TIME_LIMIT`` seconds, is an argparse error that names the flag and
+shows the text.
 
 ``run`` writes each seed's consensus labels to ``labels_seed<N>.txt`` and a
 ``run_seed<N>.json`` record of the fields ``_run_seed`` returns; its
@@ -66,6 +68,8 @@ EXIT_TIMEOUT = 4
 EXIT_NUMERIC = 5
 ERROR_LABELS = {EXIT_CONFIG: "config error", EXIT_DATA: "data error",
                 EXIT_NUMERIC: "numeric failure"}
+# the wait for a time-limited run is a poll() of at most 2**31 - 1 ms
+MAX_TIME_LIMIT = (2**31 - 1) // 1000
 
 
 def _natural(text):
@@ -92,11 +96,11 @@ def _seed_list(text):
     return seeds
 
 
-def _positive(text):
-    """A float above 0."""
-    if float(text) > 0:
+def _time_limit(text):
+    """Seconds above 0 and at most ``MAX_TIME_LIMIT``."""
+    if 0 < float(text) <= MAX_TIME_LIMIT:
         return float(text)
-    raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be > 0 and <= {MAX_TIME_LIMIT} s, got {text!r}")
 
 
 def _view_orders(text):
@@ -117,11 +121,8 @@ def _view_orders(text):
 def _build_config(args):
     """A ``PipelineConfig`` from the ``run`` flags given."""
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    settings = {name: value for name, value in vars(args).items()
-                if name in fields and value is not None}
-    settings["kernel_params"] = {name: getattr(args, name) for name in ("gamma", "coef0")
-                                 if getattr(args, name) is not None}
-    return PipelineConfig(**settings)
+    return PipelineConfig(**{name: value for name, value in vars(args).items()
+                             if name in fields and value is not None})
 
 
 def _exit_code(exc):
@@ -307,11 +308,10 @@ def build_parser():
     run.add_argument("--kernel", choices=KERNEL_KINDS)
     run.add_argument("--kernel-components", dest="kernel_components", type=int)
     run.add_argument("--gamma", type=float)
-    run.add_argument("--coef0", type=float)
     run.add_argument("--p", type=_view_orders, help="per-view propagation orders, e.g. 0:2,1:0")
     run.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4")
     run.add_argument("--weight-mode", dest="weight_mode", choices=WEIGHT_MODES)
-    run.add_argument("--time-limit", dest="time_limit", type=_positive)
+    run.add_argument("--time-limit", dest="time_limit", type=_time_limit)
     run.add_argument("--cache-dir", dest="cache_dir")
     run.add_argument("--output", required=True)
     run.set_defaults(func=cmd_run)

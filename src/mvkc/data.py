@@ -326,6 +326,8 @@ def load_dataset(path, orders=None):
     --p``) that replace the manifest's in the views returned; then only the
     graphs that ``graph_sources`` picks are read. Every other view loads
     without its graph, but every graph file the manifest names must exist.
+    A view that propagates when the dataset has no graph raises
+    ``ValueError`` before any file but the manifest is read.
     """
     manifest = os.path.join(path, "manifest.txt")
     if not os.path.isfile(manifest):
@@ -355,12 +357,15 @@ def load_dataset(path, orders=None):
             else:
                 raise FormatError(f"{manifest}: unknown manifest entry: {parts[0]}")
     read = [graph is not None for graph, _, _ in entries]
+    missing = sorted(set(orders or {}) - set(range(len(entries))))
+    if missing:
+        raise ValueError(f"--p names views {missing}, but the dataset has {len(entries)} views")
+    sources = graph_sources(read, [order for _, _, order in entries])
+    for v, ((_, _, order), source) in enumerate(zip(entries, sources)):
+        if order > 0 and source is None:
+            raise ValueError(f"view {v} propagates at order {order}, but the dataset has no graph")
     if orders is not None:
-        missing = sorted(set(orders) - set(range(len(entries))))
-        if missing:
-            raise ValueError(f"--p names views {missing}, but the dataset has {len(entries)} views")
-        used = set(graph_sources(read, [order for _, _, order in entries]))
-        read = [v in used for v in range(len(entries))]
+        read = [v in sources for v in range(len(entries))]
     views = []
     for (graph, features, order), wanted in zip(entries, read):
         if graph is not None and not wanted and not os.path.isfile(graph):

@@ -24,8 +24,10 @@ DEGREE_FLOOR = 1e-12
 def implicit_degrees(B):
     """Row sums of the implicit affinity, computed as B @ (B.T @ 1).
 
-    Nonpositive degrees (possible with indefinite kernels such as sigmoid)
-    are counted, warned about, and floored at a relative epsilon.
+    Nonpositive degrees are counted, warned about, and floored at a relative
+    epsilon. Both kernels are nonnegative, but a Nystroem factor only
+    approximates its kernel, so a row's affinity sum can come out at or
+    below zero; so can that of a zero row.
     """
     d = B @ B.sum(axis=0)
     nonpositive = int(np.count_nonzero(d <= 0.0))

@@ -2,14 +2,14 @@
 takes them.
 
 ``quadratic``, (u.v)^2, has an exact f(f+1)/2-dimensional map. ``rbf``,
-exp(-gamma |u - v|^2), and ``sigmoid``, tanh(slope u.v + coef0), are
-infinite-dimensional and get landmark (Nystroem) approximations: sample m
-rows, form the landmark kernel matrix, and whiten by its inverse square root.
-``apply_map`` does either in one call and returns the factor Phi(U); the
-implicit affinity of the mapped data is then Phi(U) @ Phi(U).T.
+exp(-gamma |u - v|^2) with gamma its one parameter, is infinite-dimensional
+and gets a landmark (Nystroem) approximation: sample m rows, form the
+landmark kernel matrix, and whiten by its inverse square root. ``apply_map``
+does either in one call and returns the factor Phi(U); the implicit affinity
+of the mapped data is then Phi(U) @ Phi(U).T.
 
-A Nystroem map builds K_nm and its product with the whitening matrix one row
-block at a time, so it never holds an n x m array beside the factor. The
+The Nystroem map builds K_nm and its product with the whitening matrix one
+row block at a time, so it never holds an n x m array beside the factor. The
 blocks run on every usable core, one worker thread each, and worker w takes
 blocks w, w + workers, and so on. A row comes out of the same arithmetic
 whichever block holds it, so the factor is bit-identical on any number of
@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import scipy.linalg
 
-KERNEL_KINDS = ("quadratic", "rbf", "sigmoid")
+KERNEL_KINDS = ("quadratic", "rbf")
 
 # relative eigenvalue floor when inverting the landmark kernel matrix
 EIG_FLOOR = 1e-12
@@ -37,7 +37,9 @@ EIG_FLOOR = 1e-12
 ROW_BLOCK = 4096
 
 
-def _rbf(X, Y, gamma, out=None):
+def rbf_kernel(X, Y, gamma, out=None):
+    """exp(-gamma |x - y|^2) between the rows of X and Y, written into
+    ``out`` (C-ordered, len(X) x len(Y)) when given."""
     x2 = np.einsum("ij,ij->i", X, X)
     y2 = np.einsum("ij,ij->i", Y, Y)
     # -2 scales an operand, not the product, so this stays a general matrix
@@ -51,40 +53,15 @@ def _rbf(X, Y, gamma, out=None):
     return np.exp(K, out=K)
 
 
-def _sigmoid(X, Y, slope, coef0, out=None):
-    K = np.matmul(X, Y.T, out=out)
-    K *= slope
-    K += coef0
-    return np.tanh(K, out=K)
-
-
-def kernel_matrix(kind, X, Y, params, out=None):
-    """Exact values of a Nystroem kernel between the rows of X and Y, written
-    into ``out`` (C-ordered, len(X) x len(Y)) when given."""
-    if kind == "rbf":
-        return _rbf(X, Y, params["gamma"], out)
-    if kind == "sigmoid":
-        return _sigmoid(X, Y, params["slope"], params["coef0"], out)
-    raise ValueError(f"unknown kernel kind: {kind}")
-
-
-def default_params(kind, input_dim):
-    """Every parameter the kernel reads, at its default value."""
-    if kind == "rbf":
-        return {"gamma": 1.0 / input_dim}
-    if kind == "sigmoid":
-        return {"slope": 1.0 / input_dim, "coef0": 0.0}
-    return {}
-
-
-def apply_map(kind, U, m=None, params=None, seed=0):
+def apply_map(kind, U, m=None, gamma=None, seed=0):
     """Map each row of the n x f matrix U through Phi and return the n x m
     factor matrix, a new column-major array.
 
-    The quadratic map is exact, with m = f(f+1)/2. Nystroem maps sample m
-    landmark rows uniformly without replacement and return the landmark
-    kernel values K_nm times the inverse square root of the landmark kernel
-    matrix K_mm (eigenvalues floored at a relative threshold).
+    The quadratic map is exact, with m = f(f+1)/2. The rbf map, at gamma or
+    else 1/f, samples m landmark rows uniformly without replacement and
+    returns the landmark kernel values K_nm times the inverse square root of
+    the landmark kernel matrix K_mm (eigenvalues floored at a relative
+    threshold).
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind: {kind}")
@@ -102,11 +79,11 @@ def apply_map(kind, U, m=None, params=None, seed=0):
             np.multiply(np.sqrt(2.0) * U[:, i:i + 1], U[:, i + 1:], out=out[:, start:stop])
             start = stop
         return out
-    merged = default_params(kind, f)
-    merged.update(params or {})
+    if gamma is None:
+        gamma = 1.0 / f
     rng = np.random.default_rng(seed)
     landmarks = U[np.sort(rng.choice(n, size=m, replace=False))]
-    K_mm = kernel_matrix(kind, landmarks, landmarks, merged)
+    K_mm = rbf_kernel(landmarks, landmarks, gamma)
     K_mm = 0.5 * (K_mm + K_mm.T)
     evals, evecs = scipy.linalg.eigh(K_mm)
     floor = EIG_FLOOR * max(evals.max(), 0.0)
@@ -126,7 +103,7 @@ def apply_map(kind, U, m=None, params=None, seed=0):
         K, P = buffers[w]
         for b in range(w, n_blocks, workers):
             start, stop = n * b // n_blocks, n * (b + 1) // n_blocks
-            kernel_matrix(kind, U[start:stop], landmarks, merged, out=K[:stop - start])
+            rbf_kernel(U[start:stop], landmarks, gamma, out=K[:stop - start])
             out[start:stop] = np.matmul(K[:stop - start], whiten, out=P[:stop - start])
 
     if workers == 1:

@@ -31,15 +31,16 @@ few n x (f + 1) arrays of one spectral embedding.
 everywhere no graph is held.
 """
 
+import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultiViewDataset, graph_sources
 from .embedding import degree_normalize, implicit_degrees, spectral_embedding
-from .kernels import KERNEL_KINDS, apply_map, default_params
+from .kernels import KERNEL_KINDS, apply_map
 from .kmeans import cpqr_labels, kmeans
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
@@ -56,7 +57,7 @@ class PipelineConfig:
     temperature: float = 0.1
     kernel: str = "quadratic"
     kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k, unset for quadratic
-    kernel_params: dict = field(default_factory=dict)
+    gamma: float | None = None  # the rbf width; defaults to 1/f, unset for quadratic
     weight_mode: str = "softmax"
     seed: int = 0  # reaches only Nystroem landmarks and SVDs wider than EXACT_SVD_MAX_DIM
     cache_dir: str | None = None
@@ -70,24 +71,23 @@ class PipelineConfig:
             raise ValueError(f"need k >= 2 clusters, got {self.k}")
         if self.f < 1:
             raise ValueError(f"need f >= 1 components, got {self.f}")
-        if self.temperature <= 0:
-            raise ValueError(f"need temperature > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"need a finite temperature > 0, got {self.temperature}")
         # the embedding needs f + 1 columns: quadratic maps to f(f+1)/2 of them,
         # a Nystroem kernel to kernel_components
         if self.kernel == "quadratic":
             if self.kernel_components is not None:
                 raise ValueError("kernel quadratic does not read kernel_components")
+            if self.gamma is not None:
+                raise ValueError("kernel quadratic does not read gamma")
             if self.f < 2:
                 raise ValueError(f"kernel quadratic needs f >= 2, got f={self.f}")
         elif self.kernel_components < self.f + 1:
             raise ValueError(f"need kernel_components >= {self.f + 1}, got {self.kernel_components}")
         if self.kernel not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel: {self.kernel}")
-        unused = sorted(set(self.kernel_params) - set(default_params(self.kernel, self.f)))
-        if unused:
-            raise ValueError(f"kernel {self.kernel} does not read {unused}")
-        if self.kernel_params.get("gamma", 1.0) <= 0:
-            raise ValueError(f"need gamma > 0, got {self.kernel_params['gamma']}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"need a finite gamma > 0, got {self.gamma}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode: {self.weight_mode}")
 
@@ -182,7 +182,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
 
             t0 = time.perf_counter()
             B = apply_map(config.kernel, svd.U, m=config.kernel_components,
-                          params=config.kernel_params, seed=seeds[v])
+                          gamma=config.gamma, seed=seeds[v])
             timer["kernel_map"] += time.perf_counter() - t0
             del svd
 

@@ -104,7 +104,8 @@ def test_multi_seed_run_matches_single_seed_runs(dataset_dir, tmp_path, monkeypa
 def _failing_dataset(tmp_path, kind):
     rng = np.random.default_rng(0)
     if kind == "config":
-        # propagation is requested below, but no view has a graph
+        # propagation is requested below, but no view has a graph: the load
+        # finds it, before any seed
         views = [View(rng.normal(size=(40, 4)))]
     else:
         # star graph: the hub sums 39 leaves of ~1e308, which overflows
@@ -121,11 +122,15 @@ def _failing_dataset(tmp_path, kind):
 @pytest.mark.parametrize("kind, expected", [("config", EXIT_CONFIG),
                                             ("numeric", EXIT_NUMERIC)])
 @pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
-def test_view_failure_exit_code(tmp_path, kind, expected, time_limit):
+def test_view_failure_exit_code(tmp_path, capsys, kind, expected, time_limit):
     out = tmp_path / "out"
     code = main(["run", _failing_dataset(tmp_path, kind), "--k", "2", "--f", "2",
                  "--p", "0:2", "--seeds", "0,1", "--output", str(out)] + time_limit)
     assert code == expected
+    if kind == "config":
+        assert "view 0" in capsys.readouterr().err
+        assert not (out / "run_seed0.json").exists()
+        return
     for seed in (0, 1):  # the failed seed is recorded and the next one still runs
         record = json.loads((out / f"run_seed{seed}.json").read_text())
         assert record["status"] == "Error"
@@ -262,7 +267,7 @@ def test_run_records_effective_orders_and_hashes_them(tmp_path):
     (["--kernel-components", "0"], "kernel_components"),
     (["--kernel", "rbf", "--gamma", "-5"], "gamma"),
     (["--kernel", "rbf", "--kernel-components", "3"], "kernel_components"),  # f + 1 = 4
-    (["--kernel", "sigmoid", "--kernel-components", "1"], "kernel_components"),
+    (["--kernel", "rbf", "--kernel-components", "1"], "kernel_components"),
     (["--time-limit", "0"], "time-limit"),
     (["--time-limit", "-1"], "time-limit"),
     (["--seeds", "0,0"], "seeds"),
@@ -274,6 +279,14 @@ def test_run_records_effective_orders_and_hashes_them(tmp_path):
     (["--k", "150"], "f + 1 <= n"),  # f defaults to k
     (["--f", "2", "--k", "151"], "k <= n"),
     (["--f", "2", "--k", "4"], "--f 2 gives f + 1 = 3 spectral vectors, fewer than k=4"),
+    (["--kernel", "rbf", "--gamma", "nan"], "gamma"),
+    (["--kernel", "rbf", "--gamma", "inf"], "gamma"),
+    (["--temperature", "nan"], "temperature"),
+    (["--temperature", "inf"], "temperature"),
+    (["--time-limit", "inf"], "time-limit"),
+    (["--time-limit", "2200000"], "time-limit"),  # above poll's 2**31 - 1 ms
+    (["--kernel", "sigmoid"], "--kernel"),
+    (["--kernel", "rbf", "--coef0", "1"], "--coef0"),
 ])
 def test_meaningless_setting_fails_before_any_seed(dataset_dir, tmp_path, capsys,
                                                    extra, setting):
@@ -581,19 +594,17 @@ def test_missing_args_file_exits_config(dataset_dir, tmp_path, capsys):
 
 def test_run_config_uses_the_names_users_type(dataset_dir, tmp_path):
     out = tmp_path / "out"
-    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--kernel", "sigmoid",
-                 "--coef0", "1", "--kernel-components", "20", "--weight-mode", "negated",
+    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--kernel", "rbf",
+                 "--gamma", "0.5", "--kernel-components", "20", "--weight-mode", "negated",
                  "--seeds", "0", "--output", str(out)]) == EXIT_OK
     config = json.loads((out / "run_seed0.json").read_text())["config"]
-    assert config["kernel"] == "sigmoid" and config["weight_mode"] == "negated"
-    assert config["kernel_params"] == {"coef0": 1.0}
+    assert config["kernel"] == "rbf" and config["weight_mode"] == "negated"
+    assert config["gamma"] == 0.5
 
 
 @pytest.mark.parametrize("extra", [
     ["--gamma", "5"],  # the default kernel is quadratic
     ["--kernel", "quadratic", "--gamma", "5"],
-    ["--kernel", "sigmoid", "--gamma", "5"],
-    ["--kernel", "rbf", "--coef0", "1"],
 ])
 def test_run_rejects_kernel_parameter_the_kernel_does_not_read(dataset_dir, tmp_path, extra):
     code = main(["run", dataset_dir, "--k", "3", "--seeds", "0",

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import mvkc.kernels
-from mvkc.kernels import EIG_FLOOR, apply_map, default_params, kernel_matrix
+from mvkc.kernels import EIG_FLOOR, apply_map, rbf_kernel
 
 
 def test_quadratic_output_dim():
@@ -35,7 +35,7 @@ def test_rbf_full_landmarks_exact():
     rng = np.random.default_rng(1)
     U = rng.normal(size=(150, 5))
     Phi = apply_map("rbf", U, m=150, seed=0)
-    exact = kernel_matrix("rbf", U, U, default_params("rbf", 5))
+    exact = rbf_kernel(U, U, 1.0 / 5)  # the default gamma, 1/f
     assert np.abs(Phi @ Phi.T - exact).max() < 1e-6
 
 
@@ -43,20 +43,29 @@ def test_rbf_random_pair_products():
     rng = np.random.default_rng(2)
     U = rng.normal(size=(100, 4))
     Phi = apply_map("rbf", U, m=100, seed=3)
-    exact = kernel_matrix("rbf", U, U, default_params("rbf", 4))
+    exact = rbf_kernel(U, U, 1.0 / 4)
     for _ in range(100):
         i, j = rng.integers(0, 100, size=2)
         assert abs(Phi[i] @ Phi[j] - exact[i, j]) < 1e-6
 
 
-def test_sigmoid_landmarks_deterministic():
+def test_rbf_landmarks_follow_the_seed():
     rng = np.random.default_rng(4)
     U = rng.normal(size=(500, 4))
-    a = apply_map("sigmoid", U, m=50, seed=9)
-    b = apply_map("sigmoid", U, m=50, seed=9)
+    a = apply_map("rbf", U, m=50, seed=9)
+    b = apply_map("rbf", U, m=50, seed=9)
     assert np.array_equal(a, b)
-    c = apply_map("sigmoid", U, m=50, seed=10)
+    c = apply_map("rbf", U, m=50, seed=10)
     assert not np.array_equal(a, c)
+
+
+def test_rbf_gamma_sets_the_kernel_width():
+    rng = np.random.default_rng(3)
+    U = rng.normal(size=(60, 3))
+    Phi = apply_map("rbf", U, m=60, gamma=0.25, seed=1)
+    assert np.abs(Phi @ Phi.T - rbf_kernel(U, U, 0.25)).max() < 1e-6
+    assert np.array_equal(apply_map("rbf", U, m=60, gamma=1.0 / 3, seed=1),
+                          apply_map("rbf", U, m=60, seed=1))
 
 
 def test_nystroem_m_too_large():
@@ -102,10 +111,6 @@ def rbf_oracle(X, Y, gamma):
     return np.exp(-gamma * d2)
 
 
-def sigmoid_oracle(X, Y, slope, coef0):
-    return np.tanh(slope * (X @ Y.T) + coef0)
-
-
 @pytest.mark.parametrize("n, m, f", [(1, 1, 1), (7, 3, 2), (200, 40, 5), (513, 100, 16)])
 @pytest.mark.parametrize("same", [False, True], ids=["landmarks", "self"])
 def test_in_place_blocks_match_out_of_place_expressions(n, m, f, same):
@@ -114,11 +119,7 @@ def test_in_place_blocks_match_out_of_place_expressions(n, m, f, same):
     # Y is X itself, as for the landmark matrix K_mm, or m of its rows, as
     # for K_nm: each row of Y meets itself in X, where d^2 is pure round-off
     Y = X if same else X[np.sort(rng.choice(n, size=min(m, n), replace=False))]
-    rbf = {"gamma": 0.7}
-    sigmoid = {"slope": 1.0 / f, "coef0": 0.3}
-    assert np.array_equal(kernel_matrix("rbf", X, Y, rbf), rbf_oracle(X, Y, **rbf))
-    assert np.array_equal(kernel_matrix("sigmoid", X, Y, sigmoid),
-                          sigmoid_oracle(X, Y, **sigmoid))
+    assert np.array_equal(rbf_kernel(X, Y, 0.7), rbf_oracle(X, Y, 0.7))
     if n >= 200:  # the larger shapes hold rows where d^2 rounds below 0
         x2 = np.einsum("ij,ij->i", X, X)
         y2 = np.einsum("ij,ij->i", Y, Y)
@@ -127,7 +128,7 @@ def test_in_place_blocks_match_out_of_place_expressions(n, m, f, same):
 
 def whole_map_oracle(kind, U, m, seed):
     """The map as one expression over all n rows, C-ordered: U**2 beside
-    sqrt(2) U_i U_j, or the whole K_nm times the whitening matrix."""
+    sqrt(2) U_i U_j, or the whole rbf K_nm times the whitening matrix."""
     n, f = U.shape
     if kind == "quadratic":
         iu, ju = np.triu_indices(f, k=1)
@@ -135,17 +136,16 @@ def whole_map_oracle(kind, U, m, seed):
         out[:, :f] = U**2
         out[:, f:] = np.sqrt(2.0) * U[:, iu] * U[:, ju]
         return out
-    params = default_params(kind, f)
     landmarks = U[np.sort(np.random.default_rng(seed).choice(n, size=m, replace=False))]
-    K_mm = kernel_matrix(kind, landmarks, landmarks, params)
+    K_mm = rbf_kernel(landmarks, landmarks, 1.0 / f)
     evals, evecs = scipy.linalg.eigh(0.5 * (K_mm + K_mm.T))
     evals = np.maximum(evals, EIG_FLOOR * evals.max())
     whiten = (evecs / np.sqrt(evals)) @ evecs.T
-    return kernel_matrix(kind, U, landmarks, params) @ whiten
+    return rbf_kernel(U, landmarks, 1.0 / f) @ whiten
 
 
 @pytest.mark.parametrize("n", [100, 4097, 8193, 12289])
-@pytest.mark.parametrize("kind", ["rbf", "sigmoid", "quadratic"])
+@pytest.mark.parametrize("kind", ["rbf", "quadratic"])
 def test_map_written_into_out_equals_the_whole_map(kind, n, monkeypatch):
     # apply_map writes the map, row block by row block and on every core, into
     # the column-major array it returns; n just above a multiple of the row
@@ -162,7 +162,7 @@ def test_map_written_into_out_equals_the_whole_map(kind, n, monkeypatch):
         assert np.array_equal(out, expected)
 
 
-@pytest.mark.parametrize("kind", ["rbf", "sigmoid"])
+@pytest.mark.parametrize("kind", ["rbf"])
 def test_map_of_a_features_rbf_view_has_the_same_bits_on_any_core_count(kind, monkeypatch):
     # one features-rbf view: n = 50000, f = 10, m = 100; no thread outlives a call
     U = np.asfortranarray(np.random.default_rng(8).normal(size=(50000, 10)))
@@ -174,7 +174,7 @@ def test_map_of_a_features_rbf_view_has_the_same_bits_on_any_core_count(kind, mo
         assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("kind", ["rbf", "sigmoid"])
+@pytest.mark.parametrize("kind", ["rbf"])
 def test_map_on_more_cores_takes_no_more_memory(kind, monkeypatch):
     # the blocks in flight hold at most one single-core block plus a row per
     # worker; each worker's own temporaries, such as numpy's 64 KiB iterator

@@ -162,7 +162,7 @@ def _spectral_vectors(n, k, kernel):
     degree normalization and the spectral embedding, with f = k."""
     X = synth_multiview(n, k, 1, noise=0.3, seed=n + k).views[0].features
     svd = truncated_svd(center_columns(X), k, seed=k)
-    B = apply_map(kernel, svd.U, m=None if kernel == "quadratic" else 10 * k, params={}, seed=k)
+    B = apply_map(kernel, svd.U, m=None if kernel == "quadratic" else 10 * k, seed=k)
     degree_normalize(B, implicit_degrees(B))
     return spectral_embedding(B, k, seed=k).U
 
