@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .workers import map_row_blocks
+
 
 class DataError(Exception):
     """Base class for dataset container errors."""
@@ -401,26 +403,34 @@ def _k_smallest(d2, k):
 def build_knn_graph(features, k_neighbors, self_loops=False):
     """Unit-weight k-NN graph under Euclidean distance, symmetrized by union.
 
-    Exact brute-force search over blocks of query rows: each block's squared
-    distances to all n points fill at most ``KNN_BLOCK_BYTES`` (one row at
-    least), so memory stays linear in n. Ties at the k-th distance go to the
-    lowest index, so the result is deterministic.
+    Exact brute-force search over blocks of query rows, on every usable core
+    through ``workers.map_row_blocks``. ``KNN_BLOCK_BYTES`` is the one memory
+    budget: on one core each block's squared distances to all n points fill
+    at most that much (one row at least), and the workers split it, each
+    writing its blocks' distances into its own buffer, so memory stays linear
+    in n and does not grow with the core count. Ties at the k-th distance go
+    to the lowest index, so the result is deterministic. A row's distances
+    come from one matrix product of its block, and BLAS can round a block's
+    edge entries differently as the partition changes with the core count,
+    so two distances within a rounding of each other may order differently
+    on another core count; otherwise the neighbour lists are the same.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if not 1 <= k_neighbors < n:
         raise ValueError(f"k_neighbors={k_neighbors} must be >= 1 and < n={n}")
     sq = np.einsum("ij,ij->i", features, features)
-    block = max(1, KNN_BLOCK_BYTES // (8 * n))
     neighbors = np.empty((n, k_neighbors), dtype=np.int64)
     scaled = -2.0 * features  # exact, so d2 rounds as sq_i - 2 g_ij + sq_j
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d2 = features[start:stop] @ scaled.T
+
+    def block(start, stop, d2):
+        d2 = np.matmul(features[start:stop], scaled.T, out=d2[:stop - start])
         d2 += sq[start:stop, None]
         d2 += sq[None, :]
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
         neighbors[start:stop] = _k_smallest(d2, k_neighbors)
+
+    map_row_blocks(n, max(1, KNN_BLOCK_BYTES // (8 * n)), (n,), block)
     knn = sp.csr_matrix((np.ones(neighbors.size), neighbors.ravel(),
                          np.arange(n + 1) * k_neighbors), shape=(n, n))
     union = knn + knn.T

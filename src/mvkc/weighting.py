@@ -49,10 +49,13 @@ def softmax_weights(traces, temperature, mode="softmax"):
     if mode == "uniform":
         lambdas = np.full(len(traces), 1.0 / len(traces))
     else:
-        z = traces / temperature
-        if mode == "negated":
-            z = -z
-        z = z - z.max()
+        # the extreme trace is subtracted before the division, so z is 0 at
+        # the extreme and at most -inf elsewhere, however small the temperature
+        with np.errstate(over="ignore"):
+            if mode == "negated":
+                z = (traces.min() - traces) / temperature
+            else:
+                z = (traces - traces.max()) / temperature
         e = np.exp(z)
         lambdas = e / e.sum()
     return ViewWeights(lambdas, traces.copy())

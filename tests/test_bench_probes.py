@@ -9,6 +9,7 @@ import pytest
 
 import mvkc.cli
 import mvkc.kernels
+import mvkc.workers
 from mvkc.data import MultiViewDataset, View, save_dataset
 from synth import synth_multiview
 
@@ -94,7 +95,7 @@ def test_traced_calls_repeat_when_the_nystroem_map_runs_on_worker_threads(tmp_pa
                                                                          monkeypatch):
     # n above two row blocks: the map's blocks run on two worker threads,
     # while the probes' spans stay on the calling thread
-    monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 2)
     ds = synth_multiview(9000, 3, 2, noise=0.3, seed=5)
     assert ds.n > 2 * mvkc.kernels.ROW_BLOCK
     ds = MultiViewDataset([View(view.features) for view in ds.views], ds.labels)

@@ -10,6 +10,7 @@ import pytest
 
 import mvkc.cli
 import mvkc.kernels
+import mvkc.workers
 from mvkc.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -187,7 +188,7 @@ def test_run_timeout(tmp_path):
 def test_time_limited_rbf_run_after_an_in_process_one_exits_ok(tmp_path, monkeypatch):
     # both runs map on two worker threads; the in-process run leaves no pool
     # behind for the forked child of --time-limit to inherit
-    monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 2)
     ds = synth_multiview(mvkc.kernels.ROW_BLOCK + 1000, 3, 2, noise=0.1, seed=0)
     save_dataset(ds, tmp_path / "ds")
     argv = ["run", str(tmp_path / "ds"), "--k", "3", "--seeds", "0", "--kernel", "rbf"]

@@ -1,9 +1,13 @@
 import struct
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import mvkc.data
+import mvkc.workers
 from mvkc.data import (
     KNN_BLOCK_BYTES,
     FormatError,
@@ -292,6 +296,42 @@ def tie_grid():
 def test_knn_matches_stable_sort_oracle_on_ties(tie_grid, k, self_loops):
     got = build_knn_graph(tie_grid, k, self_loops=self_loops)
     assert same_graph(got, knn_oracle(tie_grid, k, self_loops=self_loops))
+
+
+@pytest.mark.parametrize("case", ["tie-grid", "40-row blocks", "1-row blocks"])
+def test_knn_is_the_oracle_graph_on_any_core_count(case, tie_grid, monkeypatch):
+    # the tie grid at the default budget holds 3 single-core blocks of up to
+    # 998 rows; n = 1001 is not a multiple of 40 rows
+    if case == "tie-grid":
+        X, k, rows = tie_grid, 7, 998
+    else:
+        n, rows = (1001, 40) if case == "40-row blocks" else (203, 1)
+        X, k = np.random.default_rng(n).normal(size=(n, 7)), 5
+        monkeypatch.setattr(mvkc.data, "KNN_BLOCK_BYTES", 8 * n * rows + 7)
+    assert mvkc.data.KNN_BLOCK_BYTES // (8 * len(X)) == rows
+    expected = knn_oracle(X, k, self_loops=True)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
+        threads = threading.active_count()
+        assert same_graph(build_knn_graph(X, k, self_loops=True), expected)
+        assert threading.active_count() == threads
+
+
+def test_knn_on_more_cores_takes_no_more_memory(monkeypatch):
+    # the workers split KNN_BLOCK_BYTES: the distance buffers and the
+    # temporaries of _k_smallest in flight hold one single-core block plus
+    # at most a row per worker; a knn-prepare view, n = 6000, d = 16
+    X = np.random.default_rng(13).normal(size=(6000, 16))
+    peaks = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
+        tracemalloc.start()
+        try:
+            build_knn_graph(X, 10, self_loops=True)
+            peaks[cores] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.01 * peaks[1] and peaks[3] <= 1.01 * peaks[1]
 
 
 # ---------------------------------------------------------------------------

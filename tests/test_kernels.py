@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import mvkc.kernels
+import mvkc.workers
 from mvkc.kernels import EIG_FLOOR, apply_map, rbf_kernel
 
 
@@ -154,7 +154,7 @@ def test_map_written_into_out_equals_the_whole_map(kind, n, monkeypatch):
     expected = whole_map_oracle(kind, U, m, seed=5)
     assert expected.flags.c_contiguous
     for cores in (1, 2, 3):
-        monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
         out = apply_map(kind, U, m, seed=5)
         assert out.flags.f_contiguous
         assert np.array_equal(out, expected)
@@ -166,7 +166,7 @@ def test_map_of_a_features_rbf_view_has_the_same_bits_on_any_core_count(kind, mo
     U = np.asfortranarray(np.random.default_rng(8).normal(size=(50000, 10)))
     expected = whole_map_oracle(kind, U, 100, seed=2)
     for cores in (1, 2, 3):
-        monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
         threads = threading.active_count()
         assert np.array_equal(apply_map(kind, U, 100, seed=2), expected)
         assert threading.active_count() == threads
@@ -180,7 +180,7 @@ def test_map_on_more_cores_takes_no_more_memory(kind, monkeypatch):
     U = np.asfortranarray(np.random.default_rng(9).normal(size=(50000, 10)))
     peaks = {}
     for cores in (1, 2, 3):
-        monkeypatch.setattr(mvkc.kernels, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
         tracemalloc.start()
         try:
             out = apply_map(kind, U, 300, seed=2)

@@ -56,6 +56,18 @@ def test_softmax_extreme_traces_stable():
     assert w.lambdas[1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("mode, extreme", [("softmax", 0), ("negated", 1)])
+@pytest.mark.parametrize("temperature", [1e-300, 1e-320, 5e-324])
+def test_tiny_temperature_gives_finite_one_hot_weights(mode, extreme, temperature):
+    # the raw traces of two graph-p2 views at p = 0; divided by the
+    # temperature before the maximum is subtracted, they overflow to inf
+    # below about 1e-300 and the weights come out NaN
+    w = softmax_weights([12814.4, 12803.0], temperature, mode=mode)
+    assert np.array_equal(w.lambdas, np.eye(2)[extreme])
+    assert np.array_equal(softmax_weights([12814.4] * 2, temperature, mode=mode).lambdas,
+                          [0.5, 0.5])
+
+
 def test_softmax_against_high_precision_oracle():
     import mpmath
 
