@@ -5,7 +5,8 @@ W = B @ B.T. W is never formed: its row sums come from B @ (B.T @ 1) in
 O(nm), normalization scales the rows of B, and the spectral coordinates are
 left singular vectors of B, which span the same subspace as the top
 eigenvectors of W. ``degree_normalize`` overwrites B rather than copying it:
-the caller owns B and passes a copy if it reads the raw factor again.
+the caller owns B and passes a copy if it reads the raw factor again. Both
+row passes run on the row blocks of ``workers.row_blocks``.
 """
 
 import logging
@@ -13,6 +14,7 @@ import logging
 import numpy as np
 
 from .linalg import truncated_svd
+from .workers import map_blocks
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +31,9 @@ def implicit_degrees(B):
     approximates its kernel, so a row's affinity sum can come out at or
     below zero; so can that of a zero row.
     """
-    d = B @ B.sum(axis=0)
+    sums = B.sum(axis=0)
+    d = np.empty(B.shape[0])
+    map_blocks(len(d), lambda start, stop: np.matmul(B[start:stop], sums, out=d[start:stop]))
     nonpositive = int(np.count_nonzero(d <= 0.0))
     if nonpositive:
         log.warning("%d nonpositive affinity degrees floored", nonpositive)
@@ -48,7 +52,9 @@ def degree_normalize(B, d):
         raise ValueError(f"degree vector has length {len(d)}, expected {B.shape[0]}")
     if np.any(d <= 0.0):
         raise ValueError("degrees must be strictly positive")
-    B *= (d**-0.5)[:, None]
+    scale = d**-0.5
+    map_blocks(len(d), lambda start, stop: np.multiply(B[start:stop], scale[start:stop, None],
+                                                       out=B[start:stop]))
     return B
 
 

@@ -13,16 +13,18 @@ row block at a time, so it never holds an n x m array beside the factor. The
 blocks of at most ``ROW_BLOCK`` rows run on every usable core through
 ``workers.map_row_blocks``, whose docstring gives the pool's rules; each
 worker builds its kernel block and its whitened product, one elementwise step
-at a time, in its own two buffers. A row comes out of the same operations
-whichever block holds it, but the partition changes with the core count, and
-BLAS can round a block's last rows differently. The factor is bit-identical
-on 1, 2 and 3 cores at the shapes the tests pin, features-rbf's among them;
-at n = 9000, f = 13, m = 203, three cores move 36 rows by up to 1e-15."""
+at a time, in its own two buffers. When the blocks go on the pool, BLAS is
+held at one thread from the landmark matrix's eigendecomposition on. A row
+comes out of the same operations whichever block holds it, but the partition
+changes with the core count, and BLAS can round a block's last rows
+differently. The factor is bit-identical on 1, 2 and 3 cores at the shapes
+the tests pin, features-rbf's among them; at n = 9000, f = 13, m = 203, three
+cores move 36 rows by up to 1e-15."""
 
 import numpy as np
 import scipy.linalg
 
-from .workers import map_row_blocks
+from .workers import map_row_blocks, pool, row_block_workers
 
 KERNEL_KINDS = ("quadratic", "rbf")
 
@@ -79,18 +81,21 @@ def apply_map(kind, U, m=None, gamma=None, seed=0):
         gamma = 1.0 / f
     rng = np.random.default_rng(seed)
     landmarks = U[np.sort(rng.choice(n, size=m, replace=False))]
-    K_mm = rbf_kernel(landmarks, landmarks, gamma)
-    K_mm = 0.5 * (K_mm + K_mm.T)
-    evals, evecs = scipy.linalg.eigh(K_mm)
-    floor = EIG_FLOOR * max(evals.max(), 0.0)
-    if floor <= 0.0:
-        raise ValueError("landmark kernel matrix has no positive spectrum")
-    evals = np.maximum(evals, floor)
-    whiten = (evecs / np.sqrt(evals)) @ evecs.T
 
     def block(start, stop, K, P):
         rbf_kernel(U[start:stop], landmarks, gamma, out=K[:stop - start])
         out[start:stop] = np.matmul(K[:stop - start], whiten, out=P[:stop - start])
 
-    map_row_blocks(n, ROW_BLOCK, (m, m), block)
+    # BLAS on one thread from the landmark eigh on, whose threads would
+    # otherwise still spin while the workers run
+    with pool(one_blas_thread=row_block_workers(n, ROW_BLOCK) > 1):
+        K_mm = rbf_kernel(landmarks, landmarks, gamma)
+        K_mm = 0.5 * (K_mm + K_mm.T)
+        evals, evecs = scipy.linalg.eigh(K_mm)
+        floor = EIG_FLOOR * max(evals.max(), 0.0)
+        if floor <= 0.0:
+            raise ValueError("landmark kernel matrix has no positive spectrum")
+        evals = np.maximum(evals, floor)
+        whiten = (evecs / np.sqrt(evals)) @ evecs.T
+        map_row_blocks(n, ROW_BLOCK, (m, m), block)
     return out

@@ -4,26 +4,34 @@ A clustering is an int64 label array. Empty clusters are repaired by moving
 the point currently farthest from its centroid into the empty cluster, so
 every label 0..k-1 occurs in the result. Per-cluster sums, here and in the
 view weights, come from ``cluster_sums``, a column-wise ``np.bincount`` with
-no sparse indicator matrix.
+no sparse indicator matrix; its columns, and the row blocks of ``_assign``,
+run on the pool of ``mvkc.workers`` above its size rule.
 
 Memory: beyond the spectral vectors U, ``cpqr_labels`` holds a few n-long
 vectors, and ``_assign`` holds one k x n distance array plus a few n-long
 vectors. The CPQR pivots come from greedy column pivoting in numpy rather
 than LAPACK's pivoted QR, whose workspace and R grow with n, and each
 argmin or argmax over k columns is a running comparison, one column at a
-time, with ties to the lowest index.
+time, with ties to the lowest index. On the pool, ``_assign``'s row blocks
+write into those same arrays, and each worker of ``cluster_sums`` holds one
+k-long column of sums, so neither holds more on more cores.
 """
 
 import numpy as np
 
+from .workers import map_blocks, map_columns
+
 
 def cluster_sums(X, labels, k):
     """k x m per-cluster row sums of the n x m matrix X, one column at a
-    time, each summed in row order. At most one column is copied at a time,
-    so X may be in either memory order."""
+    time, each summed in row order. At most one column per worker is copied
+    at a time, so X may be in either memory order."""
     sums = np.empty((k, X.shape[1]))
-    for j in range(X.shape[1]):
+
+    def column(j):
         sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
+
+    map_columns(len(X), X.shape[1], column)
     return sums
 
 
@@ -94,15 +102,25 @@ def _assign(X, centroids, x2):
     """Nearest centroid of each row of X and its squared distance; ``x2``
     holds the squared row norms of X. Ties go to the lowest index."""
     # scaling the small operand by -2 is exact, so d2 rounds as c2 - 2 C X.T
-    d2 = (-2.0 * centroids) @ X.T
-    d2 += np.einsum("ij,ij->i", centroids, centroids)[:, None]
+    scaled = -2.0 * centroids
+    c2 = np.einsum("ij,ij->i", centroids, centroids)[:, None]
+    d2 = np.empty((len(centroids), len(X)))
     labels = np.zeros(len(X), dtype=np.int64)
-    best = d2[0].copy()
-    for c in range(1, len(d2)):
-        labels[d2[c] < best] = c
-        np.minimum(best, d2[c], out=best)
-    best += x2
-    return labels, np.maximum(best, 0.0, out=best)
+    best = np.empty(len(X))
+
+    def block(start, stop):
+        d2b = np.matmul(scaled, X[start:stop].T, out=d2[:, start:stop])
+        d2b += c2
+        label, low = labels[start:stop], best[start:stop]
+        low[:] = d2b[0]
+        for c in range(1, len(d2b)):
+            label[d2b[c] < low] = c
+            np.minimum(low, d2b[c], out=low)
+        low += x2[start:stop]
+        np.maximum(low, 0.0, out=low)
+
+    map_blocks(len(X), block)
+    return labels, best
 
 
 def kmeans(X, k, start, max_iter=300, tol=1e-6):

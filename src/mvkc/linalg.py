@@ -21,6 +21,14 @@ factors it in place and forms Q in the same buffer. On every route U is
 column-major, and signs are fixed in place so the largest-magnitude entry of
 each left singular vector is positive.
 
+The passes over n rows run on the row blocks of ``workers.row_blocks``: the
+n-row products block by block into the one output, and the Gram matrix
+X.T X and the Rayleigh-Ritz Q.T X as sums, in block order, of the blocks'
+partial products, one w x d array per block. Below the workers' size rule
+there is one block, and each pass is one whole-array product; above it the
+block sums round differently from one product, by about 1e-16 relative, but
+the same on every core count.
+
 Given t >= r, ``truncated_svd`` also returns the principal block
 X V_t = U_t diag(s_t) (up to column order and signs): the Gram route forms it
 as X W_t from t eigenpairs but runs the conditioning check and Rayleigh-Ritz
@@ -31,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from .workers import map_blocks, sum_blocks
 
 EXACT_SVD_MAX_DIM = 2048
 OVERSAMPLE = 10  # extra sketch columns of the randomized SVD
@@ -64,6 +74,21 @@ def _fix_signs(U, V):
     return U, V * signs
 
 
+def _product(X, W):
+    """X W as (W.T @ X.T).T, a new column-major n x w array, one row block at
+    a time."""
+    out = np.empty((len(X), W.shape[1]), order="F")
+    map_blocks(len(X), lambda start, stop: np.matmul(W.T, X[start:stop].T,
+                                                     out=out[start:stop].T))
+    return out
+
+
+def _inner(A, X):
+    """A.T @ X for the n-row A and X, summed over the row blocks."""
+    return sum_blocks(len(X), (A.shape[1], X.shape[1]),
+                      lambda start, stop, out: np.matmul(A[start:stop].T, X[start:stop], out=out))
+
+
 def _orth(Y):
     """Orthonormal basis Q of the range of the tall column-major Y, by an
     economic QR that overwrites Y: Q takes Y's buffer."""
@@ -73,11 +98,11 @@ def _orth(Y):
 def _ritz(X, W, r):
     """One QR Rayleigh-Ritz step on X over the range of X W (Halko, Martinsson
     and Tropp 2011): the top-r SVD of X restricted to that subspace."""
-    Q = _orth((W.T @ X.T).T)
-    Ub, s, Vt = scipy.linalg.svd(Q.T @ X, full_matrices=False)
+    Q = _orth(_product(X, W))
+    Ub, s, Vt = scipy.linalg.svd(_inner(Q, X), full_matrices=False)
     # U in column-major order, as LAPACK returns it, so that column slices
     # such as the embedding's U[:, 1:] stay contiguous for k-means
-    U = (Ub[:, :r].T @ Q.T).T
+    U = _product(Q, Ub[:, :r])
     del Q  # before the sign fix's n x r |U| temporary
     U, V = _fix_signs(U, Vt[:r].T)
     return SVDResult(U, s[:r], V)
@@ -96,8 +121,8 @@ def randomized_svd(X, r, seed=0):
     sketch = min(r + OVERSAMPLE, min(n, d))
     W = np.random.default_rng(seed).standard_normal((d, sketch))
     for _ in range(POWER_ITERS):
-        Q = _orth((W.T @ X.T).T)
-        W = _orth((Q.T @ X).T)
+        Q = _orth(_product(X, W))
+        W = _orth(_inner(Q, X).T)
     return _ritz(X, W, r)
 
 
@@ -117,13 +142,13 @@ def truncated_svd(X, r, seed=0, t=None):
     if n >= d:
         r = min(r, d)
         w = r if t is None else min(t, d)
-        evals, W = scipy.linalg.eigh(X.T @ X, subset_by_index=[d - w, d - 1])
+        evals, W = scipy.linalg.eigh(_inner(X, X), subset_by_index=[d - w, d - 1])
         # eigenvalues of the Gram matrix are squared singular values; the
         # tail beyond r may sit at round-off, as only its span is kept
         if evals[-1] > 0.0 and evals[w - r] >= GRAM_COND_FLOOR**2 * evals[-1]:
             svd = _ritz(X, W[:, w - r:], r)
             if t is not None:
-                svd.block = (W.T @ X.T).T
+                svd.block = _product(X, W)
             return svd
     U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
     block = None if t is None else U[:, :t] * s[:t]

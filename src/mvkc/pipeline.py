@@ -20,13 +20,18 @@ Memory: a view's factor is normalized in place (the caller of
 ``degree_normalize`` owns the factor it overwrites) and released once its
 labels and clusterability trace are taken. A Nystroem map runs its row
 blocks of K_nm on every usable core, and the blocks in flight hold at most
-one single-core block plus a row per worker; the calling thread allocates
-their buffers, and the worker threads live for one ``apply_map`` call. Each
-view's propagated and centered features are released once its SVD is
-taken. The discretization (``cpqr_labels`` and ``kmeans``) holds O(n)
-memory beyond the spectral vectors. So beyond the input, the resident peak
-is about one view's n x m_v factor, the blocks of the views so far and the
-few n x (f + 1) arrays of one spectral embedding.
+one single-core block plus a row per worker, in buffers the calling thread
+allocates. Above the size rule of ``mvkc.workers`` the spectral stage's
+passes (the SVDs' products, the degrees and normalization, k-means and the
+clusterability trace) also run on every usable core, each block writing
+straight into the output its caller allocated; the Gram matrix and Q.T X
+hold one small partial product per block of 8192 rows. One pool of worker
+threads serves the whole run and is closed when it returns. Each view's
+propagated and centered features are released once its SVD is taken. The
+discretization (``cpqr_labels`` and ``kmeans``) holds O(n) memory beyond the
+spectral vectors. So beyond the input, the resident peak is about one view's
+n x m_v factor, the blocks of the views so far and the few n x (f + 1)
+arrays of one spectral embedding, on any number of cores.
 ``mvkc run`` loads only the graphs of views that propagate, so with p = 0
 everywhere no graph is held.
 """
@@ -45,6 +50,7 @@ from .kmeans import cpqr_labels, kmeans
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
 from .weighting import WEIGHT_MODES, ViewWeights, clusterability_trace, softmax_weights
+from .workers import pool
 
 
 @dataclass
@@ -148,68 +154,70 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     processing a view keeps its class and carries a ``view <index>`` note.
     """
     config.check_fits(dataset.n)
-    n_views = dataset.n_views
-    seeds = _derived_seeds(config.seed, n_views)
-    timer = defaultdict(float)  # seconds by stage, summed over views
-    sources = graph_sources([view.graph is not None for view in dataset.views],
-                            [view.propagation_order for view in dataset.views])
+    with pool():  # one pool of worker threads for the whole run
+        n_views = dataset.n_views
+        seeds = _derived_seeds(config.seed, n_views)
+        timer = defaultdict(float)  # seconds by stage, summed over views
+        sources = graph_sources([view.graph is not None for view in dataset.views],
+                                [view.propagation_order for view in dataset.views])
 
-    t = 2 * (config.f + 1)  # the most spectral directions a view gives the consensus
-    blocks = []
-    per_view = []
-    traces = []
-    for v, view in enumerate(dataset.views):
-        try:
-            t0 = time.perf_counter()
-            if view.propagation_order > 0:
-                if sources[v] is None:
-                    raise ValueError("propagation requested but no graph available")
-                X = propagate_cached(dataset.views[sources[v]].graph, view.features,
-                                     view.propagation_order, cache_dir=config.cache_dir)
-            else:
-                X = view.features
-            timer["propagation"] += time.perf_counter() - t0
+        t = 2 * (config.f + 1)  # the most spectral directions a view gives the consensus
+        blocks = []
+        per_view = []
+        traces = []
+        for v, view in enumerate(dataset.views):
+            try:
+                t0 = time.perf_counter()
+                if view.propagation_order > 0:
+                    if sources[v] is None:
+                        raise ValueError("propagation requested but no graph available")
+                    X = propagate_cached(dataset.views[sources[v]].graph, view.features,
+                                         view.propagation_order, cache_dir=config.cache_dir)
+                else:
+                    X = view.features
+                timer["propagation"] += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            Xc = center_columns(X)
-            svd = truncated_svd(Xc, config.f, seed=seeds[v])
-            timer["svd"] += time.perf_counter() - t0
-            # centering leaves round-off of at most about n eps ||X||_F; a view
-            # with nothing above it has no variance to cluster
-            if svd.s[0] <= len(X) * np.finfo(np.float64).eps * np.linalg.norm(X):
-                raise FloatingPointError("centered features have no variance above round-off")
-            del X, Xc  # only the singular vectors are read from here on
+                t0 = time.perf_counter()
+                Xc = center_columns(X)
+                svd = truncated_svd(Xc, config.f, seed=seeds[v])
+                timer["svd"] += time.perf_counter() - t0
+                # centering leaves round-off of at most about n eps ||X||_F; a view
+                # with nothing above it has no variance to cluster
+                if svd.s[0] <= len(X) * np.finfo(np.float64).eps * np.linalg.norm(X):
+                    raise FloatingPointError("centered features have no variance above round-off")
+                del X, Xc  # only the singular vectors are read from here on
 
-            t0 = time.perf_counter()
-            B = apply_map(config.kernel, svd.U, m=config.kernel_components,
-                          gamma=config.gamma, seed=seeds[v])
-            timer["kernel_map"] += time.perf_counter() - t0
-            del svd
+                t0 = time.perf_counter()
+                B = apply_map(config.kernel, svd.U, m=config.kernel_components,
+                              gamma=config.gamma, seed=seeds[v])
+                timer["kernel_map"] += time.perf_counter() - t0
+                del svd
 
-            labels, block = _cluster_factor(B, config, seeds[v], timer, ("embedding", "kmeans"), t)
+                labels, block = _cluster_factor(B, config, seeds[v], timer,
+                                                ("embedding", "kmeans"), t)
 
-            t0 = time.perf_counter()
-            traces.append(clusterability_trace(B, labels))
-            timer["weighting"] += time.perf_counter() - t0
-            del B  # the consensus reads only the principal block
-            blocks.append(block)
-            per_view.append(labels)
-        except Exception as exc:
-            exc.add_note(f"view {v}")
-            raise
+                t0 = time.perf_counter()
+                traces.append(clusterability_trace(B, labels))
+                timer["weighting"] += time.perf_counter() - t0
+                del B  # the consensus reads only the principal block
+                blocks.append(block)
+                per_view.append(labels)
+            except Exception as exc:
+                exc.add_note(f"view {v}")
+                raise
 
-    t0 = time.perf_counter()
-    weights = softmax_weights(np.array(traces), config.temperature, mode=config.weight_mode)
-    # block v scaled by sqrt(lambda_v) adds lambda_v U_v S_v^2 U_v^T to the
-    # Gram matrix; column-major, so each block is contiguous
-    concat = np.empty((dataset.n, sum(block.shape[1] for block in blocks)), order="F")
-    start = 0
-    for lam, block in zip(weights.lambdas, blocks):
-        np.multiply(block, np.sqrt(lam), out=concat[:, start:start + block.shape[1]])
-        start += block.shape[1]
-    del blocks, block
-    timer["weighting"] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        weights = softmax_weights(np.array(traces), config.temperature, mode=config.weight_mode)
+        # block v scaled by sqrt(lambda_v) adds lambda_v U_v S_v^2 U_v^T to the
+        # Gram matrix; column-major, so each block is contiguous
+        concat = np.empty((dataset.n, sum(block.shape[1] for block in blocks)), order="F")
+        start = 0
+        for lam, block in zip(weights.lambdas, blocks):
+            np.multiply(block, np.sqrt(lam), out=concat[:, start:start + block.shape[1]])
+            start += block.shape[1]
+        del blocks, block
+        timer["weighting"] += time.perf_counter() - t0
 
-    consensus, _ = _cluster_factor(concat, config, seeds[n_views], timer,
-                                   ("consensus", "consensus"))
-    return ClusteringResult(consensus, per_view, weights, dict(timer))
+        consensus, _ = _cluster_factor(concat, config, seeds[n_views], timer,
+                                       ("consensus", "consensus"))
+        return ClusteringResult(consensus, per_view, weights, dict(timer))

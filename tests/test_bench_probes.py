@@ -4,6 +4,7 @@ check must hold in-process: one seed's labels and per-call counts repeat."""
 
 import importlib.util
 import os
+import threading
 
 import pytest
 
@@ -53,10 +54,23 @@ def _counts(probes, spans):
 
 def _traced_calls(tmp_path, ds, extra):
     """Labels, per-call counts and propagation cache misses of three traced
-    in-process calls of one seed, the first with a cold propagation cache."""
+    in-process calls of one seed, the first with a cold propagation cache,
+    and the threads that entered a probe."""
     probes = _load_probes()
     save_dataset(ds, tmp_path / "ds")
-    tracer = probes.Tracer()
+    threads = set()
+
+    class Tracer(probes.Tracer):
+        def wrap(self, fn, name, work):
+            probe = super().wrap(fn, name, work)
+
+            def on_thread(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return probe(*args, **kwargs)
+
+            return on_thread
+
+    tracer = Tracer()
     labels, counts, misses = [], [], []
     for call in range(3):
         out = tmp_path / f"out{call}"
@@ -68,7 +82,7 @@ def _traced_calls(tmp_path, ds, extra):
         labels.append((out / "labels_seed3.txt").read_bytes())
         counts.append(_counts(probes, spans))
         misses.append(probes.counts(spans).get("propagation.cache_miss", 0))
-    return labels, counts, misses
+    return labels, counts, misses, threads
 
 
 @pytest.mark.skipif(not os.path.isfile(PROBES_PATH), reason="bench/probes.py not present")
@@ -82,7 +96,8 @@ def test_traced_calls_of_one_seed_repeat_labels_and_counts(tmp_path, graphs):
     else:
         ds = MultiViewDataset([View(view.features) for view in ds.views], ds.labels)
         extra = ["--kernel", "rbf", "--kernel-components", "40"]
-    labels, counts, misses = _traced_calls(tmp_path, ds, extra)
+    labels, counts, misses, threads = _traced_calls(tmp_path, ds, extra)
+    assert threads == {threading.get_ident()}
     assert labels[1] == labels[0] and labels[2] == labels[0]
     assert misses == ([2, 0, 0] if graphs else [0, 0, 0])
     assert counts[1] == counts[0] and counts[2] == counts[0]
@@ -93,13 +108,16 @@ def test_traced_calls_of_one_seed_repeat_labels_and_counts(tmp_path, graphs):
 @pytest.mark.skipif(not os.path.isfile(PROBES_PATH), reason="bench/probes.py not present")
 def test_traced_calls_repeat_when_the_nystroem_map_runs_on_worker_threads(tmp_path,
                                                                          monkeypatch):
-    # n above two row blocks: the map's blocks run on two worker threads,
-    # while the probes' spans stay on the calling thread
+    # n above two map blocks and above the size rule: the map's blocks and
+    # the spectral stage's passes run on two worker threads, which call no
+    # probed function, so the probes' spans stay on the calling thread
     monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 2)
-    ds = synth_multiview(9000, 3, 2, noise=0.3, seed=5)
+    ds = synth_multiview(mvkc.workers.SPECTRAL_MIN_ROWS + 1000, 3, 2, noise=0.3, seed=5)
     assert ds.n > 2 * mvkc.kernels.ROW_BLOCK
     ds = MultiViewDataset([View(view.features) for view in ds.views], ds.labels)
-    labels, counts, _ = _traced_calls(tmp_path, ds, ["--kernel", "rbf", "--kernel-components", "40"])
+    labels, counts, _, threads = _traced_calls(tmp_path, ds, ["--kernel", "rbf",
+                                                              "--kernel-components", "40"])
+    assert threads == {threading.get_ident()}
     assert labels[1] == labels[0] and labels[2] == labels[0]
     assert counts[1] == counts[0] and counts[2] == counts[0]
     assert counts[0]["apply_map.cols"] == 2 * 40

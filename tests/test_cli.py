@@ -186,10 +186,12 @@ def test_run_timeout(tmp_path):
 
 
 def test_time_limited_rbf_run_after_an_in_process_one_exits_ok(tmp_path, monkeypatch):
-    # both runs map on two worker threads; the in-process run leaves no pool
-    # behind for the forked child of --time-limit to inherit
+    # both runs map and run their spectral passes on two worker threads (n is
+    # above the size rule); the in-process run leaves no pool behind for the
+    # forked child of --time-limit to inherit
     monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 2)
-    ds = synth_multiview(mvkc.kernels.ROW_BLOCK + 1000, 3, 2, noise=0.1, seed=0)
+    ds = synth_multiview(mvkc.workers.SPECTRAL_MIN_ROWS + 1000, 3, 2, noise=0.1, seed=0)
+    assert ds.n > mvkc.kernels.ROW_BLOCK
     save_dataset(ds, tmp_path / "ds")
     argv = ["run", str(tmp_path / "ds"), "--k", "3", "--seeds", "0", "--kernel", "rbf"]
     assert main(argv + ["--output", str(tmp_path / "in")]) == EXIT_OK

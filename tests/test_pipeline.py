@@ -1,11 +1,15 @@
 import itertools
 import os
+import threading
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 import mvkc.data
 import mvkc.pipeline
+import mvkc.workers
 from mvkc.data import MultiViewDataset, View, load_dataset, save_dataset
 from mvkc.embedding import degree_normalize, implicit_degrees
 from mvkc.kernels import apply_map
@@ -13,6 +17,8 @@ from mvkc.kmeans import cpqr_labels, kmeans
 from mvkc.linalg import center_columns, truncated_svd
 from mvkc.metrics import ari
 from mvkc.pipeline import PipelineConfig, run_pipeline
+from mvkc.weighting import clusterability_trace
+from mvkc.workers import SPECTRAL_MIN_ROWS, openblas_threads
 from oracles import consensus_affinity_oracle
 from synth import synth_multiview
 
@@ -155,6 +161,82 @@ def test_view_failure_names_view():
     ds = MultiViewDataset([View(good), View(thin)])
     with pytest.raises(ValueError, match="view 1"):
         run_pipeline(ds, PipelineConfig(k=3, f=3, seed=0))
+
+
+def spectral_stage_peak(n):
+    """Traced peak of one view's spectral stage, after a warm-up call, on an
+    n x 55 quadratic factor of four blobs: normalize, embed, CPQR, k-means and
+    the clusterability trace, at k = 4, f = 10. Returns it and the labels."""
+    rng = np.random.default_rng(4)
+    truth = np.arange(n) % 4
+    U = np.linalg.qr(rng.normal(size=(4, 10))[truth] + 0.5 * rng.normal(size=(n, 10)))[0]
+    factor = apply_map("quadratic", U)
+    config = PipelineConfig(k=4, f=10)
+    for _ in range(2):
+        B = factor.copy(order="F")
+        tracemalloc.start()
+        try:
+            labels, _ = mvkc.pipeline._cluster_factor(B, config, 0, defaultdict(float),
+                                                      ("embedding", "kmeans"), t=22)
+            clusterability_trace(B, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert ari(labels, truth) > 0.99
+    return peak, labels
+
+
+def test_spectral_stage_on_more_cores_takes_no_more_memory(monkeypatch):
+    # above the size rule the passes write into the outputs their callers
+    # allocate, and the Gram matrix's block products depend on n alone
+    peaks = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
+        peaks[cores], _ = spectral_stage_peak(50000)
+    assert peaks[2] <= 1.01 * peaks[1] and peaks[3] <= 1.01 * peaks[1]
+
+
+def test_spectral_stage_below_the_size_rule_allocates_no_more_than_whole_array_passes(
+        monkeypatch):
+    # graph-p2's n: the stage as it ran before its passes took row blocks
+    # peaked at 6,910,416 traced bytes here (numpy 2.4, scipy 1.17); the
+    # passes' Python frames and closures add under 2 KB, while a temporary
+    # copy of any pass's output (the principal block, the normalized factor,
+    # k-means' distances) adds 0.6 MB or more
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 3)
+    peak, _ = spectral_stage_peak(20000)
+    assert peak <= 6_910_416 + 4096
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_a_run_leaves_no_thread_behind(fail, monkeypatch):
+    # the run's one pool starts at its first pass above the size rule and is
+    # joined, with the BLAS thread counts restored, also when a view raises
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 2)
+    n = SPECTRAL_MIN_ROWS + 100
+    rng = np.random.default_rng(0)
+    truth = np.arange(n) % 3
+    views = [View(rng.normal(size=(3, 8))[truth] + 0.3 * rng.normal(size=(n, 8)))
+             for _ in range(2)]
+    if fail:  # no variance: raises once view 0 has run on the pool
+        views[1] = View(np.ones((n, 8)))
+    during = []
+
+    def counted(*args, **kwargs):
+        during.append(threading.active_count())
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(mvkc.pipeline, "kmeans", counted)
+    threads = threading.active_count()
+    blas = [get() for get, _ in openblas_threads()]
+    if fail:
+        with pytest.raises(FloatingPointError, match="view 1"):
+            run_pipeline(MultiViewDataset(views, truth), PipelineConfig(k=3, f=3))
+    else:
+        run_pipeline(MultiViewDataset(views, truth), PipelineConfig(k=3, f=3))
+    assert during and min(during) > threads
+    assert threading.active_count() == threads
+    assert [get() for get, _ in openblas_threads()] == blas
 
 
 def test_peak_memory_linear_in_n():

@@ -1,3 +1,6 @@
+import contextlib
+import ctypes
+import sys
 import threading
 
 import numpy as np
@@ -7,8 +10,12 @@ import mvkc.data
 import mvkc.kernels
 import mvkc.workers
 from mvkc.data import build_knn_graph
+from mvkc.embedding import degree_normalize, implicit_degrees
 from mvkc.kernels import ROW_BLOCK, apply_map
-from mvkc.workers import map_row_blocks, openblas_threads
+from mvkc.kmeans import _assign, cluster_sums
+from mvkc.linalg import _inner, _product
+from mvkc.workers import (SPECTRAL_BLOCK, SPECTRAL_MIN_ROWS, map_row_blocks, openblas_threads,
+                          row_blocks)
 
 
 @pytest.mark.parametrize("n, block", [(1, 4096), (5, 4096), (4097, 4096), (12289, 4096),
@@ -68,30 +75,52 @@ POOLS = {
 
 @pytest.fixture
 def blas_threads():
-    """numpy's OpenBLAS (get, set) at two threads, its count restored after."""
+    """The getters of numpy's and scipy's OpenBLAS, each set to two threads,
+    their counts restored after."""
     threads = openblas_threads()
-    if threads is None:
-        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
-    get, set_ = threads
-    previous = get()
-    set_(2)
-    assert get() == 2
-    yield get, set_
-    set_(previous)
+    if not threads:
+        pytest.skip("neither numpy's nor scipy's BLAS exports an OpenBLAS thread-count setter")
+    previous = [get() for get, _ in threads]
+    for get, set_ in threads:
+        set_(2)
+        assert get() == 2
+    yield [get for get, _ in threads]
+    for (_, set_), count in zip(threads, previous):
+        set_(count)
+
+
+def test_scipys_openblas_is_held_too_and_looked_up_once(monkeypatch):
+    # scipy.linalg ships its own OpenBLAS, apart from numpy's
+    from scipy.linalg import _fblas
+    scipy_get = getattr(ctypes.CDLL(_fblas.__file__), "scipy_openblas_get_num_threads", None)
+    if scipy_get is None:
+        pytest.skip("scipy's BLAS exports no scipy-openblas thread-count getter")
+    address = ctypes.cast(scipy_get, ctypes.c_void_p).value
+    threads = openblas_threads()
+    assert address in [ctypes.cast(get, ctypes.c_void_p).value for get, _ in threads]
+
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("the OpenBLAS symbols are looked up again")
+
+    monkeypatch.setattr(mvkc.workers.ctypes, "CDLL", no_lookup)
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 2)
+    for _ in range(2):
+        map_row_blocks(100, 10, (), lambda start, stop: None)
+    assert openblas_threads() is threads
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
 @pytest.mark.parametrize("pool", list(POOLS))
 def test_workers_run_on_one_blas_thread_and_the_count_is_restored(pool, fail, blas_threads,
                                                                    monkeypatch):
-    get, _ = blas_threads
+    gets = blas_threads
     module, name, call = POOLS[pool]
     inner = getattr(module, name)
     main = threading.get_ident()
     counts = []
 
     def recorded(*args, **kwargs):
-        counts.append((threading.get_ident() == main, get()))
+        counts.append((threading.get_ident() == main, [get() for get in gets]))
         if fail and threading.get_ident() != main:
             raise RuntimeError("worker failed")
         return inner(*args, **kwargs)
@@ -103,7 +132,99 @@ def test_workers_run_on_one_blas_thread_and_the_count_is_restored(pool, fail, bl
             call()
     else:
         call()
-    assert get() == 2
-    on_workers = [count for on_main, count in counts if not on_main]
-    assert on_workers and set(on_workers) == {1}
-    assert all(count == 2 for on_main, count in counts if on_main)
+    assert [get() for get in gets] == [2] * len(gets)
+    # apply_map's landmark kernel, on the calling thread, is held as well:
+    # its eigh comes after it, before the workers start
+    assert any(not on_main for on_main, _ in counts)
+    assert all(count == [1] * len(gets) for _, count in counts)
+
+
+@pytest.mark.parametrize("n", [1, SPECTRAL_MIN_ROWS - 1, SPECTRAL_MIN_ROWS,
+                               SPECTRAL_MIN_ROWS + SPECTRAL_BLOCK - 1, 50000])
+def test_spectral_blocks_depend_on_n_alone_and_start_on_the_block_grid(n):
+    blocks = row_blocks(n)
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == n
+    if n < SPECTRAL_MIN_ROWS:
+        assert blocks == [(0, n)]
+    else:
+        assert all(start % SPECTRAL_BLOCK == 0 for start, _ in blocks)
+        assert all(SPECTRAL_BLOCK <= stop - start < 2 * SPECTRAL_BLOCK for start, stop in blocks)
+
+
+@pytest.mark.parametrize("n", [SPECTRAL_MIN_ROWS - 1, SPECTRAL_MIN_ROWS + 1, 50000])
+def test_spectral_passes_equal_their_whole_array_forms_on_every_core_count(n, monkeypatch):
+    # each pass is the one whole-array call it was before the pool, bit for
+    # bit; above the size rule the passes run on one BLAS thread, as the
+    # whole-array calls here do, and the Gram matrix and Q.T X are sums of
+    # block products, the same on every core count
+    rng = np.random.default_rng(n)
+    B = np.asfortranarray(rng.random((n, 100)))
+    Q = np.asfortranarray(rng.normal(size=(n, 11)))
+    W = np.asfortranarray(rng.normal(size=(100, 11)))
+    X = np.asfortranarray(rng.normal(size=(n, 11)))[:, 1:]
+    centroids, labels = rng.normal(size=(10, 10)), rng.integers(10, size=n)
+    x2 = np.einsum("ij,ij->i", X, X)
+
+    with mvkc.workers._one_blas_thread() if n >= SPECTRAL_MIN_ROWS else contextlib.nullcontext():
+        degrees = B @ B.sum(axis=0)
+        d2 = (-2.0 * centroids) @ X.T + np.einsum("ij,ij->i", centroids, centroids)[:, None]
+        whole = {
+            "product": (W.T @ B.T).T,
+            "degrees": degrees,
+            "normalized": B * (degrees**-0.5)[:, None],
+            "nearest": np.argmin(d2, axis=0),  # ties to the lowest index, as _assign
+            "distances": np.maximum(d2.min(axis=0) + x2, 0.0),
+            "sums": np.stack([np.bincount(labels, weights=B[:, j], minlength=10)
+                              for j in range(100)], axis=1),
+        }
+        gram, qtx = B.T @ B, Q.T @ B
+    sums = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
+        normalized = degree_normalize(B.copy(order="F"), degrees)
+        nearest, distances = _assign(X, centroids, x2)
+        pooled = {
+            "product": _product(B, W),
+            "degrees": implicit_degrees(B),
+            "normalized": normalized,
+            "nearest": nearest,
+            "distances": distances,
+            "sums": cluster_sums(B, labels, 10),
+        }
+        for name, array in whole.items():
+            assert np.array_equal(pooled[name], array), (name, cores)
+        sums[cores] = (_inner(B, B), _inner(Q, B))
+    for cores in (2, 3):
+        for one, more in zip(sums[1], sums[cores]):
+            assert np.array_equal(one, more)
+    if n < SPECTRAL_MIN_ROWS:
+        assert np.array_equal(sums[1][0], gram) and np.array_equal(sums[1][1], qtx)
+    else:  # block sums round differently from one product, by about 1e-16
+        np.testing.assert_allclose(sums[1][0], gram, rtol=1e-13)
+        np.testing.assert_allclose(sums[1][1], qtx, rtol=1e-12, atol=1e-10)
+
+
+def test_spectral_passes_hold_under_frequent_thread_switches(monkeypatch):
+    # more workers than cores, switching threads about every microsecond: the
+    # blocks write disjoint parts of one output, and the Gram matrix's
+    # partial products are summed only once every block is done
+    rng = np.random.default_rng(0)
+    n = SPECTRAL_MIN_ROWS + 5
+    B = np.asfortranarray(rng.random((n, 40)))
+    labels = rng.integers(7, size=n)
+
+    def passes():
+        return [_inner(B, B), implicit_degrees(B), cluster_sums(B, labels, 7)]
+
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 1)
+    expected = passes()
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for got, want in zip(passes(), expected):
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
