@@ -133,8 +133,8 @@ def test_workers_run_on_one_blas_thread_and_the_count_is_restored(pool, fail, bl
     else:
         call()
     assert [get() for get in gets] == [2] * len(gets)
-    # apply_map's landmark kernel, on the calling thread, is held as well:
-    # its eigh comes after it, before the workers start
+    # every call is inside the hold: the calling thread is worker 0, and
+    # apply_map holds from its landmark kernel on, before its eigh
     assert any(not on_main for on_main, _ in counts)
     assert all(count == [1] * len(gets) for _, count in counts)
 
