@@ -289,8 +289,10 @@ def load_labels(path):
 
 def save_labels(labels, path):
     """Write integer labels, one per line, as ``load_labels`` reads them."""
+    labels = np.asarray(labels, dtype=np.int64)
     with open(path, "w") as fh:
-        fh.write("".join(f"{lab}\n" for lab in np.asarray(labels, dtype=np.int64).tolist()))
+        if len(labels):
+            fh.write("\n".join(map(str, labels.tolist())) + "\n")
 
 
 def save_dataset(dataset, path):

@@ -5,8 +5,9 @@ W = B @ B.T. W is never formed: its row sums come from B @ (B.T @ 1) in
 O(nm), normalization scales the rows of B, and the spectral coordinates are
 left singular vectors of B, which span the same subspace as the top
 eigenvectors of W. ``degree_normalize`` overwrites B rather than copying it:
-the caller owns B and passes a copy if it reads the raw factor again. Both
-row passes run on the row blocks of ``workers.row_blocks``.
+the caller owns B and passes a copy if it reads the raw factor again. The
+column sums B.T @ 1 run one column at a time, and both row passes on the row
+blocks of ``workers.row_blocks``.
 """
 
 import logging
@@ -14,7 +15,7 @@ import logging
 import numpy as np
 
 from .linalg import truncated_svd
-from .workers import map_blocks
+from .workers import map_blocks, map_columns
 
 log = logging.getLogger(__name__)
 
@@ -24,14 +25,21 @@ DEGREE_FLOOR = 1e-12
 
 
 def implicit_degrees(B):
-    """Row sums of the implicit affinity, computed as B @ (B.T @ 1).
+    """Row sums of the implicit affinity, computed as B @ (B.T @ 1). Each
+    column sum is ``B[:, j].sum()``, which equals ``B.sum(axis=0)`` bit for
+    bit for a column-major B, as the pipeline's factors are.
 
     Nonpositive degrees are counted, warned about, and floored at a relative
     epsilon. Both kernels are nonnegative, but a Nystroem factor only
     approximates its kernel, so a row's affinity sum can come out at or
     below zero; so can that of a zero row.
     """
-    sums = B.sum(axis=0)
+    sums = np.empty(B.shape[1])
+
+    def column(j):
+        sums[j] = B[:, j].sum()
+
+    map_columns(len(B), B.shape[1], column)
     d = np.empty(B.shape[0])
     map_blocks(len(d), lambda start, stop: np.matmul(B[start:stop], sums, out=d[start:stop]))
     nonpositive = int(np.count_nonzero(d <= 0.0))

@@ -4,17 +4,21 @@ A clustering is an int64 label array. Empty clusters are repaired by moving
 the point currently farthest from its centroid into the empty cluster, so
 every label 0..k-1 occurs in the result. Per-cluster sums, here and in the
 view weights, come from ``cluster_sums``, a column-wise ``np.bincount`` with
-no sparse indicator matrix; its columns, and the row blocks of ``_assign``,
-run on the pool of ``mvkc.workers`` above its size rule.
+no sparse indicator matrix. Its columns, the row blocks of ``_assign``, and
+the n-row steps of ``cpqr_labels`` (the pivots' norms and projections, the
+rotation and its running argmax) run on the pool of ``mvkc.workers`` above
+its size rule, on a partition that depends on n alone, so the labels do not
+depend on the core count.
 
 Memory: beyond the spectral vectors U, ``cpqr_labels`` holds a few n-long
 vectors, and ``_assign`` holds one k x n distance array plus a few n-long
 vectors. The CPQR pivots come from greedy column pivoting in numpy rather
 than LAPACK's pivoted QR, whose workspace and R grow with n, and each
 argmin or argmax over k columns is a running comparison, one column at a
-time, with ties to the lowest index. On the pool, ``_assign``'s row blocks
-write into those same arrays, and each worker of ``cluster_sums`` holds one
-k-long column of sums, so neither holds more on more cores.
+time, with ties to the lowest index. On the pool, the row blocks of
+``_assign`` and ``cpqr_labels`` write into those same arrays, allocated on
+the calling thread, and each worker of ``cluster_sums`` holds one k-long
+column of sums, so none holds more on more cores.
 """
 
 import numpy as np
@@ -40,19 +44,26 @@ def _pivot_rows(Uk):
     picks, in pick order (Businger and Golub 1965): take the row of largest
     remaining squared norm, orthogonalize it twice against the rows taken,
     and subtract its squared projections from every norm. O(nk^2) time and
-    O(n) memory beyond Uk."""
-    k = Uk.shape[1]
-    norms = np.einsum("ij,ij->i", Uk, Uk)
+    O(n) memory beyond Uk. The first norms and each step's projection and
+    norm update run on row blocks; the argmax is global."""
+    n, k = Uk.shape
+    norms, proj = np.empty(n), np.empty(n)
+    map_blocks(n, lambda start, stop: np.einsum("ij,ij->i", Uk[start:stop], Uk[start:stop],
+                                                out=norms[start:stop]))
     Q = np.zeros((k, k))  # orthonormal basis of the rows taken, one per row
     piv = np.empty(k, dtype=np.int64)
+
+    def update(start, stop):
+        p = np.matmul(Uk[start:stop], Q[j], out=proj[start:stop])
+        norms[start:stop] -= np.square(p, out=p)
+
     for j in range(k):
         piv[j] = np.argmax(norms)
         q = Uk[piv[j]].copy()
         for _ in range(2):
             q -= Q.T @ (Q @ q)
         Q[j] = q / np.linalg.norm(q)
-        proj = Uk @ Q[j]
-        norms -= np.square(proj, out=proj)
+        map_blocks(n, update)
         norms[piv[j]] = -np.inf  # a row taken is never taken again
     return piv
 
@@ -65,14 +76,21 @@ def cpqr_labels(U, k):
     Uk = U[:, :k]
     W, _, Vt = np.linalg.svd(Uk[_pivot_rows(Uk)].T)
     R = W @ Vt
-    # argmax of |Uk R| over columns, one column at a time
-    best = np.abs(Uk @ R[:, 0])
-    labels = np.zeros(len(Uk), dtype=np.int64)
-    for c in range(1, k):
-        col = Uk @ R[:, c]
-        np.abs(col, out=col)
-        labels[col > best] = c
-        np.maximum(best, col, out=best)
+    n = len(Uk)
+    labels = np.zeros(n, dtype=np.int64)
+    best, col, larger = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+
+    def block(start, stop):
+        # argmax of |Uk R| over columns, one column at a time
+        u, label, low = Uk[start:stop], labels[start:stop], best[start:stop]
+        v, mask = col[start:stop], larger[start:stop]
+        np.abs(np.matmul(u, R[:, 0], out=low), out=low)
+        for c in range(1, k):
+            np.abs(np.matmul(u, R[:, c], out=v), out=v)
+            label[np.greater(v, low, out=mask)] = c
+            np.maximum(low, v, out=low)
+
+    map_blocks(n, block)
     return labels
 
 
@@ -129,20 +147,25 @@ def kmeans(X, k, start, max_iter=300, tol=1e-6):
 
     Returns (labels, inertia), with int64 labels in which all k clusters
     occur. Stops when the relative centroid movement drops below ``tol`` or
-    after ``max_iter`` iterations.
+    after ``max_iter`` iterations, then assigns once more to the last
+    centroids. A step that repairs no cluster and leaves the centroids
+    unchanged, bit for bit, ends the loop with its own assignment, which
+    that last one would repeat.
     """
     X = np.asarray(X, dtype=np.float64)
     if not (1 <= k <= len(X)):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={len(X)}")
-    labels = np.array(start, dtype=np.int64)
-    if np.bincount(labels, minlength=k).min() == 0:
-        diff = X - _means(X, labels, k)[labels]
-        _repair_empty(labels, np.einsum("ij,ij->i", diff, diff), k)
+    # the labels are returned in the call's first array, so no array that
+    # outlives the call sits above the loop's temporaries in the heap
+    result = np.array(start, dtype=np.int64)
+    if np.bincount(result, minlength=k).min() == 0:
+        diff = X - _means(X, result, k)[result]
+        _repair_empty(result, np.einsum("ij,ij->i", diff, diff), k)
         del diff
     x2 = np.einsum("ij,ij->i", X, X)
-    centroids = _means(X, labels, k)
+    centroids = _means(X, result, k)
     prev_inertia = np.inf
-    repaired = False
+    repaired = settled = False
     for _ in range(max_iter):
         labels, dists = _assign(X, centroids, x2)
         inertia = dists.sum()
@@ -151,14 +174,21 @@ def kmeans(X, k, start, max_iter=300, tol=1e-6):
         prev_inertia = inertia
         repaired = _repair_empty(labels, dists, k)
         new_centroids = _means(X, labels, k)
+        # the final assignment would repeat this one, bit for bit
+        settled = not repaired and np.array_equal(new_centroids, centroids)
+        if settled:
+            break
+        del dists  # the next assignment can take its memory
         shift = np.linalg.norm(new_centroids - centroids)
         scale = np.linalg.norm(centroids)
         centroids = new_centroids
         if shift <= tol * max(scale, 1.0):
             break
-    labels, dists = _assign(X, centroids, x2)
-    del x2  # the n-long labels copy below can take its memory
+    if not settled:
+        labels, dists = _assign(X, centroids, x2)
+    del x2  # before the repair's n x m difference
     if _repair_empty(labels, dists, k):
         diff = X - centroids[labels]
         dists = np.einsum("ij,ij->i", diff, diff)
-    return labels.astype(np.int64), float(dists.sum())
+    result[:] = labels
+    return result, float(dists.sum())

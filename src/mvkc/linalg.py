@@ -22,12 +22,16 @@ column-major, and signs are fixed in place so the largest-magnitude entry of
 each left singular vector is positive.
 
 The passes over n rows run on the row blocks of ``workers.row_blocks``: the
-n-row products block by block into the one output, and the Gram matrix
-X.T X and the Rayleigh-Ritz Q.T X as sums, in block order, of the blocks'
-partial products, one w x d array per block. Below the workers' size rule
-there is one block, and each pass is one whole-array product; above it the
-block sums round differently from one product, by about 1e-16 relative, but
-the same on every core count.
+column centering (its means are one whole-array ``X.mean``), the n-row
+products block by block into the one output, the sign fix's scaling, and
+the Gram matrix X.T X and the Rayleigh-Ritz Q.T X as sums, in block order,
+of the blocks' partial products, one w x d array per block. The sign fix
+finds each column's largest |entry| one column at a time. Below the
+workers' size rule there is one block, and each pass is one whole-array
+call; above it the block sums round differently from one product, by about
+1e-16 relative, but the same on every core count, and every other pass
+equals its whole-array form bit for bit. Of the n-row passes, only the
+column means and ``_orth``'s QR run on one core.
 
 Given t >= r, ``truncated_svd`` also returns the principal block
 X V_t = U_t diag(s_t) (up to column order and signs): the Gram route forms it
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .workers import map_blocks, sum_blocks
+from .workers import map_blocks, map_columns, sum_blocks
 
 EXACT_SVD_MAX_DIM = 2048
 OVERSAMPLE = 10  # extra sketch columns of the randomized SVD
@@ -59,18 +63,37 @@ class SVDResult:
 
 
 def center_columns(X):
-    """Subtract the column means so every column sums to zero."""
+    """Subtract the column means so every column sums to zero. The means
+    are one whole-array ``X.mean(axis=0)``; the subtraction runs on row
+    blocks into a new array of X's memory order."""
     X = np.asarray(X, dtype=np.float64)
-    return X - X.mean(axis=0, keepdims=True)
+    mean = X.mean(axis=0)
+    out = np.empty_like(X)
+    map_blocks(len(X), lambda start, stop: np.subtract(X[start:stop], mean, out=out[start:stop]))
+    return out
 
 
 def _fix_signs(U, V):
     """Scale U in place and V by the signs that make the largest-magnitude
-    entry of each column of U positive."""
-    idx = np.argmax(np.abs(U), axis=0)
-    signs = np.sign(U[idx, np.arange(U.shape[1])])
+    entry of each column of U positive.
+
+    A column's first largest |entry| is its first maximum or its first
+    minimum, whichever is larger in magnitude, the earlier one on a tie, as
+    ``np.argmax(np.abs(U), axis=0)`` finds it; so no |U| is formed. The
+    columns run through ``map_columns``, and the scaling on row blocks.
+    """
+    n, r = U.shape
+    idx = np.empty(r, dtype=np.intp)
+
+    def column(j):
+        u = U[:, j]
+        top, bottom = np.argmax(u), np.argmin(u)
+        idx[j] = bottom if -u[bottom] > u[top] or (-u[bottom] == u[top] and bottom < top) else top
+
+    map_columns(n, r, column)
+    signs = np.sign(U[idx, np.arange(r)])
     signs[signs == 0] = 1.0
-    U *= signs
+    map_blocks(n, lambda start, stop: np.multiply(U[start:stop], signs, out=U[start:stop]))
     return U, V * signs
 
 

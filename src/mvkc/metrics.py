@@ -30,7 +30,10 @@ def contingency_table(pred, truth):
 
 def clustering_accuracy(pred, truth):
     """Best accuracy over one-to-one cluster-to-class assignments."""
-    table = contingency_table(pred, truth)
+    return _accuracy(contingency_table(pred, truth))
+
+
+def _accuracy(table):
     rows, cols = linear_sum_assignment(table, maximize=True)
     return float(table[rows, cols].sum()) / table.sum()
 
@@ -40,7 +43,10 @@ def macro_f1(pred, truth):
 
     Class c matched to cluster r scores 2 table[r, c] / (|r| + |c|).
     """
-    table = contingency_table(pred, truth)
+    return _macro_f1(contingency_table(pred, truth))
+
+
+def _macro_f1(table):
     rows, cols = linear_sum_assignment(table, maximize=True)
     f1 = np.zeros(table.shape[1])
     f1[cols] = 2.0 * table[rows, cols] / (table.sum(axis=1)[rows] + table.sum(axis=0)[cols])
@@ -54,7 +60,10 @@ def _entropy(counts, n):
 
 def nmi(pred, truth):
     """Normalized mutual information with arithmetic-mean normalization."""
-    table = contingency_table(pred, truth)
+    return _nmi(contingency_table(pred, truth))
+
+
+def _nmi(table):
     n = table.sum()
     rowsum, colsum = table.sum(axis=1), table.sum(axis=0)
     hp = _entropy(rowsum, n)
@@ -75,7 +84,10 @@ def ari(pred, truth):
     A degenerate single-cluster ground truth carries no pair information;
     that case is logged and scored 0.
     """
-    table = contingency_table(pred, truth)
+    return _ari(contingency_table(pred, truth))
+
+
+def _ari(table):
     if table.shape[1] == 1:
         log.warning("ARI against a single-cluster ground truth; returning 0")
         return 0.0
@@ -93,10 +105,7 @@ def ari(pred, truth):
 
 
 def evaluate(pred, truth):
-    """All four metrics as a dict."""
-    return {
-        "ca": clustering_accuracy(pred, truth),
-        "cf1": macro_f1(pred, truth),
-        "nmi": nmi(pred, truth),
-        "ari": ari(pred, truth),
-    }
+    """All four metrics as a dict, from one contingency table."""
+    table = contingency_table(pred, truth)
+    return {"ca": _accuracy(table), "cf1": _macro_f1(table), "nmi": _nmi(table),
+            "ari": _ari(table)}

@@ -22,13 +22,14 @@ labels and clusterability trace are taken. A Nystroem map runs its row
 blocks of K_nm on every usable core, and the blocks in flight hold at most
 one single-core block plus a row per worker, in buffers the calling thread
 allocates. Above the size rule of ``mvkc.workers`` the spectral stage's
-passes (the SVDs' products, the degrees and normalization, k-means and the
-clusterability trace) also run on every usable core, each block writing
-straight into the output its caller allocated; the Gram matrix and Q.T X
-hold one small partial product per block of 8192 rows. One pool of worker
-threads serves the whole run and is closed when it returns. Each view's
-propagated and centered features are released once its SVD is taken. The
-discretization (``cpqr_labels`` and ``kmeans``) holds O(n) memory beyond the
+passes (the centering, the SVDs' products and sign fix, the degrees and
+normalization, the CPQR start, k-means and the clusterability trace) also
+run on every usable core, each block writing straight into the output or
+the n-long buffers its caller allocated; the Gram matrix and Q.T X hold one
+small partial product per block of 8192 rows, and the sign fix forms no
+n x (f + 1) |U|. One pool of worker threads serves the whole run and is
+closed when it returns. Each view's propagated and centered features are
+released once its SVD is taken. The discretization (``cpqr_labels`` and ``kmeans``) holds O(n) memory beyond the
 spectral vectors. So beyond the input, the resident peak is about one view's
 n x m_v factor, the blocks of the views so far and the few n x (f + 1)
 arrays of one spectral embedding, on any number of cores.

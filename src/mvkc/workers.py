@@ -15,7 +15,8 @@ Two partitions use the pool:
 - ``map_blocks`` and ``sum_blocks`` run the spectral stage's passes over
   ``row_blocks(n)``, a partition that depends on n alone, so their bits do
   not depend on the core count; they take no per-worker buffers, as each
-  block writes straight into the output its caller allocated.
+  block writes straight into the output, or the n-long buffers, that its
+  caller allocated.
   ``map_columns`` runs a per-column pass, whose results do not depend on any
   partition, under the same size rule.
 

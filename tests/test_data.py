@@ -212,6 +212,19 @@ def test_labels_file_is_the_one_the_line_writer_wrote(tmp_path, labels):
     assert path.read_bytes() == (tmp_path / "lines.txt").read_bytes()
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([7]), np.array([2, 0, -1, 10]), np.arange(50000) % 10,
+    np.random.default_rng(9).integers(-2**62, 2**62, size=1000),
+], ids=["one-label", "signed", "50k", "wide"])
+def test_labels_file_written_in_one_join_has_the_per_label_bytes_and_round_trips(tmp_path,
+                                                                                   labels):
+    path = tmp_path / "labels.txt"
+    save_labels(labels, path)
+    assert path.read_text() == "".join(f"{lab}\n" for lab in labels.tolist())
+    loaded = load_labels(path)
+    assert np.array_equal(loaded, labels) and loaded.dtype == np.int64
+
+
 def test_labels_length_mismatch(tmp_path):
     ds = MultiViewDataset([View(np.ones((5, 2)))], labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(SizeMismatchError):

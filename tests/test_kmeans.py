@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mvkc.kmeans
 from mvkc.embedding import degree_normalize, implicit_degrees, spectral_embedding
 from mvkc.kernels import apply_map
 from mvkc.kmeans import _assign, _pivot_rows, cluster_sums, cpqr_labels, kmeans
@@ -240,3 +241,56 @@ def test_no_module_calls_pivoted_qr(monkeypatch):
     for kernel in ("quadratic", "rbf"):
         labels = run_pipeline(ds, PipelineConfig(k=3, kernel=kernel)).consensus
         assert len(np.unique(labels)) == 3
+
+
+def _counted_assign(monkeypatch):
+    """Wrap ``mvkc.kmeans._assign`` and return the list of centroids it is
+    called with."""
+    calls, assign = [], mvkc.kmeans._assign
+
+    def counted(X, centroids, x2):
+        calls.append(centroids.copy())
+        return assign(X, centroids, x2)
+
+    monkeypatch.setattr(mvkc.kmeans, "_assign", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, k", [(300, 3), (5000, 10)])
+def test_a_step_that_leaves_the_centroids_unchanged_ends_lloyd_without_a_final_assignment(
+        n, k, monkeypatch):
+    rng = np.random.default_rng(n)
+    truth = rng.integers(0, k, size=n)
+    X = np.asfortranarray(rng.normal(size=(k, 6))[truth] * 3 + rng.normal(size=(n, 6)))
+    start = np.arange(n) % k
+    calls = _counted_assign(monkeypatch)
+    labels, inertia = kmeans(X, k, start)
+    skipped = list(calls)
+    calls.clear()
+    # never taking the early return runs the final assignment as before
+    with monkeypatch.context() as patch:
+        patch.setattr(mvkc.kmeans.np, "array_equal", lambda a, b: False)
+        forced_labels, forced_inertia = kmeans(X, k, start)
+    assert np.array_equal(labels, forced_labels) and labels.dtype == np.int64
+    assert inertia == forced_inertia
+    assert len(skipped) == len(calls) - 1
+    # the assignment dropped is the last one, which repeated its centroids
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, calls))
+    assert np.array_equal(calls[-1], calls[-2])
+
+
+def test_a_loop_that_stops_on_tol_with_a_nonzero_shift_still_assigns_once_more(monkeypatch):
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(200, 3))
+    calls = _counted_assign(monkeypatch)
+    kmeans(X, 4, np.arange(200) % 4, tol=10.0)  # stops after one step
+    assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
+
+
+def test_a_loop_that_repaired_an_empty_cluster_still_assigns_once_more(monkeypatch):
+    # every point ties on three equal centroids: each step leaves clusters
+    # 1 and 2 empty and repairs them, and the means stay where they were
+    calls = _counted_assign(monkeypatch)
+    labels, inertia = kmeans(np.zeros((6, 2)), 3, np.arange(6) % 3)
+    assert len(calls) == 2 and np.array_equal(calls[0], calls[1])
+    assert sorted(np.bincount(labels)) == [1, 1, 4] and inertia == 0.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mvkc.metrics import ari, clustering_accuracy, contingency_table, macro_f1, nmi
+import mvkc.metrics
+from mvkc.metrics import ari, clustering_accuracy, contingency_table, evaluate, macro_f1, nmi
 
 
 def test_identical_partitions():
@@ -94,3 +95,21 @@ def test_macro_f1_unmatched_cluster():
     truth = np.array([0, 0, 1, 1, 1, 1])
     score = macro_f1(pred, truth)
     assert 0.0 < score < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluate_equals_the_four_metrics_one_by_one_from_one_table(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, 10, size=50000)
+    pred = np.where(rng.random(50000) < 0.8, truth, rng.integers(0, 12, size=50000)) * 3 - 7
+    expected = {"ca": clustering_accuracy(pred, truth), "cf1": macro_f1(pred, truth),
+                "nmi": nmi(pred, truth), "ari": ari(pred, truth)}
+    tables = []
+
+    def counted(*args):
+        tables.append(contingency_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(mvkc.metrics, "contingency_table", counted)
+    assert evaluate(pred, truth) == expected
+    assert len(tables) == 1

@@ -2,6 +2,7 @@ import contextlib
 import ctypes
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ import mvkc.workers
 from mvkc.data import build_knn_graph
 from mvkc.embedding import degree_normalize, implicit_degrees
 from mvkc.kernels import ROW_BLOCK, apply_map
-from mvkc.kmeans import _assign, cluster_sums
-from mvkc.linalg import _inner, _product
+from mvkc.kmeans import _assign, _pivot_rows, cluster_sums, cpqr_labels
+from mvkc.linalg import _fix_signs, _inner, _product, center_columns
 from mvkc.workers import (SPECTRAL_BLOCK, SPECTRAL_MIN_ROWS, map_row_blocks, openblas_threads,
                           row_blocks)
+from oracles import cpqr_labels_oracle, lapack_pivots
 
 
 @pytest.mark.parametrize("n, block", [(1, 4096), (5, 4096), (4097, 4096), (12289, 4096),
@@ -228,3 +230,110 @@ def test_spectral_passes_hold_under_frequent_thread_switches(monkeypatch):
                 assert np.array_equal(got, want)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _orthonormal(n, r, seed):
+    """A column-major n x r array with orthonormal columns."""
+    return np.asfortranarray(np.linalg.qr(np.random.default_rng(seed).normal(size=(n, r)))[0])
+
+
+@pytest.mark.parametrize("n", [SPECTRAL_MIN_ROWS - 1, SPECTRAL_MIN_ROWS + 1, 50000])
+def test_centering_signs_degrees_and_cpqr_equal_their_whole_array_forms_on_every_core_count(
+        n, monkeypatch):
+    # these passes run on row blocks that depend on n alone, or per column;
+    # each equals its whole-array form, or its oracle, bit for bit on 1, 2
+    # and 3 cores, with 11 columns as a features-rbf view's spectral vectors
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 16)) + 3.0
+    B = np.asfortranarray(rng.random((n, 11)))
+    U = _orthonormal(n, 11, n)
+    # equal largest |entries| in two row blocks: the first one sets the sign
+    first, last = n // 5, 4 * n // 5
+    U[first, 0], U[last, 0] = -1.0, 1.0
+    U[first, 1], U[last, 1] = 1.0, -1.0
+    U[:, 2] = 0.0
+    V = rng.normal(size=(16, 11))
+
+    with mvkc.workers._one_blas_thread() if n >= SPECTRAL_MIN_ROWS else contextlib.nullcontext():
+        columns = np.arange(11)
+        signs = np.sign(U[np.argmax(np.abs(U), axis=0), columns])
+        signs[signs == 0] = 1.0
+        whole = {
+            "centered": X - X.mean(axis=0, keepdims=True),
+            "signed U": U * signs,
+            "signed V": V * signs,
+            "degrees": B @ B.sum(axis=0),
+            "pivots": lapack_pivots(U[:, 3:]),
+            "labels": cpqr_labels_oracle(U[:, 3:], 8),
+        }
+    assert list(signs[:3]) == [-1.0, 1.0, 1.0]
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
+        signed_U, signed_V = _fix_signs(U.copy(order="F"), V)
+        pooled = {
+            "centered": center_columns(X),
+            "signed U": signed_U,
+            "signed V": signed_V,
+            "degrees": implicit_degrees(B),
+            "pivots": _pivot_rows(U[:, 3:]),
+            "labels": cpqr_labels(U[:, 3:], 8),
+        }
+        for name, array in whole.items():
+            assert np.array_equal(pooled[name], array), (name, cores)
+
+
+def test_centering_signs_and_cpqr_hold_under_frequent_thread_switches(monkeypatch):
+    # more workers than cores, switching threads about every microsecond:
+    # the blocks write disjoint parts of the outputs and n-long buffers
+    n = SPECTRAL_MIN_ROWS + 5
+    X = np.random.default_rng(1).normal(size=(n, 16))
+    U = _orthonormal(n, 11, 2)
+
+    def passes():
+        return [center_columns(X), _fix_signs(U.copy(order="F"), np.eye(11))[0],
+                cpqr_labels(U, 10)]
+
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 1)
+    expected = passes()
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for got, want in zip(passes(), expected):
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_centering_keeps_the_memory_order_of_its_input(order):
+    X = np.asarray(np.random.default_rng(0).normal(size=(SPECTRAL_MIN_ROWS + 7, 5)), order=order)
+    centered = center_columns(X)
+    assert np.array_equal(centered, X - X.mean(axis=0, keepdims=True))
+    assert centered.flags.c_contiguous == (order == "C")
+    assert centered.flags.f_contiguous == (order == "F")
+
+
+@pytest.mark.parametrize("name", ["cpqr_labels", "_fix_signs"])
+def test_discretization_and_sign_fix_on_more_cores_take_no_more_memory(name, monkeypatch):
+    # every per-block buffer is allocated on the calling thread before the
+    # workers start, so more cores hold no more arrays; the pool is open and
+    # its threads started, as in a run, before the traced call
+    n = 100000
+    U = _orthonormal(n, 11, 1)
+    call = {"cpqr_labels": lambda: cpqr_labels(U, 10),
+            "_fix_signs": lambda: _fix_signs(U, np.eye(11))}[name]
+    peaks = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
+        with mvkc.workers.pool():
+            call()
+            tracemalloc.start()
+            call()
+            _, peaks[cores] = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+    if name == "cpqr_labels":  # a few n-long vectors
+        assert peaks[2] <= 1.01 * peaks[1] and peaks[3] <= 1.01 * peaks[1]
+    else:  # no |U| and no n-long array, only the pool's few bookkeeping objects
+        assert max(peaks.values()) < n * 8 / 10
