@@ -233,7 +233,8 @@ def load_graph(path):
         if header[4]:
             rows, cols, weights = _read_csr(fh, path, n, nnz)
         else:
-            rows, cols, weights = _read_edges(io.TextIOWrapper(fh, errors="replace"), path, nnz)
+            with io.TextIOWrapper(fh, errors="replace") as text:
+                rows, cols, weights = _read_edges(text, path, nnz)
     try:
         return SparseGraph(n, rows, cols, weights, symmetric=bool(symmetric))
     except DataError as exc:
@@ -385,7 +386,7 @@ def load_dataset(path, orders=None):
 # k-NN graph construction
 
 
-KNN_BLOCK_BYTES = 16 * 2**20  # float64 query-to-all distances held per block
+KNN_BLOCK_BYTES = 8 * 2**20  # float64 query-to-all distances held per worker
 
 
 def _k_smallest(d2, k):
@@ -406,16 +407,13 @@ def build_knn_graph(features, k_neighbors, self_loops=False):
     """Unit-weight k-NN graph under Euclidean distance, symmetrized by union.
 
     Exact brute-force search over blocks of query rows, on every usable core
-    through ``workers.map_row_blocks``. ``KNN_BLOCK_BYTES`` is the one memory
-    budget: on one core each block's squared distances to all n points fill
-    at most that much (one row at least), and the workers split it, each
-    writing its blocks' distances into its own buffer, so memory stays linear
-    in n and does not grow with the core count. Ties at the k-th distance go
-    to the lowest index, so the result is deterministic. A row's distances
-    come from one matrix product of its block, and BLAS can round a block's
-    edge entries differently as the partition changes with the core count,
-    so two distances within a rounding of each other may order differently
-    on another core count; otherwise the neighbour lists are the same.
+    through ``workers.map_row_blocks``. ``KNN_BLOCK_BYTES`` is the memory
+    budget of one worker: each block's squared distances to all n points fill
+    at most that much (one row at least), in the worker's own buffer, and
+    ``_k_smallest`` takes about as much again, so memory is linear in n and
+    grows by about twice the budget per added core. Ties at the k-th distance go to
+    the lowest index, so the result is deterministic. The blocks depend on n
+    alone, so the graph is the same on any number of cores.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]

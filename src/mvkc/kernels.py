@@ -10,29 +10,29 @@ of the mapped data is then Phi(U) @ Phi(U).T.
 
 The Nystroem map builds K_nm and its product with the whitening matrix one
 row block at a time, so it never holds an n x m array beside the factor. The
-blocks of at most ``ROW_BLOCK`` rows run on every usable core through
-``workers.map_row_blocks``, whose docstring gives the pool's rules; each
-worker builds its kernel block and its whitened product, one elementwise step
-at a time, in its own two buffers. When the blocks go on the pool, BLAS is
-held at one thread from the landmark matrix's eigendecomposition on. A row
-comes out of the same operations whichever block holds it, but the partition
-changes with the core count, and BLAS can round a block's last rows
-differently. The factor is bit-identical on 1, 2 and 3 cores at the shapes
-the tests pin, features-rbf's among them; at n = 9000, f = 13, m = 203, three
-cores move 36 rows by up to 1e-15."""
+ceil(n / ``ROW_BLOCK``) near-equal blocks depend on n alone and run on every
+usable core through ``workers.map_row_blocks``, whose docstring gives the
+pool's rules; each worker builds its kernel block and its whitened product,
+one elementwise step at a time, in its own two buffers of up to ``ROW_BLOCK``
+x m values, so each added worker holds about 16 KiB more per landmark
+(4.7 MiB at m = 300). When there is more than one block, BLAS is held at one thread from
+the landmark matrix's eigendecomposition on. A row comes out of the same
+operations in the same block on any core count, so the factor is the same
+on any number of cores."""
 
 import numpy as np
 import scipy.linalg
 
-from .workers import map_row_blocks, pool, row_block_workers
+from .workers import map_row_blocks, pool
 
 KERNEL_KINDS = ("quadratic", "rbf")
 
 # relative eigenvalue floor when inverting the landmark kernel matrix
 EIG_FLOOR = 1e-12
 # rows per Nystroem block, at most; the blocks are near-equal, since a tail of
-# a few rows takes another BLAS route and can round differently
-ROW_BLOCK = 4096
+# a few rows takes another BLAS route and can round differently. 1024 to 2048
+# rows ran faster on one worker than 4096, and keep each worker's buffers small
+ROW_BLOCK = 1024
 
 
 def rbf_kernel(X, Y, gamma, out=None):
@@ -88,7 +88,7 @@ def apply_map(kind, U, m=None, gamma=None, seed=0):
 
     # BLAS on one thread from the landmark eigh on, whose threads would
     # otherwise still spin while the workers run
-    with pool(one_blas_thread=row_block_workers(n, ROW_BLOCK) > 1):
+    with pool(one_blas_thread=n > ROW_BLOCK):
         K_mm = rbf_kernel(landmarks, landmarks, gamma)
         K_mm = 0.5 * (K_mm + K_mm.T)
         evals, evecs = scipy.linalg.eigh(K_mm)

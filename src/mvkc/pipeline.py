@@ -19,20 +19,21 @@ sum_v lambda_v s_{v,t+1}^2 (Eckart-Young).
 Memory: a view's factor is normalized in place (the caller of
 ``degree_normalize`` owns the factor it overwrites) and released once its
 labels and clusterability trace are taken. A Nystroem map runs its row
-blocks of K_nm on every usable core, and the blocks in flight hold at most
-one single-core block plus a row per worker, in buffers the calling thread
-allocates. Above the size rule of ``mvkc.workers`` the spectral stage's
-passes (the centering, the SVDs' products and sign fix, the degrees and
-normalization, the CPQR start, k-means and the clusterability trace) also
-run on every usable core, each block writing straight into the output or
-the n-long buffers its caller allocated; the Gram matrix and Q.T X hold one
-small partial product per block of 8192 rows, and the sign fix forms no
+blocks of K_nm on every usable core, each worker in its own two buffers of
+at most ``ROW_BLOCK`` = 1024 rows x m_v, which the calling thread allocates.
+Above the size rule of ``mvkc.workers`` the spectral stage's passes (the
+centering, the SVDs' products and sign fix, the degrees and normalization,
+the CPQR start, k-means and the clusterability trace) also run on every
+usable core, each block writing straight into the output or the n-long
+buffers its caller allocated; the Gram matrix and Q.T X hold one small
+partial product per block of 8192 rows, and the sign fix forms no
 n x (f + 1) |U|. One pool of worker threads serves the whole run and is
-closed when it returns. Each view's propagated and centered features are
-released once its SVD is taken. The discretization (``cpqr_labels`` and ``kmeans``) holds O(n) memory beyond the
-spectral vectors. So beyond the input, the resident peak is about one view's
-n x m_v factor, the blocks of the views so far and the few n x (f + 1)
-arrays of one spectral embedding, on any number of cores.
+closed when it returns. Each view's propagated and centered features are released once
+its SVD is taken. The discretization (``cpqr_labels`` and ``kmeans``) holds
+O(n) memory beyond the spectral vectors. So beyond the input, the resident
+peak is about one view's n x m_v factor, the blocks of the views so far, the
+few n x (f + 1) arrays of one spectral embedding and, per usable core, one
+worker's map buffers.
 ``mvkc run`` loads only the graphs of views that propagate, so with p = 0
 everywhere no graph is held.
 """

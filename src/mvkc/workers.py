@@ -1,54 +1,52 @@
 """mvkc's one worker pool: loops over row blocks, run on every usable core.
 
-Two partitions use the pool:
+One partition rule: every pooled pass splits its rows by n alone, so its
+blocks, and with them its bits, do not depend on the core count.
 
-- ``map_row_blocks`` splits rows 0..n into near-equal blocks for a caller
-  whose workers each need their own buffers (the Nystroem map, the k-NN
-  search); worker w takes blocks w, w + workers, and so on. On one core the
-  blocks are those of the caller's rows-per-block alone, at most ``block``
-  rows each and near-equal, since a tail of a few rows takes another BLAS
-  route and can round differently. With more workers each such block is
-  split once more, so the blocks in flight hold at most one single-core block
-  plus one row per worker in all: the partition changes with the core count
-  because the workers' buffers share one memory budget. An n below
-  block / cores gets fewer workers than cores, so no block is tiny.
+- ``map_row_blocks`` splits rows 0..n into ceil(n / block) near-equal blocks,
+  at most ``block`` rows each, for a caller whose workers each need their own
+  buffers (the Nystroem map, the k-NN search); near-equal, since a tail of a
+  few rows takes another BLAS route and can round differently. Each worker
+  holds one set of buffers, so memory grows by one worker's buffers per core.
 - ``map_blocks`` and ``sum_blocks`` run the spectral stage's passes over
-  ``row_blocks(n)``, a partition that depends on n alone, so their bits do
-  not depend on the core count; they take no per-worker buffers, as each
-  block writes straight into the output, or the n-long buffers, that its
-  caller allocated.
+  ``row_blocks(n)``; they take no per-worker buffers, as each block writes
+  straight into the output, or the n-long buffers, that its caller allocated.
   ``map_columns`` runs a per-column pass, whose results do not depend on any
   partition, under the same size rule.
 
 The size rule: below ``SPECTRAL_MIN_ROWS`` rows the partition is one block,
 and each spectral pass is the one whole-array call it was before the pool,
 run inline on the caller's BLAS threads. Above it, the blocks hold
-``SPECTRAL_BLOCK`` rows, the last one the remainder too, and every pass runs
-with BLAS at one thread, on one core or many. Each block starts at a multiple
-of ``SPECTRAL_BLOCK``, so OpenBLAS tiles it as it tiles the whole array, and
-a row product equals its whole-array form bit for bit at the shapes the tests
-pin; a product small enough for OpenBLAS's small-matrix kernel (about 10^6
-multiply-adds per block) can round the tail rows differently, the same on
-every core count. ``sum_blocks`` sums the blocks' partial products in block
-order, which rounds differently from one whole-array product (about 1e-16
-relative), again the same on every core count. The rule is four blocks: on
-a 2-vCPU machine, a three-view pipeline with k = 10 ran no faster on the pool
-at n = 24,576 with the quadratic map (m = 55; three blocks split two to one),
-and 15-17% faster at n = 32,768 with either kernel.
+``SPECTRAL_BLOCK`` rows, the last one the remainder too. Each block starts at
+a multiple of ``SPECTRAL_BLOCK``, so OpenBLAS tiles it as it tiles the whole
+array, and a row product equals its whole-array form bit for bit at the
+shapes the tests pin; a product small enough for OpenBLAS's small-matrix
+kernel (about 10^6 multiply-adds per block) can round the tail rows
+differently, the same on every core count. ``sum_blocks`` sums the blocks'
+partial products in block order, which rounds differently from one
+whole-array product (about 1e-16 relative), again the same on every core
+count. The rule is four blocks: on a 2-vCPU machine, a three-view pipeline
+with k = 10 ran no faster on the pool at n = 24,576 with the quadratic map
+(m = 55; three blocks split two to one), and 15-17% faster at n = 32,768
+with either kernel.
 
-Each worker writes into arrays that the calling thread allocates before any
-worker starts: an array freed on a worker thread stays in that thread's
-allocator arena, where the rest of the run cannot reuse it. Worker 0 is the
-calling thread, so one worker starts no thread. A worker's error is raised
-on the calling thread once every worker has stopped.
+One dispatch, ``_map``, runs every pass: one task runs inline, on the
+caller's BLAS threads; more than one holds BLAS at one thread and runs on
+the pool, worker w taking tasks w, w + workers, and so on, so a pass rounds
+the same on every core count. Each worker writes into arrays that the
+calling thread allocates before any worker starts: an array freed on a
+worker thread stays in that thread's allocator arena, where the rest of the
+run cannot reuse it. Worker 0 is the calling thread, so one worker starts no
+thread. A worker's error is raised on the calling thread once every worker
+has stopped.
 
-Inside ``with pool():`` every pass that runs on more than one worker shares
-one pool, started at the first such pass; ``mvkc.pipeline.run_pipeline``
-holds one for its run, so threads start once per run and none outlives it
-(``mvkc run --time-limit`` forks before the run). A pass outside any such
-block opens a pool for its own call. From the pool's first pass, or from its
-start when asked, to its close, the OpenBLAS libraries that numpy and
-scipy.linalg loaded are held at one thread, and their previous counts are
+Inside ``with pool():`` every pass of more than one task shares one pool,
+whose threads start at the first pass on more than one worker;
+``mvkc.pipeline.run_pipeline`` holds one for its run, so threads start once
+per run and none outlives it (``mvkc run --time-limit`` forks before the
+run). A pass outside any such block opens a pool for its own call. From the
+pool's first pass, or from its start when asked, to its close, the OpenBLAS
+libraries that numpy and scipy.linalg loaded are held at one thread, and their previous counts are
 restored on close, also after an error: otherwise the workers and OpenBLAS's
 own threads, which spin for a while after a call, contend for the same
 cores. The counts are set with OpenBLAS's own setters, looked up once per
@@ -131,29 +129,15 @@ def map_columns(n, m, work):
 
 
 def map_row_blocks(n, block, cols, work):
-    """Call ``work(start, stop, *buffers)`` once for each block [start, stop)
-    of near-equal row blocks that cover 0..n, on every usable core.
-
-    ``block`` is the most rows a block holds on one core. ``buffers`` are the
-    calling worker's own C-ordered float64 arrays, one per entry of ``cols``
-    with that many columns, and rows enough for any block.
-    """
-    workers = row_block_workers(n, block)
-    n_blocks = min(n, workers * -(-n // block))
+    """Call ``work(start, stop, *buffers)`` on each of ceil(n / block)
+    near-equal row blocks [start, stop) that cover 0..n, on every usable
+    core. ``buffers`` are the calling worker's own C-ordered float64 arrays,
+    one per entry of ``cols`` with that many columns, and rows enough for any
+    block."""
+    n_blocks = -(-n // block)
     size = -(-n // n_blocks)  # the largest block's rows
-    buffers = [[np.empty((size, c)) for c in cols] for _ in range(workers)]
-
-    def blocks_of(w):
-        for b in range(w, n_blocks, workers):
-            work(n * b // n_blocks, n * (b + 1) // n_blocks, *buffers[w])
-
-    _on_workers(workers, blocks_of)
-
-
-def row_block_workers(n, block):
-    """The workers of ``map_row_blocks(n, block, ...)``."""
-    cores = _usable_cores()
-    return min(cores, -(-n * cores // block))
+    _map([(n * b // n_blocks, n * (b + 1) // n_blocks) for b in range(n_blocks)], work,
+         buffers=lambda: [np.empty((size, c)) for c in cols])
 
 
 @contextmanager
@@ -162,9 +146,10 @@ def pool(one_blas_thread=False):
     pass that runs on more than one worker and closed, its threads joined and
     the BLAS thread counts restored, when the block exits. Inside another
     such block this one reuses that block's pool. The BLAS counts are held
-    from that first pass on, or from the start given ``one_blas_thread``, so
-    that BLAS work before the pass, such as a LAPACK call whose threads would
-    still spin when the workers start, runs on one thread too."""
+    from the first pass of more than one task on, or from the start given
+    ``one_blas_thread``, so that BLAS work before the pass, such as a LAPACK
+    call whose threads would still spin when the workers start, runs on one
+    thread too."""
     if getattr(_open, "stack", None) is not None:
         _hold(one_blas_thread)
         yield
@@ -185,37 +170,29 @@ def _hold(one_blas_thread):
         _open.held = True
 
 
-def _map(tasks, work):
-    """Call ``work(*task)`` for each task; worker w takes tasks w,
-    w + workers, and so on."""
+def _map(tasks, work, buffers=list):
+    """Call ``work(*task, *own)`` for each task, where ``own`` is the calling
+    worker's ``buffers()``, allocated on the calling thread: inline for one
+    task, else with BLAS held at one thread, on the open pool or on one
+    opened for this call, worker w taking tasks w, w + workers, and so on.
+    Raises a worker's error once every worker has stopped."""
+    if len(tasks) < 2:
+        for task in tasks:
+            work(*task, *buffers())
+        return
     workers = min(_usable_cores(), len(tasks))
+    own = [buffers() for _ in range(workers)]
 
     def tasks_of(w):
         for task in tasks[w::workers]:
-            work(*task)
+            work(*task, *own[w])
 
-    if workers:
-        _on_workers(workers, tasks_of, one_blas_thread=len(tasks) > 1)
-
-
-def _on_workers(workers, fn, one_blas_thread=False):
-    """Call ``fn(w)`` for each worker w: inline for one worker, else on the
-    open pool, or on one opened for this call. Given ``one_blas_thread``,
-    BLAS is held at one thread as on the pool even for one worker, so that a
-    pass rounds the same on every core count. Raises a worker's error once
-    every worker has stopped."""
-    if workers == 1 and not one_blas_thread:
-        fn(0)
-        return
     with pool(one_blas_thread=True):
-        if workers == 1:
-            fn(0)
-            return
-        if _open.executor is None:
+        if workers > 1 and _open.executor is None:
             _open.executor = _open.stack.enter_context(ThreadPoolExecutor(_usable_cores() - 1))
-        futures = [_open.executor.submit(fn, w) for w in range(1, workers)]
+        futures = [_open.executor.submit(tasks_of, w) for w in range(1, workers)]
         try:
-            fn(0)  # worker 0 is the calling thread
+            tasks_of(0)  # worker 0 is the calling thread
         finally:
             wait(futures)
         for future in futures:

@@ -1,10 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line. Run with ``pytest tests/test_acceptance.py -v -s``."""
 
-import contextlib
-import ctypes
 import functools
-import glob
 import itertools
 import math
 import os
@@ -16,6 +13,7 @@ import pytest
 import scipy.linalg
 
 import mvkc.pipeline
+import mvkc.workers
 from mvkc.data import MultiViewDataset, View, load_dataset
 from mvkc.embedding import degree_normalize, implicit_degrees
 from mvkc.kernels import apply_map
@@ -144,32 +142,6 @@ def _peak_memory(ds, config):
     return peak
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin each OpenBLAS that numpy and scipy bundle to one thread and restore
-    the previous counts on exit. OpenBLAS decides per call, by problem size,
-    whether to use its threads, so the sizes compared could otherwise run on
-    different thread counts and the time ratio would not measure scaling."""
-    pinned = []
-    for pkg in (np, scipy):
-        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
-        for path in glob.glob(os.path.join(libs, "*openblas*")):
-            lib = ctypes.CDLL(path)
-            for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                         "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-                get = getattr(lib, name.format("get"), None)
-                if get is not None:
-                    put = getattr(lib, name.format("set"))
-                    pinned.append((put, get()))
-                    put(1)
-                    break
-    try:
-        yield
-    finally:
-        for put, threads in pinned:
-            put(threads)
-
-
 def test_criterion_5_scaling_law(monkeypatch):
     sizes = [10_000, 20_000, 40_000]
     # fixed k-means iteration budget (negative tol disables the convergence
@@ -179,7 +151,10 @@ def test_criterion_5_scaling_law(monkeypatch):
     config = PipelineConfig(k=10, seed=0)
     datasets = [synth_multiview(n, 10, 2, noise=0.1, seed=0) for n in sizes]
     samples = [[] for _ in sizes]
-    with _one_blas_thread():
+    # OpenBLAS decides per call, by problem size, whether to use its threads,
+    # so the sizes compared could otherwise run on different thread counts and
+    # the time ratio would not measure scaling
+    with mvkc.workers._one_blas_thread():
         for ds in datasets:
             run_pipeline(ds, config)  # warm-up
         # interleave sizes per repetition so clock or cache drift over the

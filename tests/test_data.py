@@ -1,3 +1,4 @@
+import gc
 import struct
 import threading
 import tracemalloc
@@ -17,6 +18,7 @@ from mvkc.data import (
     SizeMismatchError,
     SparseGraph,
     View,
+    _k_smallest,
     build_knn_graph,
     load_dataset,
     load_features,
@@ -134,6 +136,20 @@ def test_graph_non_finite_weight(tmp_path):
     path.write_text("n 3 nnz 2 symmetric 1\n0 1 inf\n1 0 inf\n")
     with pytest.raises(FormatError, match="NaN or Inf"):
         load_graph(path)
+
+
+@pytest.mark.parametrize("edges, error", [("0 7 1.0\n", IndexRangeError),
+                                          ("0 1 inf\n", FormatError)],
+                         ids=["index", "weight"])
+def test_a_malformed_text_graph_leaves_no_file_open(tmp_path, edges, error):
+    path = tmp_path / "g.txt"
+    path.write_text("n 3 nnz 1 symmetric 0\n" + edges)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(error):
+            load_graph(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_graph_more_edge_lines_than_nnz(tmp_path):
@@ -313,10 +329,10 @@ def test_knn_matches_stable_sort_oracle_on_ties(tie_grid, k, self_loops):
 
 @pytest.mark.parametrize("case", ["tie-grid", "40-row blocks", "1-row blocks"])
 def test_knn_is_the_oracle_graph_on_any_core_count(case, tie_grid, monkeypatch):
-    # the tie grid at the default budget holds 3 single-core blocks of up to
-    # 998 rows; n = 1001 is not a multiple of 40 rows
+    # the tie grid at the default budget holds 5 blocks of 420 rows, within
+    # 499; n = 1001 is not a multiple of 40 rows
     if case == "tie-grid":
-        X, k, rows = tie_grid, 7, 998
+        X, k, rows = tie_grid, 7, 499
     else:
         n, rows = (1001, 40) if case == "40-row blocks" else (203, 1)
         X, k = np.random.default_rng(n).normal(size=(n, 7)), 5
@@ -330,21 +346,31 @@ def test_knn_is_the_oracle_graph_on_any_core_count(case, tie_grid, monkeypatch):
         assert threading.active_count() == threads
 
 
-def test_knn_on_more_cores_takes_no_more_memory(monkeypatch):
-    # the workers split KNN_BLOCK_BYTES: the distance buffers and the
-    # temporaries of _k_smallest in flight hold one single-core block plus
-    # at most a row per worker; a knn-prepare view, n = 6000, d = 16
-    X = np.random.default_rng(13).normal(size=(6000, 16))
+def test_knn_on_more_cores_takes_one_more_workers_budget_per_core(monkeypatch):
+    # each added worker holds its own distance buffer, of the largest block's
+    # rows x n, and the temporaries of _k_smallest on that block, plus 64 KiB;
+    # a knn-prepare view, n = 6000, d = 16
+    n, k = 6000, 10
+    X = np.random.default_rng(13).normal(size=(n, 16))
+    rows = -(-n // -(-n // (KNN_BLOCK_BYTES // (8 * n))))
+    sq = np.einsum("ij,ij->i", X, X)
+    d2 = sq[:rows, None] - 2.0 * X[:rows] @ X.T + sq
+    tracemalloc.start()
+    try:
+        _k_smallest(d2, k)
+        worker = d2.nbytes + tracemalloc.get_traced_memory()[1] + 64 * 2**10
+    finally:
+        tracemalloc.stop()
     peaks = {}
     for cores in (1, 2, 3):
         monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
         tracemalloc.start()
         try:
-            build_knn_graph(X, 10, self_loops=True)
+            build_knn_graph(X, k, self_loops=True)
             peaks[cores] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[2] <= 1.01 * peaks[1] and peaks[3] <= 1.01 * peaks[1]
+    assert peaks[2] <= peaks[1] + worker and peaks[3] <= peaks[1] + 2 * worker
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import mvkc.workers
-from mvkc.kernels import EIG_FLOOR, apply_map, rbf_kernel
+from mvkc.kernels import EIG_FLOOR, ROW_BLOCK, apply_map, rbf_kernel
 
 
 def test_quadratic_output_dim():
@@ -172,19 +172,34 @@ def test_map_of_a_features_rbf_view_has_the_same_bits_on_any_core_count(kind, mo
         assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("n, f, m", [(9000, 13, 203), (100000, 10, 300), (50000, 10, 100),
+                                     (33000, 7, 64)])
+def test_map_has_the_same_bits_on_any_core_count(n, f, m, monkeypatch):
+    # the row blocks depend on n alone; n = 9000 is not a multiple of the block
+    U = np.asfortranarray(np.random.default_rng(n + f).normal(size=(n, f)))
+    maps = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
+        maps[cores] = apply_map("rbf", U, m, seed=3)
+    assert np.array_equal(maps[2], maps[1]) and np.array_equal(maps[3], maps[1])
+
+
 @pytest.mark.parametrize("kind", ["rbf"])
-def test_map_on_more_cores_takes_no_more_memory(kind, monkeypatch):
-    # the blocks in flight hold at most one single-core block plus a row per
-    # worker; each worker's own temporaries, such as numpy's 64 KiB iterator
-    # buffer of a broadcast step, stay within 1% at m = 300
-    U = np.asfortranarray(np.random.default_rng(9).normal(size=(50000, 10)))
+def test_map_on_more_cores_takes_one_more_workers_buffers_per_core(kind, monkeypatch):
+    # each added worker holds its own kernel block and product, two of the
+    # largest block's rows x m, plus the few temporaries of its block, such as
+    # numpy's 64 KiB iterator buffer of a broadcast step; m = 300
+    n, m = 50000, 300
+    U = np.asfortranarray(np.random.default_rng(9).normal(size=(n, 10)))
+    rows = -(-n // -(-n // ROW_BLOCK))
+    worker = 2 * rows * m * 8 + 128 * 2**10
     peaks = {}
     for cores in (1, 2, 3):
         monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
         tracemalloc.start()
         try:
-            out = apply_map(kind, U, 300, seed=2)
+            out = apply_map(kind, U, m, seed=2)
             peaks[cores] = tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()
-    assert peaks[2] <= 1.01 * peaks[1] and peaks[3] <= 1.01 * peaks[1]
+    assert peaks[2] <= peaks[1] + worker and peaks[3] <= peaks[1] + 2 * worker

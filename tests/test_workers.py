@@ -23,6 +23,8 @@ from oracles import cpqr_labels_oracle, lapack_pivots
 @pytest.mark.parametrize("n, block", [(1, 4096), (5, 4096), (4097, 4096), (12289, 4096),
                                       (1001, 40), (203, 1)])
 def test_blocks_tile_the_rows_once_each_within_the_block(n, block, monkeypatch):
+    # ceil(n / block) near-equal blocks, the same list on every core count
+    partitions = {}
     for cores in (1, 2, 3):
         monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
         seen, lock = [], threading.Lock()
@@ -38,10 +40,13 @@ def test_blocks_tile_the_rows_once_each_within_the_block(n, block, monkeypatch):
         bounds = sorted((start, stop) for start, stop, _ in seen)
         assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
         assert bounds[-1][1] == n
+        assert len(bounds) == -(-n // block)
         sizes = [stop - start for start, stop in bounds]
         assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
-        if n * cores <= block:  # one worker, on the calling thread
+        if n <= block:  # one block, on the calling thread
             assert {ident for _, _, ident in seen} == {threading.get_ident()}
+        partitions[cores] = bounds
+    assert partitions[2] == partitions[1] and partitions[3] == partitions[1]
 
 
 def test_a_workers_error_is_raised_after_every_worker_stopped(monkeypatch):
@@ -56,7 +61,7 @@ def test_a_workers_error_is_raised_after_every_worker_stopped(monkeypatch):
 
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="block 0"):
-        map_row_blocks(90, 30, (), work)
+        map_row_blocks(90, 10, (), work)
     assert threading.active_count() == threads
     # 9 blocks of 10 rows on 3 workers: worker 0 stopped at its first block,
     # and the other two ran all of theirs before the error was raised
