@@ -289,11 +289,12 @@ def load_labels(path):
 
 
 def save_labels(labels, path):
-    """Write integer labels, one per line, as ``load_labels`` reads them."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Write integer labels, one per line, as ``load_labels`` reads them.
+    Each distinct label is formatted once, and its line indexed per label."""
+    values, inverse = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    lines = np.array([f"{value}\n" for value in values.tolist()], dtype=object)
     with open(path, "w") as fh:
-        if len(labels):
-            fh.write("\n".join(map(str, labels.tolist())) + "\n")
+        fh.write("".join(lines[inverse].tolist()))
 
 
 def save_dataset(dataset, path):
@@ -387,19 +388,49 @@ def load_dataset(path, orders=None):
 
 
 KNN_BLOCK_BYTES = 8 * 2**20  # float64 query-to-all distances held per worker
+KNN_GROUP = 8  # columns per group whose minimum screens them in _k_smallest
 
 
 def _k_smallest(d2, k):
     """Column indices of the k smallest entries of each row of ``d2``, ordered
-    by (value, column): the first k of a stable full sort, by partial selection."""
-    n = d2.shape[1]
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    # every entry up to the k-th smallest, more than k only when it is tied; NaN
-    # (from overflow) compares false and sorts last, as in a full sort
-    rows, cols = np.divmod(np.flatnonzero(~(d2 > kth[:, None])), n)
-    order = np.lexsort((cols, d2[rows, cols], rows))
+    by (value, column): the first k of a stable full sort.
+
+    Columns are screened in groups before any entry is sorted. With G =
+    min(KNN_GROUP, n // k) and L = n // G, group g < L holds the columns g,
+    g + L, ..., g + (G - 1) L; the fewer than G tail columns past G L belong
+    to none. A row's k-th smallest group minimum, tau, bounds its k-th
+    smallest entry from above, since k groups hold an entry no larger. So
+    only the entries up to tau of the groups whose minimum is up to tau, and
+    of the tail, are candidates: about k per row instead of n. They are
+    listed in (row, column) order and stably sorted by (row, value), so ties
+    keep the lowest column first. NaN (from overflow) compares false and
+    propagates through the minimum: a group holding one is kept, a row with
+    fewer than k groups free of NaN gets tau = NaN and keeps every entry,
+    and NaN sorts last, as in a full sort. At G = 1 each group is a column.
+    """
+    m, n = d2.shape
+    G = min(KNN_GROUP, n // k)
+    L = n // G
+    gmin = np.minimum.reduce(d2[:, :G * L].reshape(m, G, L), axis=1)
+    tau = np.partition(gmin, k - 1, axis=1)[:, k - 1]
+    rows, heads = np.divmod(np.flatnonzero(~(gmin > tau[:, None])), L)
+    kept = np.bincount(rows, minlength=m)  # groups kept per row
+    # row i lists the columns h + j L of its kept heads h, by j, then its tail
+    width = G * kept + n - G * L
+    first = np.cumsum(width) - width
+    cols = np.empty(first[-1] + width[-1], dtype=np.int64)
+    cols[(first + G * kept)[:, None] + np.arange(n - G * L)] = np.arange(G * L, n)
+    dest = first[rows] + np.arange(len(rows)) - (np.cumsum(kept) - kept)[rows]
+    step = kept[rows]
+    for j in range(G):
+        cols[dest + j * step] = heads + j * L
+    rows = np.repeat(np.arange(m), width)
+    values = d2[rows, cols]
+    keep = ~(values > tau[rows])
+    rows, cols = rows[keep], cols[keep]
+    order = np.lexsort((values[keep], rows))  # stable, so ties stay in column order
     rows, cols = rows[order], cols[order]
-    rank = np.arange(len(rows)) - np.searchsorted(rows, np.arange(len(d2)))[rows]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, np.arange(m))[rows]
     return cols[rank < k].reshape(-1, k)
 
 
@@ -410,8 +441,8 @@ def build_knn_graph(features, k_neighbors, self_loops=False):
     through ``workers.map_row_blocks``. ``KNN_BLOCK_BYTES`` is the memory
     budget of one worker: each block's squared distances to all n points fill
     at most that much (one row at least), in the worker's own buffer, and
-    ``_k_smallest`` takes about as much again, so memory is linear in n and
-    grows by about twice the budget per added core. Ties at the k-th distance go to
+    ``_k_smallest`` takes about a quarter as much again, so memory is linear
+    in n and grows by about 1.3 times the budget per added core. Ties at the k-th distance go to
     the lowest index, so the result is deterministic. The blocks depend on n
     alone, so the graph is the same on any number of cores.
     """

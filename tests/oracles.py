@@ -112,6 +112,12 @@ def propagation_oracle(graph, features, p):
     return out
 
 
+def k_smallest_oracle(d2, k):
+    """Column indices of the k smallest entries of each row of ``d2`` from a
+    full stable sort: ties keep the lowest column first, and NaN sorts last."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 def knn_oracle(features, k, self_loops=False):
     """The k-NN graph of ``mvkc.data.build_knn_graph`` from a full stable sort
     of each row of the n x n squared distances, sq_i - 2 g_ij + sq_j, so equal
@@ -121,7 +127,7 @@ def knn_oracle(features, k, self_loops=False):
     sq = np.einsum("ij,ij->i", X, X)
     d2 = sq[:, None] - 2.0 * X @ X.T + sq[None, :]
     np.fill_diagonal(d2, np.inf)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    neighbors = k_smallest_oracle(d2, k)
     rows = np.repeat(np.arange(n), k)
     cols = neighbors.ravel()
     loops = np.arange(n) if self_loops else np.arange(0)

@@ -11,6 +11,7 @@ import mvkc.data
 import mvkc.workers
 from mvkc.data import (
     KNN_BLOCK_BYTES,
+    KNN_GROUP,
     FormatError,
     IndexRangeError,
     MissingFileError,
@@ -29,7 +30,7 @@ from mvkc.data import (
     save_graph,
     save_labels,
 )
-from oracles import knn_oracle, same_graph
+from oracles import k_smallest_oracle, knn_oracle, same_graph
 from synth import synth_multiview
 
 
@@ -241,6 +242,23 @@ def test_labels_file_written_in_one_join_has_the_per_label_bytes_and_round_trips
     assert np.array_equal(loaded, labels) and loaded.dtype == np.int64
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([-3, 5, -3, 0, -1]),
+    np.array([-2**62, 2**62, 0, 2**62, -2**62]),
+    np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1]),
+    np.random.default_rng(4).choice([-10**15, 3, 2**40, 77], size=500),
+    np.array([], dtype=np.int64),
+], ids=["negative", "2^62", "int64-range", "sparse", "empty"])
+def test_labels_file_has_the_bytes_of_one_str_join(tmp_path, labels):
+    path = tmp_path / "labels.txt"
+    save_labels(labels, path)
+    joined = "\n".join(map(str, labels.tolist())) + "\n" if len(labels) else ""
+    assert path.read_bytes() == joined.encode("ascii")
+    if len(labels):  # a labels file without rows does not load
+        loaded = load_labels(path)
+        assert np.array_equal(loaded, labels) and loaded.dtype == np.int64
+
+
 def test_labels_length_mismatch(tmp_path):
     ds = MultiViewDataset([View(np.ones((5, 2)))], labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(SizeMismatchError):
@@ -371,6 +389,64 @@ def test_knn_on_more_cores_takes_one_more_workers_budget_per_core(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[2] <= peaks[1] + worker and peaks[3] <= peaks[1] + 2 * worker
+
+
+def adversarial_rows(n, k, seed):
+    """Distance rows that stress the group screening of ``_k_smallest``."""
+    rng = np.random.default_rng(seed)
+    G = min(KNN_GROUP, n // k)
+    L = n // G
+    ints = rng.integers(0, 3, size=n).astype(np.float64)  # ties across groups
+    rows = [rng.normal(size=n), ints, np.zeros(n), np.full(n, np.inf), np.full(n, np.nan),
+            rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf], size=n)]
+    rows.append(np.where(rng.random(n) < 0.3, np.nan, ints))
+    rows.append(np.where(rng.random(n) < 0.9, np.nan, ints))  # few groups free of NaN
+    heads = ints.copy()
+    heads[:L] = np.nan  # with G > 1, a NaN in every group
+    rows.append(heads)
+    half = ints.copy()
+    half[:L // 2] = np.nan  # a NaN in half the groups
+    rows.append(half)
+    last = np.full(n, 5.0)
+    last[L - 1:G * L:L] = -np.arange(G)  # the k smallest in the last group if k <= G
+    rows.append(last)
+    tail = rng.integers(2, 5, size=n).astype(np.float64)
+    tail[G * L:] = np.arange(n - G * L)  # the smallest past the last group
+    rows.append(tail)
+    diag = rng.integers(0, 3, size=n).astype(np.float64)
+    diag[rng.integers(n)] = np.inf  # a row of a distance block, its own column excluded
+    rows.append(diag)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n, k", [
+    (96, 5), (101, 5), (87, 3), (30, 5), (20, 7), (12, 7), (50, 1), (50, 49), (2, 1),
+])
+def test_k_smallest_is_the_first_k_of_a_stable_sort(n, k):
+    # 96 is a multiple of KNN_GROUP and 101 and 87 are not; below n = 8 k
+    # the group size falls to n // k: 6 at (30, 5), 2 at (20, 7), 1 at (12, 7)
+    # and at k = n - 1
+    for seed in range(4):
+        d2 = adversarial_rows(n, k, seed)
+        assert np.array_equal(_k_smallest(d2, k), k_smallest_oracle(d2, k))
+
+
+def test_k_smallest_holds_less_than_half_the_distance_block():
+    # one block of a knn-prepare view, n = 6000, d = 16, at KNN_BLOCK_BYTES
+    n, k = 6000, 10
+    X = np.random.default_rng(13).normal(size=(n, 16))
+    rows = -(-n // -(-n // (KNN_BLOCK_BYTES // (8 * n))))
+    sq = np.einsum("ij,ij->i", X, X)
+    d2 = sq[:rows, None] - 2.0 * X[:rows] @ X.T + sq
+    np.fill_diagonal(d2, np.inf)
+    tracemalloc.start()
+    try:
+        got = _k_smallest(d2, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d2.nbytes / 2
+    assert np.array_equal(got, k_smallest_oracle(d2, k))
 
 
 # ---------------------------------------------------------------------------
