@@ -441,10 +441,10 @@ def build_knn_graph(features, k_neighbors, self_loops=False):
     through ``workers.map_row_blocks``. ``KNN_BLOCK_BYTES`` is the memory
     budget of one worker: each block's squared distances to all n points fill
     at most that much (one row at least), in the worker's own buffer, and
-    ``_k_smallest`` takes about a quarter as much again, so memory is linear
-    in n and grows by about 1.3 times the budget per added core. Ties at the k-th distance go to
-    the lowest index, so the result is deterministic. The blocks depend on n
-    alone, so the graph is the same on any number of cores.
+    ``_k_smallest`` takes about a third as much again, so memory is linear
+    in n and grows by about 1.3 times the budget per added core. Ties at the
+    k-th distance go to the lowest index, so the result is deterministic. The
+    blocks depend on n alone, so the graph is the same on any number of cores.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
