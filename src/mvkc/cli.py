@@ -13,17 +13,17 @@ files of different lengths, is a data error. A setting that would be ignored
 or make the run meaningless is a config error: a ``--p`` entry for a view the
 dataset lacks or a view named twice, a view that propagates when the dataset
 has no graph, ``--gamma`` or ``--kernel-components`` with ``quadratic``, a
-temperature or gamma that is not finite and positive, too few
-``--kernel-components``, an ``--f`` below 2 with ``quadratic`` or above a
-view's feature dimension, what ``PipelineConfig.check_fits`` rejects (a k,
-f + 1 or ``--kernel-components`` above n, f + 1 below k), ``prepare`` counts
-of ``--p`` orders and ``--graph`` entries that do not fit the feature files,
-an ``--add-knn`` below 1 or at least n, or ``--self-loops`` without
-``--add-knn``. A ``--p`` or ``--seeds`` value that does not parse, is
-negative or repeats a seed, a ``--kernel`` other than ``quadratic`` or
-``rbf``, or a ``--time-limit`` that is not positive or is above
-``MAX_TIME_LIMIT`` seconds, is an argparse error that names the flag and
-shows the text.
+gamma that is not finite and positive, too few ``--kernel-components``, an
+``--f`` below 2 with ``quadratic`` or above a view's feature dimension, what
+``PipelineConfig.check_fits`` rejects (a k, f + 1 or ``--kernel-components``
+above n, f + 1 below k), ``prepare`` counts of ``--p`` orders and
+``--graph`` entries that do not fit the feature files, an ``--add-knn``
+below 1 or at least n, or ``--self-loops`` without ``--add-knn``. A ``--p``
+or ``--seeds`` value that does not parse, is negative or repeats a seed, a
+``--kernel`` other than ``quadratic`` or ``rbf``, a ``--weight-mode`` other
+than ``negated`` or ``uniform``, a ``--time-limit`` that is not positive or
+is above ``MAX_TIME_LIMIT`` seconds, or a flag ``run`` does not have, is an
+argparse error that names the flag and shows the text.
 
 ``run`` writes each seed's consensus labels to ``labels_seed<N>.txt`` and a
 ``run_seed<N>.json`` record of the fields ``_run_seed`` returns; its
@@ -155,8 +155,8 @@ def _run_seed(dataset, config):
     return {
         "status": "ok",
         "labels": result.consensus,
-        "weights": result.weights.lambdas.tolist(),
-        "traces": result.weights.raw_traces.tolist(),
+        "weights": result.weights.tolist(),
+        "traces": result.traces.tolist(),
         "per_stage_ms": {stage: 1000.0 * s for stage, s in result.timings.items()},
         "seconds": time.perf_counter() - start,
     }
@@ -304,7 +304,6 @@ def build_parser():
     run.add_argument("dataset")
     run.add_argument("--k", type=int, required=True)
     run.add_argument("--f", type=int)
-    run.add_argument("--temperature", type=float)
     run.add_argument("--kernel", choices=KERNEL_KINDS)
     run.add_argument("--kernel-components", dest="kernel_components", type=int)
     run.add_argument("--gamma", type=float)

@@ -4,8 +4,9 @@ Per view: smooth features at the view's ``propagation_order``, center, take
 the f leading left singular vectors, map them through the kernel feature
 map, degree-normalize the factor, embed and cluster. A view whose centered
 features have no singular value above round-off raises
-``FloatingPointError``. Then weight the views by clusterability, and run the
-same normalize/embed/cluster pass once more on the consensus for its labels.
+``FloatingPointError``. Then weight each view in proportion to its
+clusterability trace^(-1/2) (``weighting.view_weights``), and run the same
+normalize/embed/cluster pass once more on the consensus for its labels.
 Every clustering is an int64 label array from ``kmeans``, started from the
 seedless ``cpqr_labels``. Never allocates an n x n matrix.
 
@@ -51,7 +52,7 @@ from .kernels import KERNEL_KINDS, apply_map
 from .kmeans import cpqr_labels, kmeans
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
-from .weighting import WEIGHT_MODES, ViewWeights, clusterability_trace, softmax_weights
+from .weighting import WEIGHT_MODES, clusterability_trace, view_weights
 from .workers import pool
 
 
@@ -62,11 +63,10 @@ class PipelineConfig:
 
     k: int
     f: int | None = None  # components per view; defaults to k
-    temperature: float = 0.1
     kernel: str = "quadratic"
     kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k, unset for quadratic
     gamma: float | None = None  # the rbf width; defaults to 1/f, unset for quadratic
-    weight_mode: str = "softmax"
+    weight_mode: str = "negated"
     seed: int = 0  # reaches only Nystroem landmarks and SVDs wider than EXACT_SVD_MAX_DIM
     cache_dir: str | None = None
 
@@ -79,8 +79,6 @@ class PipelineConfig:
             raise ValueError(f"need k >= 2 clusters, got {self.k}")
         if self.f < 1:
             raise ValueError(f"need f >= 1 components, got {self.f}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"need a finite temperature > 0, got {self.temperature}")
         # the embedding needs f + 1 columns: quadratic maps to f(f+1)/2 of them,
         # a Nystroem kernel to kernel_components
         if self.kernel == "quadratic":
@@ -114,12 +112,14 @@ class PipelineConfig:
 
 @dataclass
 class ClusteringResult:
-    """The consensus labels, one label array per view, the view weights and
-    the seconds of each stage."""
+    """The consensus labels, one label array per view, the view weights, the
+    views' clusterability traces they came from and the seconds of each
+    stage."""
 
     consensus: np.ndarray
     per_view: list
-    weights: ViewWeights
+    weights: np.ndarray
+    traces: np.ndarray
     timings: dict
 
 
@@ -209,12 +209,13 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
                 raise
 
         t0 = time.perf_counter()
-        weights = softmax_weights(np.array(traces), config.temperature, mode=config.weight_mode)
+        traces = np.array(traces)
+        weights = view_weights(traces, config.weight_mode)
         # block v scaled by sqrt(lambda_v) adds lambda_v U_v S_v^2 U_v^T to the
         # Gram matrix; column-major, so each block is contiguous
         concat = np.empty((dataset.n, sum(block.shape[1] for block in blocks)), order="F")
         start = 0
-        for lam, block in zip(weights.lambdas, blocks):
+        for lam, block in zip(weights, blocks):
             np.multiply(block, np.sqrt(lam), out=concat[:, start:start + block.shape[1]])
             start += block.shape[1]
         del blocks, block
@@ -222,4 +223,4 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
 
         consensus, _ = _cluster_factor(concat, config, seeds[n_views], timer,
                                        ("consensus", "consensus"))
-        return ClusteringResult(consensus, per_view, weights, dict(timer))
+        return ClusteringResult(consensus, per_view, weights, traces, dict(timer))

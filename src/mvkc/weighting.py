@@ -3,24 +3,18 @@
 The score of a view is Tr(G.T (I - W) G) with W = B @ B.T and G the n x k
 indicator matrix of the view's labels; it reduces to n - ||G.T B||_F^2, where
 G.T B holds the per-cluster sums of ``kmeans.cluster_sums``. Neither W nor G
-is ever formed, not even as a sparse matrix. The weights are a temperature softmax over the per-view scores, in one of
-three modes, named as ``mvkc run --weight-mode`` takes them: ``softmax``,
-``negated`` and ``uniform``.
+is ever formed, not even as a sparse matrix. The weights take one of two
+modes, named as ``mvkc run --weight-mode`` takes them: ``negated`` weights a
+view by its trace^(-1/2), the closed form of AMGL (Nie, Li and Li, IJCAI
+2016), so the most clusterable view (smallest trace) weighs most and only
+the ratios of the traces count; ``uniform`` ignores the traces.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kmeans import cluster_sums
 
-WEIGHT_MODES = ("softmax", "negated", "uniform")
-
-
-@dataclass
-class ViewWeights:
-    lambdas: np.ndarray
-    raw_traces: np.ndarray
+WEIGHT_MODES = ("negated", "uniform")
 
 
 def clusterability_trace(B, labels):
@@ -33,29 +27,19 @@ def clusterability_trace(B, labels):
     return float(n - np.einsum("ij,ij->", M, M))
 
 
-def softmax_weights(traces, temperature, mode="softmax"):
-    """Numerically stable softmax of traces / T (optionally negated or flat).
+def view_weights(traces, mode):
+    """Weights summing to 1, one per trace: proportional to trace^(-1/2) in
+    mode ``negated``, equal in mode ``uniform``.
 
-    ``softmax`` follows the weighting formula as printed: larger trace,
-    larger weight. ``negated`` flips the sign so the most clusterable
-    view (smallest trace) gets the largest weight. ``uniform`` ignores the
-    traces entirely.
+    A trace of 0, or a round-off negative one (every cluster's rows equal),
+    counts as the smallest positive float, so the weights stay finite.
     """
     traces = np.asarray(traces, dtype=np.float64)
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode: {mode}")
     if mode == "uniform":
-        lambdas = np.full(len(traces), 1.0 / len(traces))
-    else:
-        # the extreme trace is subtracted before the division, so z is 0 at
-        # the extreme and at most -inf elsewhere, however small the temperature
-        with np.errstate(over="ignore"):
-            if mode == "negated":
-                z = (traces.min() - traces) / temperature
-            else:
-                z = (traces - traces.max()) / temperature
-        e = np.exp(z)
-        lambdas = e / e.sum()
-    return ViewWeights(lambdas, traces.copy())
+        return np.full(len(traces), 1.0 / len(traces))
+    traces = np.maximum(traces, np.finfo(np.float64).tiny)
+    # relative to the smallest trace, so the largest term is 1
+    r = np.sqrt(traces.min() / traces)
+    return r / r.sum()

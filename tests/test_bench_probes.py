@@ -17,8 +17,9 @@ from synth import synth_multiview
 PROBES_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "probes.py")
 
 # names the benchmark still probes but the program no longer has:
-# fit_kernel_map was folded into apply_map, which now times both
-EXPECTED_UNRESOLVED = {"mvkc.pipeline.fit_kernel_map"}
+# fit_kernel_map was folded into apply_map, which now times both;
+# softmax_weights was deleted with the temperature softmax
+EXPECTED_UNRESOLVED = {"mvkc.pipeline.fit_kernel_map", "mvkc.pipeline.softmax_weights"}
 
 
 def _load_probes():

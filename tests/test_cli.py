@@ -213,14 +213,14 @@ def test_bad_flags_exit_config(dataset_dir, tmp_path):
 
 def test_config_file_and_flag_precedence(dataset_dir, tmp_path):
     cfg = tmp_path / "settings.txt"
-    cfg.write_text("--f=2\n--temperature=0.5\n")
+    cfg.write_text("--f=2\n--weight-mode=uniform\n")
     out = tmp_path / "out"
     code = main(["run", dataset_dir, "--k", "3", "--seeds", "0", f"@{cfg}",
-                 "--temperature", "0.1", "--output", str(out)])
+                 "--weight-mode", "negated", "--output", str(out)])
     assert code == EXIT_OK
     record = json.loads((out / "run_seed0.json").read_text())
     assert record["config"]["f"] == 2  # from file
-    assert record["config"]["temperature"] == 0.1  # later flag wins
+    assert record["config"]["weight_mode"] == "negated"  # later flag wins
 
 
 def test_blank_lines_in_args_file_are_skipped(dataset_dir, tmp_path):
@@ -266,7 +266,7 @@ def test_run_records_effective_orders_and_hashes_them(tmp_path):
 
 
 @pytest.mark.parametrize("extra, setting", [
-    (["--temperature", "0"], "temperature"),
+    (["--temperature", "0.1"], "--temperature"),  # the softmax weights' flag is gone
     (["--kernel-components", "0"], "kernel_components"),
     (["--kernel", "rbf", "--gamma", "-5"], "gamma"),
     (["--kernel", "rbf", "--kernel-components", "3"], "kernel_components"),  # f + 1 = 4
@@ -284,8 +284,8 @@ def test_run_records_effective_orders_and_hashes_them(tmp_path):
     (["--f", "2", "--k", "4"], "--f 2 gives f + 1 = 3 spectral vectors, fewer than k=4"),
     (["--kernel", "rbf", "--gamma", "nan"], "gamma"),
     (["--kernel", "rbf", "--gamma", "inf"], "gamma"),
-    (["--temperature", "nan"], "temperature"),
-    (["--temperature", "inf"], "temperature"),
+    (["--weight-mode", "softmax"], "--weight-mode"),  # so is its mode
+    (["--kernel", "rbf", "--gamma", "0"], "gamma"),
     (["--time-limit", "inf"], "time-limit"),
     (["--time-limit", "2200000"], "time-limit"),  # above poll's 2**31 - 1 ms
     (["--kernel", "sigmoid"], "--kernel"),

@@ -28,7 +28,7 @@ def test_config_defaults():
     assert cfg.f == 4
     assert cfg.kernel_components is None  # the default quadratic kernel reads none
     assert PipelineConfig(k=4, kernel="rbf").kernel_components == 40
-    assert cfg.temperature == 0.1
+    assert cfg.weight_mode == "negated"
 
 
 def test_config_validation():
@@ -46,7 +46,7 @@ def test_end_to_end_synthetic():
     assert ari(res.consensus, ds.labels) >= 0.95
     assert len(res.consensus) == ds.n
     assert len(res.per_view) == 2
-    assert res.weights.lambdas.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_determinism():
@@ -54,7 +54,19 @@ def test_determinism():
     a = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=5))
     b = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=5))
     assert np.array_equal(a.consensus, b.consensus)
-    assert np.array_equal(a.weights.lambdas, b.weights.lambdas)
+    assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("n, n_views, noise, seed", [(200, 2, 0.3, 3), (90, 3, 0.5, 2)])
+def test_duplicating_every_row_leaves_the_weights(n, n_views, noise, seed):
+    # n -> 2n doubles every trace; the weights read only their ratios
+    views = [View(view.features) for view in synth_multiview(n, 3, n_views, noise, seed).views]
+    once = run_pipeline(MultiViewDataset(views), PipelineConfig(k=3, f=2))
+    twice = run_pipeline(MultiViewDataset([View(np.repeat(view.features, 2, axis=0))
+                                           for view in views]), PipelineConfig(k=3, f=2))
+    assert np.array_equal(twice.consensus, np.repeat(once.consensus, 2))
+    assert np.allclose(twice.traces, 2 * once.traces, rtol=1e-12, atol=0)
+    assert np.allclose(twice.weights, once.weights, rtol=0, atol=1e-12)
 
 
 def test_quadratic_labels_do_not_depend_on_the_seed():
@@ -85,7 +97,7 @@ def test_size_check_comes_before_any_view(monkeypatch):
 def test_single_view_matches_per_view_path():
     ds = synth_multiview(200, 3, 1, noise=0.05, seed=2)
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0, weight_mode="uniform"))
-    assert res.weights.lambdas[0] == pytest.approx(1.0)
+    assert res.weights[0] == pytest.approx(1.0)
     # consensus over one view is the view partition up to relabeling
     assert ari(res.consensus, res.per_view[0]) == pytest.approx(1.0)
 
@@ -383,10 +395,10 @@ def test_consensus_is_the_top_spectral_blocks_of_the_views(monkeypatch, dims, co
     # Eckart-Young: dropping the directions past t moves lambda_v B_v B_v^T
     # by lambda_v s_{v,t+1}^2 in spectral norm, so no entry moves more
     tails = [np.linalg.svd(B, compute_uv=False) for B in factors]
-    bound = sum(lam * s[t] ** 2 for lam, s in zip(res.weights.lambdas, tails) if len(s) > t)
+    bound = sum(lam * s[t] ** 2 for lam, s in zip(res.weights, tails) if len(s) > t)
     if all(B.shape[1] <= t for B in factors):
         assert bound == 0.0
-    oracle = consensus_affinity_oracle(factors, res.weights.lambdas)
+    oracle = consensus_affinity_oracle(factors, res.weights)
     assert np.abs(C @ C.T - oracle).max() <= bound + 1e-10
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvkc.weighting import clusterability_trace, softmax_weights
+from mvkc.weighting import clusterability_trace, view_weights
 from oracles import indicator
 
 
@@ -43,75 +43,52 @@ def test_trace_dimension_mismatch():
         clusterability_trace(B, random_partition(6, 2, 0))
 
 
-def test_softmax_equal_traces_uniform():
-    w = softmax_weights([3.0, 3.0, 3.0], 0.5)
-    assert np.allclose(w.lambdas, 1 / 3)
-    assert w.lambdas.sum() == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("traces", [[3.0, 3.0, 3.0], [12814.4] * 2, [0.0, 0.0]])
+def test_equal_traces_give_uniform_weights(traces):
+    w = view_weights(traces, "negated")
+    assert np.allclose(w, 1 / len(traces), atol=1e-15)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_softmax_extreme_traces_stable():
-    w = softmax_weights([0.0, 1000.0], 0.1)
-    assert np.isfinite(w.lambdas).all()
-    assert w.lambdas[0] < 1e-30
-    assert w.lambdas[1] == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("mode, extreme", [("softmax", 0), ("negated", 1)])
-@pytest.mark.parametrize("temperature", [1e-300, 1e-320, 5e-324])
-def test_tiny_temperature_gives_finite_one_hot_weights(mode, extreme, temperature):
-    # the raw traces of two graph-p2 views at p = 0; divided by the
-    # temperature before the maximum is subtracted, they overflow to inf
-    # below about 1e-300 and the weights come out NaN
-    w = softmax_weights([12814.4, 12803.0], temperature, mode=mode)
-    assert np.array_equal(w.lambdas, np.eye(2)[extreme])
-    assert np.array_equal(softmax_weights([12814.4] * 2, temperature, mode=mode).lambdas,
-                          [0.5, 0.5])
-
-
-def test_softmax_against_high_precision_oracle():
-    import mpmath
-
-    traces = [1.0, 2.0, 3.0]
-    w = softmax_weights(traces, 1.0)
-    with mpmath.workdps(50):
-        es = [mpmath.e**t for t in traces]
-        total = sum(es)
-        expected = [float(e / total) for e in es]
-    assert np.allclose(w.lambdas, expected, atol=1e-15)
-
-
-def test_softmax_shift_invariance():
-    a = softmax_weights([1.0, 5.0, 2.0], 0.7)
-    b = softmax_weights([101.0, 105.0, 102.0], 0.7)
-    assert np.allclose(a.lambdas, b.lambdas, atol=1e-12)
-
-
-def test_softmax_temperature_limits():
-    traces = [1.0, 2.0]
-    prev_gap = np.inf
-    for T in (0.01, 0.1, 1.0, 10.0, 100.0):
-        w = softmax_weights(traces, T)
-        gap = abs(w.lambdas[1] - w.lambdas[0])
-        assert gap <= prev_gap + 1e-15  # weights flatten as T grows
-        prev_gap = gap
-    assert np.allclose(softmax_weights(traces, 1e9).lambdas, 0.5, atol=1e-6)
-
-
-def test_largest_trace_gets_largest_weight():
-    w = softmax_weights([3.0, 1.0, 2.0], 0.5)
-    assert np.argmax(w.lambdas) == np.argmax(w.raw_traces)
+@pytest.mark.parametrize("scale", [1e-9, 0.5, 2.0, 1e9])
+def test_scaling_every_trace_leaves_the_weights(scale):
+    # only the ratios of the traces count, so the weights mean the same at every n
+    traces = np.array([4663.1, 4665.9, 12803.0])
+    assert np.allclose(view_weights(scale * traces, "negated"),
+                       view_weights(traces, "negated"), rtol=0, atol=1e-15)
 
 
 def test_negated_mode_flips_direction():
-    w = softmax_weights([3.0, 1.0, 2.0], 0.5, mode="negated")
-    assert np.argmax(w.lambdas) == np.argmin(w.raw_traces)
+    traces = [3.0, 1.0, 2.0]
+    w = view_weights(traces, "negated")
+    assert np.argmax(w) == np.argmin(traces)
+    assert np.array_equal(np.argsort(w), np.argsort(traces)[::-1])  # smaller trace, larger weight
+
+
+@pytest.mark.parametrize("traces, expected", [
+    ([1.0, 4.0], [2 / 3, 1 / 3]),
+    ([1.0, 4.0, 9.0], [6 / 11, 3 / 11, 2 / 11]),
+    ([0.25, 4.0], [0.8, 0.2]),
+])
+def test_weights_are_the_closed_form(traces, expected):
+    assert np.allclose(view_weights(traces, "negated"), expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("traces", [[0.0, 5.0], [-1e-13, 5.0], [0.0, -1e-13, 5.0],
+                                    [5e-324, 1e308]])
+def test_zero_or_round_off_negative_trace_gives_finite_weights(traces):
+    # a trace of 0 or just below it: every cluster's rows are identical
+    w = view_weights(traces, "negated")
+    assert np.isfinite(w).all() and (w >= 0).all()
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.argmin(w) == np.argmax(traces)
 
 
 def test_uniform_mode():
-    w = softmax_weights([3.0, 1.0], 0.5, mode="uniform")
-    assert np.allclose(w.lambdas, 0.5)
+    for traces in ([3.0, 1.0], [0.0, 1e9], [-1e-13, 5.0]):
+        assert np.array_equal(view_weights(traces, "uniform"), [0.5, 0.5])
 
 
-def test_nonpositive_temperature():
+def test_unknown_mode():
     with pytest.raises(ValueError):
-        softmax_weights([1.0], 0.0)
+        view_weights([1.0, 2.0], "softmax")
