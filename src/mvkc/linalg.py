@@ -3,40 +3,46 @@
 ``truncated_svd`` takes one of three routes for an n x d input:
 
 - Gram, for tall inputs (n >= d) with d at most ``EXACT_SVD_MAX_DIM``: the
-  top eigenvectors of the d x d Gram matrix X.T X. It costs O(n d^2) and
-  builds only the r left vectors asked for.
+  top eigenpairs (lambda_i, v_i) of the d x d Gram matrix X.T X give
+  s_i = sqrt(lambda_i), V = [v_i] and U = X V diag(1/s), read off one n-row
+  product. It costs O(n d^2) and builds only the left vectors asked for. The
+  Gram matrix squares the condition number: lambda_r carries an absolute
+  error of about eps lambda_0, so s_r and the orthogonality of U are good to
+  about eps (s_0 / s_r)^2. So the route takes a kept s_r / s_0 of at least
+  ``GRAM_COND_FLOOR`` = 1e-4, where that is about 2e-8 (|U.T U - I| read
+  1.1e-8 at most over 20 random spectra at the floor).
 - exact ``scipy.linalg.svd``, for wide inputs and as the fallback when the
-  kept spectrum is too ill-conditioned for the Gram matrix, which squares
-  the condition number: a top eigenvalue that is not positive, or a kept
-  s_r / s_0 below ``GRAM_COND_FLOOR``.
+  Gram route would lose too much: a top eigenvalue that is not positive, or
+  a kept s_r / s_0 below ``GRAM_COND_FLOOR``.
 - randomized, when min(n, d) exceeds ``EXACT_SVD_MAX_DIM``: a Gaussian
   sketch with oversampling and QR-stabilized subspace power iterations,
-  O(n d r) per pass.
+  O(n d r) per pass, then a QR Rayleigh-Ritz step on X over the range of
+  X W (Halko, Martinsson and Tropp 2011), ``_ritz``. Only this route calls
+  ``_orth`` and ``_ritz``.
 
-The Gram and randomized routes each find a d x w basis W and end in the
-same QR Rayleigh-Ritz step on X over the range of X W (Halko, Martinsson and
-Tropp 2011). Every n-row product is formed as (W.T @ X.T).T, so BLAS runs
-along n and the result is column-major; ``_orth``, the one QR call, then
-factors it in place and forms Q in the same buffer. On every route U is
-column-major, and signs are fixed in place so the largest-magnitude entry of
-each left singular vector is positive.
+Every n-row product is formed as (W.T @ X.T).T, so BLAS runs along n and the
+result is column-major; ``_orth``, the one QR call, factors it in place and
+forms Q in the same buffer. On every route U is column-major, and signs are
+fixed in place so the largest-magnitude entry of each left singular vector
+is positive.
 
 The passes over n rows run on the row blocks of ``workers.row_blocks``: the
 column centering (its means are one whole-array ``X.mean``), the n-row
-products block by block into the one output, the sign fix's scaling, and
-the Gram matrix X.T X and the Rayleigh-Ritz Q.T X as sums, in block order,
-of the blocks' partial products, one w x d array per block. The sign fix
-finds each column's largest |entry| one column at a time. Below the
-workers' size rule there is one block, and each pass is one whole-array
-call; above it the block sums round differently from one product, by about
-1e-16 relative, but the same on every core count, and every other pass
-equals its whole-array form bit for bit. Of the n-row passes, only the
-column means and ``_orth``'s QR run on one core.
+products block by block into the one output, the Gram route's division by
+s, the sign fix's scaling, and the Gram matrix X.T X and the Rayleigh-Ritz
+Q.T X as sums, in block order, of the blocks' partial products, one w x d
+array per block. The sign fix finds each column's largest |entry| one
+column at a time. Below the workers' size rule there is one block, and each
+pass is one whole-array call; above it the block sums round differently
+from one product, by about 1e-16 relative, but the same on every core
+count, and every other pass equals its whole-array form bit for bit. Of the
+n-row passes, only the column means and ``_orth``'s QR run on one core.
 
 Given t >= r, ``truncated_svd`` also returns the principal block
-X V_t = U_t diag(s_t) (up to column order and signs): the Gram route forms it
-as X W_t from t eigenpairs but runs the conditioning check and Rayleigh-Ritz
-on the top r only; the other routes scale their top t left vectors.
+X V_t = U_t diag(s_t) (up to signs): the Gram route takes t eigenpairs,
+forms X W_t as its one product and divides U out of its first r columns
+into a new array, while the conditioning check reads the top r only; the
+other routes scale their top t left vectors.
 """
 
 from dataclasses import dataclass
@@ -49,7 +55,7 @@ from .workers import map_blocks, map_columns, sum_blocks
 EXACT_SVD_MAX_DIM = 2048
 OVERSAMPLE = 10  # extra sketch columns of the randomized SVD
 POWER_ITERS = 4  # subspace iterations of the randomized SVD
-GRAM_COND_FLOOR = 1e-6  # smallest kept s_r / s_0 the Gram route accepts
+GRAM_COND_FLOOR = 1e-4  # smallest kept s_r / s_0 the Gram route accepts
 
 
 @dataclass
@@ -126,7 +132,6 @@ def _ritz(X, W, r):
     # U in column-major order, as LAPACK returns it, so that column slices
     # such as the embedding's U[:, 1:] stay contiguous for k-means
     U = _product(Q, Ub[:, :r])
-    del Q  # before the sign fix's n x r |U| temporary
     U, V = _fix_signs(U, Vt[:r].T)
     return SVDResult(U, s[:r], V)
 
@@ -166,13 +171,17 @@ def truncated_svd(X, r, seed=0, t=None):
         r = min(r, d)
         w = r if t is None else min(t, d)
         evals, W = scipy.linalg.eigh(_inner(X, X), subset_by_index=[d - w, d - 1])
+        evals, W = evals[::-1], W[:, ::-1]
         # eigenvalues of the Gram matrix are squared singular values; the
         # tail beyond r may sit at round-off, as only its span is kept
-        if evals[-1] > 0.0 and evals[w - r] >= GRAM_COND_FLOOR**2 * evals[-1]:
-            svd = _ritz(X, W[:, w - r:], r)
-            if t is not None:
-                svd.block = _product(X, W)
-            return svd
+        if evals[0] > 0.0 and evals[r - 1] >= GRAM_COND_FLOOR**2 * evals[0]:
+            P = _product(X, W)
+            s = np.sqrt(evals[:r])
+            # U = X W_r diag(1/s), in place when no principal block is kept
+            U = P if t is None else np.empty((n, r), order="F")
+            map_blocks(n, lambda start, stop: np.divide(P[start:stop, :r], s, out=U[start:stop]))
+            U, V = _fix_signs(U, W[:, :r])
+            return SVDResult(U, s, V, None if t is None else P)
     U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
     block = None if t is None else U[:, :t] * s[:t]
     U, V = _fix_signs(U[:, :r], Vt[:r].T)

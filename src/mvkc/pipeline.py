@@ -12,9 +12,10 @@ seedless ``cpqr_labels``. Never allocates an n x n matrix.
 
 The consensus holds each view's top t = 2(f + 1) spectral directions, not its
 whole factor B: the embedding's SVD of B also returns the principal block
-B V_t = U_t S_t, and the blocks, scaled by the square roots of the weights,
-stand side by side in one column-major n x sum_v min(t, m_v) array. Its Gram
-matrix falls short of sum_v lambda_v B_v B_v^T by at most
+B V_t = U_t S_t. On the Gram route that block is the SVD's one n-row
+product, and U is its first f + 1 columns divided by their singular values.
+The blocks, scaled by the square roots of the weights, stand side by side in
+one column-major n x sum_v min(t, m_v) array. Its Gram matrix falls short of sum_v lambda_v B_v B_v^T by at most
 sum_v lambda_v s_{v,t+1}^2 (Eckart-Young).
 
 Memory: a view's factor is normalized in place (the caller of
@@ -26,15 +27,14 @@ Above the size rule of ``mvkc.workers`` the spectral stage's passes (the
 centering, the SVDs' products and sign fix, the degrees and normalization,
 the CPQR start, k-means and the clusterability trace) also run on every
 usable core, each block writing straight into the output or the n-long
-buffers its caller allocated; the Gram matrix and Q.T X hold one small
-partial product per block of 8192 rows, and the sign fix forms no
-n x (f + 1) |U|. One pool of worker threads serves the whole run and is
+buffers its caller allocated; the Gram matrix holds one small partial
+product per block of 8192 rows, and the sign fix forms no n x (f + 1) |U|. One pool of worker threads serves the whole run and is
 closed when it returns. Each view's propagated and centered features are released once
 its SVD is taken. The discretization (``cpqr_labels`` and ``kmeans``) holds
 O(n) memory beyond the spectral vectors. So beyond the input, the resident
-peak is about one view's n x m_v factor, the blocks of the views so far, the
-few n x (f + 1) arrays of one spectral embedding and, per usable core, one
-worker's map buffers.
+peak is about one view's n x m_v factor, the blocks of the views so far, one
+spectral embedding's principal block and n x (f + 1) U and, per usable core,
+one worker's map buffers.
 ``mvkc run`` loads only the graphs of views that propagate, so with p = 0
 everywhere no graph is held.
 """

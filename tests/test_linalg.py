@@ -190,8 +190,9 @@ def test_truncated_svd_left_vectors_column_major(shape, r, spectrum):
 
 
 def _reference_basis(X, r, seed):
-    """The d x w basis W that the Gram or randomized route hands to the
-    Rayleigh-Ritz step, computed with ``np.linalg.qr`` on row-major products."""
+    """The d x w basis W of the Gram or randomized route, on whose range the
+    oracle takes its Rayleigh-Ritz step, computed with ``np.linalg.qr`` on
+    row-major products."""
     n, d = X.shape
     if min(n, d) <= EXACT_SVD_MAX_DIM:
         return scipy.linalg.eigh(X.T @ X, subset_by_index=[d - r, d - 1])[1]
@@ -268,19 +269,64 @@ def test_principal_block_has_the_gram_matrix_of_the_top_t_directions(shape, r, t
     assert np.linalg.norm(QB @ QB.T - QR @ QR.T) < 1e-10
 
 
+def _record_calls(monkeypatch, module, name, calls):
+    """Replace module.name with a wrapper that appends name to calls."""
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+
+
 def test_principal_block_leaves_the_rank_r_result_unchanged(monkeypatch):
-    ritz_ranks = []
-    ritz = mvkc.linalg._ritz
-
-    def recording_ritz(X, W, r):
-        ritz_ranks.append(W.shape[1])
-        return ritz(X, W, r)
-
-    monkeypatch.setattr(mvkc.linalg, "_ritz", recording_ritz)
+    calls = []
+    _record_calls(monkeypatch, mvkc.linalg, "_ritz", calls)
+    _record_calls(monkeypatch, scipy.linalg, "svd", calls)
     s = np.r_[0.7 ** np.arange(6), 1e-9 * 0.7 ** np.arange(34)]
     X = _with_spectrum(5000, 40, s, seed=16)
     a, b = truncated_svd(X, 6), truncated_svd(X, 6, t=14)
-    # the Gram route both times, with Rayleigh-Ritz at rank r
-    assert ritz_ranks == [6, 6]
+    # the Gram route both times: neither call reaches the exact SVD or Rayleigh-Ritz
+    assert calls == []
     for name in ("U", "s", "V"):
         assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [None, 8])
+def test_gram_route_makes_one_n_row_product_and_no_qr(monkeypatch, t):
+    calls = []
+    _record_calls(monkeypatch, mvkc.linalg, "_product", calls)
+    _record_calls(monkeypatch, mvkc.linalg, "_orth", calls)
+    X = np.random.default_rng(17).normal(size=(300, 20))
+    res = truncated_svd(X, 4, t=t)
+    assert res.U.shape == (300, 4)
+    assert calls == ["_product"]
+
+
+def test_gram_route_accuracy_at_twice_the_floor(monkeypatch):
+    # U = X V diag(1/s) loses orthogonality as eps (s_0 / s_r)^2
+    s = np.array([1.0, 0.3, 0.05, 1e-2, 2 * GRAM_COND_FLOOR, GRAM_COND_FLOOR, 1e-3 * GRAM_COND_FLOOR])
+    X = _with_spectrum(2000, 30, s, seed=18)
+    full = exact_svd(X)
+    calls = []
+    _record_calls(monkeypatch, scipy.linalg, "svd", calls)
+    res = truncated_svd(X, 5)
+    assert calls == []
+    assert np.abs(res.U.T @ res.U - np.eye(5)).max() <= 1e-8
+    assert np.allclose(res.s, full.s[:5], rtol=1e-8, atol=0)
+    # just below the floor, the exact route
+    X = _with_spectrum(2000, 30, np.r_[s[:4], 0.9 * GRAM_COND_FLOOR, s[5:] / 2], seed=18)
+    truncated_svd(X, 5)
+    assert calls == ["svd"]
+
+
+def test_gram_route_with_a_block_holds_the_block_and_u():
+    # X W_t, and U divided out of its first r columns: no Q, no second product
+    n, d, r, t = 50000, 100, 11, 22
+    X = np.random.default_rng(19).normal(size=(n, d))
+    tracemalloc.start()
+    truncated_svd(X, r, t=t)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1.1 * (t + r) * n * 8
