@@ -15,8 +15,8 @@ whole factor B: the embedding's SVD of B also returns the principal block
 B V_t = U_t S_t. On the Gram route that block is the SVD's one n-row
 product, and U is its first f + 1 columns divided by their singular values.
 The blocks, scaled by the square roots of the weights, stand side by side in
-one column-major n x sum_v min(t, m_v) array. Its Gram matrix falls short of sum_v lambda_v B_v B_v^T by at most
-sum_v lambda_v s_{v,t+1}^2 (Eckart-Young).
+one column-major n x sum_v min(t, m_v) array. Its Gram matrix falls short of
+sum_v lambda_v B_v B_v^T by at most sum_v lambda_v s_{v,t+1}^2 (Eckart-Young).
 
 Memory: a view's factor is normalized in place (the caller of
 ``degree_normalize`` owns the factor it overwrites) and released once its
@@ -28,9 +28,10 @@ centering, the SVDs' products and sign fix, the degrees and normalization,
 the CPQR start, k-means and the clusterability trace) also run on every
 usable core, each block writing straight into the output or the n-long
 buffers its caller allocated; the Gram matrix holds one small partial
-product per block of 8192 rows, and the sign fix forms no n x (f + 1) |U|. One pool of worker threads serves the whole run and is
-closed when it returns. Each view's propagated and centered features are released once
-its SVD is taken. The discretization (``cpqr_labels`` and ``kmeans``) holds
+product per block of 8192 rows, and the sign fix forms no n x (f + 1) |U|.
+One pool of worker threads serves the whole run and is closed when it returns.
+Each view's propagated and centered features are released once its SVD is
+taken. The discretization (``cpqr_labels`` and ``kmeans``) holds
 O(n) memory beyond the spectral vectors. So beyond the input, the resident
 peak is about one view's n x m_v factor, the blocks of the views so far, one
 spectral embedding's principal block and n x (f + 1) U and, per usable core,
