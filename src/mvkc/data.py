@@ -387,7 +387,7 @@ def load_dataset(path, orders=None):
 # k-NN graph construction
 
 
-KNN_BLOCK_BYTES = 8 * 2**20  # float64 query-to-all distances held per worker
+KNN_BLOCK_BYTES = 8 * 2**20  # float64 query-to-all values held per worker
 KNN_GROUP = 8  # columns per group whose minimum screens them in _k_smallest
 
 
@@ -438,30 +438,40 @@ def build_knn_graph(features, k_neighbors, self_loops=False):
     """Unit-weight k-NN graph under Euclidean distance, symmetrized by union.
 
     Exact brute-force search over blocks of query rows, on every usable core
-    through ``workers.map_row_blocks``. ``KNN_BLOCK_BYTES`` is the memory
-    budget of one worker: each block's squared distances to all n points fill
-    at most that much (one row at least), in the worker's own buffer, and
-    ``_k_smallest`` takes about a third as much again, so memory is linear
-    in n and grows by about 1.3 times the budget per added core. Ties at the
-    k-th distance go to the lowest index, so the result is deterministic. The
-    blocks depend on n alone, so the graph is the same on any number of cores.
+    through ``workers.map_row_blocks``. Row i of a block is ranked by v_ij =
+    |x_j|^2 - 2 x_i.x_j, its squared distances less |x_i|^2, a constant of
+    the row that cannot change which columns are smallest. The block's v is
+    one product: its rows [x_i, 1] times the n x (d + 1) factor
+    [-2 x_j, |x_j|^2], built once. As no |x_i|^2 is added, the differences
+    between candidates are not rounded against it, and a point far from the
+    origin finds its true nearest neighbours. ``KNN_BLOCK_BYTES`` is the
+    memory budget of one worker: each block's values for all n points fill
+    at most that much (one row at least), in the worker's own buffer, beside
+    its block rows x (d + 1) buffer of [x_i, 1]; ``_k_smallest`` takes about
+    a third as much again, so memory is linear in n and grows by about 1.3
+    times the budget per added core. Ties at the k-th value go to the lowest
+    index, so the result is deterministic. The blocks depend on n alone, so
+    the graph is the same on any number of cores.
     """
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    n, d = features.shape
     if not 1 <= k_neighbors < n:
         raise ValueError(f"k_neighbors={k_neighbors} must be >= 1 and < n={n}")
-    sq = np.einsum("ij,ij->i", features, features)
     neighbors = np.empty((n, k_neighbors), dtype=np.int64)
-    scaled = -2.0 * features  # exact, so d2 rounds as sq_i - 2 g_ij + sq_j
+    # [-2 x_j, sq_j]: scaling by -2 is exact, so v rounds as sq_j - 2 g_ij
+    right = np.empty((n, d + 1))
+    np.multiply(features, -2.0, out=right[:, :d])
+    np.einsum("ij,ij->i", features, features, out=right[:, d])
 
-    def block(start, stop, d2):
-        d2 = np.matmul(features[start:stop], scaled.T, out=d2[:stop - start])
-        d2 += sq[start:stop, None]
-        d2 += sq[None, :]
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
-        neighbors[start:stop] = _k_smallest(d2, k_neighbors)
+    def block(start, stop, v, left):
+        left = left[:stop - start]
+        left[:, :d] = features[start:stop]
+        left[:, d] = 1.0
+        v = np.matmul(left, right.T, out=v[:stop - start])
+        v[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
+        neighbors[start:stop] = _k_smallest(v, k_neighbors)
 
-    map_row_blocks(n, max(1, KNN_BLOCK_BYTES // (8 * n)), (n,), block)
+    map_row_blocks(n, max(1, KNN_BLOCK_BYTES // (8 * n)), (n, d + 1), block)
     knn = sp.csr_matrix((np.ones(neighbors.size), neighbors.ravel(),
                          np.arange(n + 1) * k_neighbors), shape=(n, n))
     union = knn + knn.T

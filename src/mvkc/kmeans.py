@@ -87,7 +87,7 @@ def cpqr_labels(U, k):
         np.abs(np.matmul(u, R[:, 0], out=low), out=low)
         for c in range(1, k):
             np.abs(np.matmul(u, R[:, c], out=v), out=v)
-            label[np.greater(v, low, out=mask)] = c
+            np.putmask(label, np.greater(v, low, out=mask), c)
             np.maximum(low, v, out=low)
 
     map_blocks(n, block)
@@ -124,15 +124,15 @@ def _assign(X, centroids, x2):
     c2 = np.einsum("ij,ij->i", centroids, centroids)[:, None]
     d2 = np.empty((len(centroids), len(X)))
     labels = np.zeros(len(X), dtype=np.int64)
-    best = np.empty(len(X))
+    best, smaller = np.empty(len(X)), np.empty(len(X), dtype=bool)
 
     def block(start, stop):
         d2b = np.matmul(scaled, X[start:stop].T, out=d2[:, start:stop])
         d2b += c2
-        label, low = labels[start:stop], best[start:stop]
+        label, low, mask = labels[start:stop], best[start:stop], smaller[start:stop]
         low[:] = d2b[0]
         for c in range(1, len(d2b)):
-            label[d2b[c] < low] = c
+            np.putmask(label, np.less(d2b[c], low, out=mask), c)
             np.minimum(low, d2b[c], out=low)
         low += x2[start:stop]
         np.maximum(low, 0.0, out=low)

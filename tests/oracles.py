@@ -2,6 +2,8 @@
 against. They materialize n x n or n x k matrices or full SVDs, so they suit
 small inputs only."""
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -134,6 +136,19 @@ def knn_oracle(features, k, self_loops=False):
     # the union of both edge directions, each edge once
     keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows, loops * (n + 1)]))
     return SparseGraph(n, keys // n, keys % n, np.ones(len(keys)), symmetric=True)
+
+
+def exact_knn_edges(features, k):
+    """The directed edges (i, j) and (j, i) of each row i and its k nearest
+    other rows j, by squared distances computed exactly, in rationals, on the
+    float inputs; equal distances keep the lowest index first."""
+    X = [[Fraction(x) for x in row] for row in np.asarray(features, dtype=np.float64).tolist()]
+    edges = set()
+    for i, xi in enumerate(X):
+        d2 = {j: sum((a - b) ** 2 for a, b in zip(xi, xj)) for j, xj in enumerate(X) if j != i}
+        for j in sorted(d2, key=lambda j: (d2[j], j))[:k]:
+            edges |= {(i, j), (j, i)}
+    return edges
 
 
 def ritz_oracle(X, W, r):

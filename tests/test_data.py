@@ -30,7 +30,7 @@ from mvkc.data import (
     save_graph,
     save_labels,
 )
-from oracles import k_smallest_oracle, knn_oracle, same_graph
+from oracles import exact_knn_edges, k_smallest_oracle, knn_oracle, same_graph
 from synth import synth_multiview
 
 
@@ -343,6 +343,27 @@ def tie_grid():
 def test_knn_matches_stable_sort_oracle_on_ties(tie_grid, k, self_loops):
     got = build_knn_graph(tie_grid, k, self_loops=self_loops)
     assert same_graph(got, knn_oracle(tie_grid, k, self_loops=self_loops))
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_knn_of_the_tie_grid_far_from_the_origin_keeps_its_ties(tie_grid, k, self_loops):
+    # shifted by 2^20 every distance is still an exact integer, so the ties
+    # are exact and still go to the lowest index
+    shifted = tie_grid + 2.0**20
+    got = build_knn_graph(shifted, k, self_loops=self_loops)
+    assert same_graph(got, knn_oracle(shifted, k, self_loops=self_loops))
+
+
+@pytest.mark.parametrize("X, k", [
+    ([[2.0**26, 0.0], [0.0, 0.2], [0.0, 0.1]], 1),
+    ([[2.0**26, 0.0], [0.0, 0.2], [0.0, 0.5], [0.0, 0.1]], 2),
+])
+def test_knn_of_a_point_far_from_the_origin_is_the_exact_one(X, k):
+    # from point 0 every squared distance is 2^52 plus less than half an ulp
+    # of 2^52, so a sum that holds |x_0|^2 rounds them all to one tie
+    g = build_knn_graph(np.array(X), k)
+    assert set(zip(*g.adj.nonzero())) == exact_knn_edges(X, k)
 
 
 @pytest.mark.parametrize("case", ["tie-grid", "40-row blocks", "1-row blocks"])
