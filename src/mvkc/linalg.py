@@ -130,7 +130,7 @@ def _ritz(X, W, r):
     Q = _orth(_product(X, W))
     Ub, s, Vt = scipy.linalg.svd(_inner(Q, X), full_matrices=False)
     # U in column-major order, as LAPACK returns it, so that column slices
-    # such as the embedding's U[:, 1:] stay contiguous for k-means
+    # such as the embedding's U[:, :k] stay contiguous for the CPQR labels
     U = _product(Q, Ub[:, :r])
     U, V = _fix_signs(U, Vt[:r].T)
     return SVDResult(U, s[:r], V)

@@ -6,9 +6,11 @@ map, degree-normalize the factor, embed and cluster. A view whose centered
 features have no singular value above round-off raises
 ``FloatingPointError``. Then weight each view in proportion to its
 clusterability trace^(-1/2) (``weighting.view_weights``), and run the same
-normalize/embed/cluster pass once more on the consensus for its labels.
-Every clustering is an int64 label array from ``kmeans``, started from the
-seedless ``cpqr_labels``. Never allocates an n x n matrix.
+embed/cluster pass once more on the consensus for its labels. The consensus
+is not normalized again: its blocks come from normalized factors, so with
+one-hot weights it reproduces the chosen view's labels. Every clustering is
+the int64 label array of the seedless ``cpqr_labels``, with no iteration.
+Never allocates an n x n matrix.
 
 The consensus holds each view's top t = 2(f + 1) spectral directions, not its
 whole factor B: the embedding's SVD of B also returns the principal block
@@ -25,13 +27,13 @@ blocks of K_nm on every usable core, each worker in its own two buffers of
 at most ``ROW_BLOCK`` = 1024 rows x m_v, which the calling thread allocates.
 Above the size rule of ``mvkc.workers`` the spectral stage's passes (the
 centering, the SVDs' products and sign fix, the degrees and normalization,
-the CPQR start, k-means and the clusterability trace) also run on every
+the CPQR labels and the clusterability trace) also run on every
 usable core, each block writing straight into the output or the n-long
 buffers its caller allocated; the Gram matrix holds one small partial
 product per block of 8192 rows, and the sign fix forms no n x (f + 1) |U|.
 One pool of worker threads serves the whole run and is closed when it returns.
 Each view's propagated and centered features are released once its SVD is
-taken. The discretization (``cpqr_labels`` and ``kmeans``) holds
+taken. The discretization, ``cpqr_labels``, holds
 O(n) memory beyond the spectral vectors. So beyond the input, the resident
 peak is about one view's n x m_v factor, the blocks of the views so far, one
 spectral embedding's principal block and n x (f + 1) U and, per usable core,
@@ -50,7 +52,7 @@ import numpy as np
 from .data import MultiViewDataset, graph_sources
 from .embedding import degree_normalize, implicit_degrees, spectral_embedding
 from .kernels import KERNEL_KINDS, apply_map
-from .kmeans import cpqr_labels, kmeans
+from .kmeans import cpqr_labels
 from .linalg import center_columns, truncated_svd
 from .propagation import propagate_cached
 from .weighting import WEIGHT_MODES, clusterability_trace, view_weights
@@ -108,7 +110,7 @@ class PipelineConfig:
             raise ValueError(f"need kernel_components <= n={n}, got {self.kernel_components}")
         if self.f + 1 < self.k:
             raise ValueError(f"--f {self.f} gives f + 1 = {self.f + 1} spectral vectors, fewer than "
-                             f"k={self.k}; the CPQR start needs f + 1 >= k, got f={self.f}, k={self.k}")
+                             f"k={self.k}; CPQR needs f + 1 >= k, got f={self.f}, k={self.k}")
 
 
 @dataclass
@@ -131,20 +133,18 @@ def _derived_seeds(seed, n_views):
 
 
 def _cluster_factor(B, config, seed, timer, stages, t=None):
-    """Degree-normalize the factor in place, embed it spectrally, then CPQR
-    and k-means.
+    """Embed the factor spectrally, then take its CPQR labels.
 
-    ``stages`` names the ``timer`` entries of (normalize + embed, k-means).
-    Returns the labels and, given ``t``, the normalized factor's principal
-    block of up to t columns, else None.
+    ``stages`` names the ``timer`` entries of (embed, discretize). Returns
+    the labels and, given ``t``, the factor's principal block of up to t
+    columns, else None.
     """
     t0 = time.perf_counter()
-    degree_normalize(B, implicit_degrees(B))
     svd = spectral_embedding(B, config.f, seed=seed, t=t)
     timer[stages[0]] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    labels, _ = kmeans(svd.U[:, 1:], config.k, cpqr_labels(svd.U, config.k))
+    labels = cpqr_labels(svd.U, config.k)
     timer[stages[1]] += time.perf_counter() - t0
     return labels, svd.block
 
@@ -196,8 +196,11 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
                 timer["kernel_map"] += time.perf_counter() - t0
                 del svd
 
+                t0 = time.perf_counter()
+                degree_normalize(B, implicit_degrees(B))
+                timer["embedding"] += time.perf_counter() - t0
                 labels, block = _cluster_factor(B, config, seeds[v], timer,
-                                                ("embedding", "kmeans"), t)
+                                                ("embedding", "discretize"), t)
 
                 t0 = time.perf_counter()
                 traces.append(clusterability_trace(B, labels))

@@ -52,19 +52,12 @@ def lapack_pivots(Uk):
 
 def cpqr_labels_oracle(U, k):
     """``mvkc.kmeans.cpqr_labels`` as first written: LAPACK's pivots, then
-    ``np.argmax`` over the whole n x k rotated array."""
+    ``np.argmax`` over the whole n x k rotated array. It agrees with
+    ``cpqr_labels`` wherever each pivot row's largest |entry| lies in its
+    own column, so that no pivot row's label is overruled."""
     Uk = U[:, :k]
     W, _, Vt = np.linalg.svd(Uk[lapack_pivots(Uk)].T)
     return np.argmax(np.abs(Uk @ (W @ Vt)), axis=1)
-
-
-def assign_oracle(X, centroids, x2):
-    """Nearest centroid of each row of X by ``np.argmin`` over the k x n
-    squared distances c2 - 2 C X.T, rounded as ``mvkc.kmeans`` rounds them,
-    and the squared distance, floored at 0."""
-    d2 = (-2.0 * centroids) @ X.T + np.einsum("ij,ij->i", centroids, centroids)[:, None]
-    labels = np.argmin(d2, axis=0)
-    return labels, np.maximum(d2[labels, np.arange(len(X))] + x2, 0.0)
 
 
 def exact_svd(X):

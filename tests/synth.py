@@ -1,6 +1,7 @@
 """Synthetic labeled multi-view datasets for the tests: Gaussian blobs per
 view plus a planted-partition graph, fully deterministic given the seed; and
-a writer of the text graph format that ``mvkc prepare`` reads."""
+two-ring views; and a writer of the text graph format that ``mvkc prepare``
+reads."""
 
 import numpy as np
 
@@ -78,6 +79,21 @@ def synth_multiview(n, k, n_views, noise=0.1, seed=0, feature_dim=16):
     dataset = MultiViewDataset(views, labels)
     dataset.validate()
     return dataset
+
+
+def rings(n, n_views, noise=0.08, seed=0):
+    """Views of two concentric rings, radii 1 and 2, in the plane: point i
+    lies on the ring of its label in every view, at an angle drawn anew per
+    view, plus Gaussian noise of standard deviation ``noise``. The views
+    share only the radius."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    views = []
+    for _ in range(n_views):
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        ring = (labels + 1.0)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        views.append(View(ring + noise * rng.normal(size=(n, 2))))
+    return MultiViewDataset(views, labels)
 
 
 def write_text_graph(graph, path):

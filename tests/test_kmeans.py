@@ -4,94 +4,59 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import mvkc.kmeans
 from mvkc.embedding import degree_normalize, implicit_degrees, spectral_embedding
 from mvkc.kernels import apply_map
-from mvkc.kmeans import _assign, _pivot_rows, cluster_sums, cpqr_labels, kmeans
+from mvkc.kmeans import _pivot_rows, cluster_sums, cpqr_labels
 from mvkc.linalg import center_columns, truncated_svd
 from mvkc.pipeline import PipelineConfig, run_pipeline
-from oracles import (
-    assign_oracle,
-    cluster_sums_oracle,
-    cpqr_labels_oracle,
-    indicator,
-    lapack_pivots,
-)
+from oracles import cluster_sums_oracle, cpqr_labels_oracle, indicator, lapack_pivots
 from synth import synth_multiview
 
 
-def exhaustive_best_inertia(X, k, block=2**15):
-    """Minimum inertia over every assignment of the n <= 12 points that uses
-    all k labels, enumerated as the base-k digits of 0 .. k^n - 1, ``block``
-    assignments at a time."""
-    n = len(X)
-    best = np.inf
-    for start in range(0, k**n, block):
-        labels = np.arange(start, min(start + block, k**n))[:, None] // k ** np.arange(n) % k
-        inertia = np.zeros(len(labels))
-        complete = np.ones(len(labels), dtype=bool)
-        for c in range(k):
-            member = (labels == c).astype(np.float64)
-            count = member.sum(axis=1)
-            complete &= count > 0
-            means = (member @ X) / np.maximum(count, 1)[:, None]
-            inertia += (member * ((X - means[:, None]) ** 2).sum(axis=2)).sum(axis=1)
-        best = min(best, inertia[complete].min(initial=np.inf))
-    return best
-
-
 def test_two_well_separated_pairs():
-    X = np.array([[0.0], [0.1], [10.0], [10.1]])
-    part, inertia = kmeans(X, 2, start=np.arange(4) % 2)
+    # the spectral vectors of two pairs, each pair's rows close together
+    U = np.array([[1.0, 0.0], [0.99, 0.01], [0.0, 1.0], [0.01, 0.99]]) / np.sqrt(2)
+    part = cpqr_labels(U, 2)
     assert part[0] == part[1]
     assert part[2] == part[3]
     assert part[0] != part[2]
-    assert inertia == pytest.approx(0.01)
 
 
 def test_k_one():
-    X = np.random.default_rng(0).normal(size=(20, 3))
-    part, inertia = kmeans(X, 1, start=np.arange(20) % 1)
-    assert np.all(part == 0)
-    assert inertia == pytest.approx(((X - X.mean(axis=0)) ** 2).sum())
+    U = np.linalg.qr(np.random.default_rng(0).normal(size=(20, 3)))[0]
+    assert np.array_equal(cpqr_labels(U, 1), np.zeros(20, dtype=np.int64))
 
 
 def test_k_equals_n():
-    X = np.arange(6, dtype=float)[:, None]
-    part, inertia = kmeans(X, 6, start=np.arange(6) % 6)
-    assert len(np.unique(part)) == 6
-    assert inertia == pytest.approx(0.0, abs=1e-12)
-
-
-def test_matches_exhaustive_oracle_on_separated_blobs():
-    rng = np.random.default_rng(1)
-    centers = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
-    X = np.vstack([c + 0.1 * rng.normal(size=(4, 2)) for c in centers])
-    part, inertia = kmeans(X, 3, start=np.arange(12) % 3)
-    assert inertia == pytest.approx(exhaustive_best_inertia(X, 3), rel=1e-9)
+    # every point is a pivot, so each takes its own label
+    U = np.linalg.qr(np.random.default_rng(1).normal(size=(6, 6)))[0]
+    assert np.array_equal(np.sort(cpqr_labels(U, 6)), np.arange(6))
 
 
 def test_determinism():
-    X = np.random.default_rng(2).normal(size=(100, 4))
-    a, ia = kmeans(X, 5, start=np.arange(100) % 5)
-    b, ib = kmeans(X, 5, start=np.arange(100) % 5)
-    assert np.array_equal(a, b)
-    assert ia == ib
+    U = np.linalg.qr(np.random.default_rng(2).normal(size=(100, 6)))[0]
+    assert np.array_equal(cpqr_labels(U, 5), cpqr_labels(U.copy(), 5))
 
 
 def test_every_cluster_nonempty():
-    # many duplicate points force empty-cluster repair
-    X = np.zeros((30, 2))
-    X[0] = [100.0, 100.0]
-    part, _ = kmeans(X, 4, start=np.arange(30) % 4)
-    assert len(np.unique(part)) == 4
+    # many duplicate rows: all but one point share one row of U
+    U = np.zeros((30, 4))
+    U[:, 0] = 1.0
+    U[0] = [0.0, 1.0, 1.0, 1.0]
+    U[1:4, 1:] = np.eye(3) * 1e-3
+    assert len(np.unique(cpqr_labels(U, 4))) == 4
 
 
-def test_start_with_empty_cluster_gives_all_k_labels():
-    # the start leaves cluster 2 empty; it is repaired before the first mean
-    X = np.vstack([np.zeros((5, 2)), np.full((5, 2), 10.0), np.full((5, 2), 20.0)])
-    part, _ = kmeans(X, 3, start=np.repeat([0, 1], [7, 8]))
-    assert np.array_equal(np.sort(np.unique(part)), [0, 1, 2])
+def test_cpqr_labels_give_every_label_when_the_argmax_leaves_one_unused():
+    # the pivot rows are rows 1 and 0, and their rotated block is
+    # [[3, 1.5], [1.5, 1]]: both rows' largest |entry| is in column 0, so
+    # the bare argmax leaves label 1 unused; each pivot row takes its own
+    # column's label instead
+    U = np.array([[1.0, 1.5], [1.5, 3.0], [0.5, 0.75]])
+    assert np.array_equal(_pivot_rows(U), [1, 0])
+    labels = cpqr_labels(U, 2)
+    assert np.array_equal(labels[[1, 0]], [0, 1])
+    assert np.array_equal(np.sort(np.unique(labels)), [0, 1])
 
 
 def test_cpqr_labels_recover_rotated_blocks():
@@ -110,7 +75,9 @@ def test_cpqr_labels_recover_rotated_blocks():
 
 def test_k_larger_than_n():
     with pytest.raises(ValueError):
-        kmeans(np.zeros((3, 1)), 4, start=np.arange(3) % 4)
+        cpqr_labels(np.eye(3), 4)
+    with pytest.raises(ValueError):  # fewer than k spectral vectors
+        cpqr_labels(np.eye(5)[:, :3], 4)
 
 
 def test_indicator_matrix():
@@ -141,21 +108,6 @@ def test_cluster_sums_do_not_copy_a_column_major_input():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < n * m * 8 / 4
-
-
-def test_kmeans_from_a_full_start_holds_no_n_by_f_copy():
-    # a start in which every cluster occurs needs no repair, so no distance
-    # to the start's means is formed, and the row norms are taken once
-    n, f, k = 200000, 10, 10
-    rng = np.random.default_rng(4)
-    truth = rng.integers(0, k, size=n)
-    X = np.asfortranarray(rng.normal(size=(k, f))[truth] * 5 + rng.normal(size=(n, f)))
-    start = np.arange(n) % k
-    tracemalloc.start()
-    kmeans(X, k, start=start)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert peak < 2.7 * n * f * 8
 
 
 def _spectral_vectors(n, k, kernel):
@@ -191,44 +143,6 @@ def test_cpqr_labels_hold_n_long_vectors_only(order):
     assert peak < 5 * n * 8
 
 
-def test_assign_holds_one_k_by_n_array_and_n_long_vectors():
-    n, f, k = 200000, 10, 10
-    rng = np.random.default_rng(6)
-    X = np.asfortranarray(rng.normal(size=(n, f)))
-    x2 = np.einsum("ij,ij->i", X, X)
-    C = rng.normal(size=(k, f))
-    tracemalloc.start()
-    _assign(X, C, x2)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert peak < (k + 2.5) * n * 8
-
-
-@pytest.mark.parametrize("case", ["random", "duplicate-centroids", "equidistant"])
-def test_assign_equals_the_argmin_oracle_ties_included(case):
-    rng = np.random.default_rng(7)
-    if case == "random":
-        X, C = rng.normal(size=(5000, 6)), rng.normal(size=(7, 6))
-    elif case == "duplicate-centroids":
-        # rows 2 and 4 repeat rows 0 and 1: every point ties exactly
-        X = rng.normal(size=(5000, 6))
-        C = rng.normal(size=(3, 6))[[0, 1, 0, 2, 1]]
-    else:
-        # integer points on the bisector x = 1 of centroids (0, 0) and (2, 0),
-        # computed exactly, so their distances to both are equal
-        X = np.column_stack([rng.integers(0, 3, size=5000), rng.integers(-3, 4, size=5000)])
-        X = X.astype(np.float64)
-        C = np.array([[2.0, 0.0], [0.0, 0.0], [1.0, 5.0], [2.0, 0.0]])
-    x2 = np.einsum("ij,ij->i", X, X)
-    labels, dists = _assign(X, C, x2)
-    want_labels, want_dists = assign_oracle(X, C, x2)
-    assert np.array_equal(labels, want_labels)
-    assert np.array_equal(dists, want_dists)
-    if case == "equidistant":  # (1, y) with |y| <= 2 ties between centroids 0, 1 and 3
-        on_bisector = (X[:, 0] == 1.0) & (np.abs(X[:, 1]) <= 2.0)
-        assert on_bisector.any() and (labels[on_bisector] == 0).all()
-
-
 def test_no_module_calls_pivoted_qr(monkeypatch):
     qr = scipy.linalg.qr
 
@@ -241,56 +155,3 @@ def test_no_module_calls_pivoted_qr(monkeypatch):
     for kernel in ("quadratic", "rbf"):
         labels = run_pipeline(ds, PipelineConfig(k=3, kernel=kernel)).consensus
         assert len(np.unique(labels)) == 3
-
-
-def _counted_assign(monkeypatch):
-    """Wrap ``mvkc.kmeans._assign`` and return the list of centroids it is
-    called with."""
-    calls, assign = [], mvkc.kmeans._assign
-
-    def counted(X, centroids, x2):
-        calls.append(centroids.copy())
-        return assign(X, centroids, x2)
-
-    monkeypatch.setattr(mvkc.kmeans, "_assign", counted)
-    return calls
-
-
-@pytest.mark.parametrize("n, k", [(300, 3), (5000, 10)])
-def test_a_step_that_leaves_the_centroids_unchanged_ends_lloyd_without_a_final_assignment(
-        n, k, monkeypatch):
-    rng = np.random.default_rng(n)
-    truth = rng.integers(0, k, size=n)
-    X = np.asfortranarray(rng.normal(size=(k, 6))[truth] * 3 + rng.normal(size=(n, 6)))
-    start = np.arange(n) % k
-    calls = _counted_assign(monkeypatch)
-    labels, inertia = kmeans(X, k, start)
-    skipped = list(calls)
-    calls.clear()
-    # never taking the early return runs the final assignment as before
-    with monkeypatch.context() as patch:
-        patch.setattr(mvkc.kmeans.np, "array_equal", lambda a, b: False)
-        forced_labels, forced_inertia = kmeans(X, k, start)
-    assert np.array_equal(labels, forced_labels) and labels.dtype == np.int64
-    assert inertia == forced_inertia
-    assert len(skipped) == len(calls) - 1
-    # the assignment dropped is the last one, which repeated its centroids
-    assert all(np.array_equal(a, b) for a, b in zip(skipped, calls))
-    assert np.array_equal(calls[-1], calls[-2])
-
-
-def test_a_loop_that_stops_on_tol_with_a_nonzero_shift_still_assigns_once_more(monkeypatch):
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(200, 3))
-    calls = _counted_assign(monkeypatch)
-    kmeans(X, 4, np.arange(200) % 4, tol=10.0)  # stops after one step
-    assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
-
-
-def test_a_loop_that_repaired_an_empty_cluster_still_assigns_once_more(monkeypatch):
-    # every point ties on three equal centroids: each step leaves clusters
-    # 1 and 2 empty and repairs them, and the means stay where they were
-    calls = _counted_assign(monkeypatch)
-    labels, inertia = kmeans(np.zeros((6, 2)), 3, np.arange(6) % 3)
-    assert len(calls) == 2 and np.array_equal(calls[0], calls[1])
-    assert sorted(np.bincount(labels)) == [1, 1, 4] and inertia == 0.0

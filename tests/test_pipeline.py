@@ -13,14 +13,14 @@ import mvkc.workers
 from mvkc.data import MultiViewDataset, View, load_dataset, save_dataset
 from mvkc.embedding import degree_normalize, implicit_degrees
 from mvkc.kernels import apply_map
-from mvkc.kmeans import cpqr_labels, kmeans
+from mvkc.kmeans import cpqr_labels
 from mvkc.linalg import center_columns, truncated_svd
-from mvkc.metrics import ari
+from mvkc.metrics import ari, contingency_table
 from mvkc.pipeline import PipelineConfig, run_pipeline
 from mvkc.weighting import clusterability_trace
 from mvkc.workers import SPECTRAL_MIN_ROWS, openblas_threads
 from oracles import consensus_affinity_oracle
-from synth import synth_multiview
+from synth import rings, synth_multiview
 
 
 def test_config_defaults():
@@ -177,8 +177,8 @@ def test_view_failure_names_view():
 
 def spectral_stage_peak(n):
     """Traced peak of one view's spectral stage, after a warm-up call, on an
-    n x 55 quadratic factor of four blobs: normalize, embed, CPQR, k-means and
-    the clusterability trace, at k = 4, f = 10. Returns it and the labels."""
+    n x 55 quadratic factor of four blobs: normalize, embed, CPQR and the
+    clusterability trace, at k = 4, f = 10. Returns it and the labels."""
     rng = np.random.default_rng(4)
     truth = np.arange(n) % 4
     U = np.linalg.qr(rng.normal(size=(4, 10))[truth] + 0.5 * rng.normal(size=(n, 10)))[0]
@@ -188,8 +188,9 @@ def spectral_stage_peak(n):
         B = factor.copy(order="F")
         tracemalloc.start()
         try:
+            degree_normalize(B, implicit_degrees(B))
             labels, _ = mvkc.pipeline._cluster_factor(B, config, 0, defaultdict(float),
-                                                      ("embedding", "kmeans"), t=22)
+                                                      ("embedding", "discretize"), t=22)
             clusterability_trace(B, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -213,8 +214,8 @@ def test_spectral_stage_below_the_size_rule_allocates_no_more_than_whole_array_p
     # graph-p2's n: the stage as it ran before its passes took row blocks
     # peaked at 6,910,416 traced bytes here (numpy 2.4, scipy 1.17); the
     # passes' Python frames and closures add under 2 KB, while a temporary
-    # copy of any pass's output (the principal block, the normalized factor,
-    # k-means' distances) adds 0.6 MB or more
+    # copy of any pass's output (the principal block, the normalized factor)
+    # adds 0.6 MB or more
     monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 3)
     peak, _ = spectral_stage_peak(20000)
     assert peak <= 6_910_416 + 4096
@@ -236,9 +237,9 @@ def test_a_run_leaves_no_thread_behind(fail, monkeypatch):
 
     def counted(*args, **kwargs):
         during.append(threading.active_count())
-        return kmeans(*args, **kwargs)
+        return cpqr_labels(*args, **kwargs)
 
-    monkeypatch.setattr(mvkc.pipeline, "kmeans", counted)
+    monkeypatch.setattr(mvkc.pipeline, "cpqr_labels", counted)
     threads = threading.active_count()
     blas = [get() for get, _ in openblas_threads()]
     if fail:
@@ -315,10 +316,26 @@ def test_views_of_different_widths_fill_their_own_blocks():
     assert len(both.consensus) == n
 
 
+@pytest.mark.parametrize("chosen", [0, 1])
+def test_one_hot_weights_give_the_chosen_views_labels(chosen, monkeypatch):
+    # the consensus of one view is that view's principal block, already
+    # normalized: its labels are the view's own, up to a permutation. At
+    # gamma = 5n neither ring view finds the rings alone, so the labels
+    # rest on a flat spectrum, which a second normalization would rotate
+    dataset = rings(2000, 2)
+    one_hot = np.eye(2)[chosen]
+    monkeypatch.setattr(mvkc.pipeline, "view_weights", lambda traces, mode: one_hot)
+    config = PipelineConfig(k=2, kernel="rbf", kernel_components=200, gamma=5.0 * dataset.n)
+    res = run_pipeline(dataset, config)
+    assert np.array_equal(res.weights, one_hot)
+    table = contingency_table(res.consensus, res.per_view[chosen])
+    assert table.shape == (2, 2) and np.count_nonzero(table) == 2
+
+
 def test_timings_cover_stages():
     ds = synth_multiview(100, 2, 2, noise=0.1, seed=5)
     res = run_pipeline(ds, PipelineConfig(k=2, f=1, kernel="rbf", seed=0))
-    for stage in ("svd", "kernel_map", "embedding", "kmeans", "consensus"):
+    for stage in ("svd", "kernel_map", "embedding", "discretize", "consensus"):
         assert stage in res.timings
 
 
@@ -413,7 +430,7 @@ def rank_f_plus_one_labels(dataset, config):
                       gamma=config.gamma, seed=seed)
         degree_normalize(B, implicit_degrees(B))
         U = truncated_svd(B, config.f + 1, seed=seed).U
-        out.append(kmeans(U[:, 1:], config.k, cpqr_labels(U, config.k))[0])
+        out.append(cpqr_labels(U, config.k))
     return out
 
 

@@ -13,7 +13,7 @@ import mvkc.workers
 from mvkc.data import build_knn_graph
 from mvkc.embedding import degree_normalize, implicit_degrees
 from mvkc.kernels import ROW_BLOCK, apply_map
-from mvkc.kmeans import _assign, _pivot_rows, cluster_sums, cpqr_labels
+from mvkc.kmeans import _pivot_rows, cluster_sums, cpqr_labels
 from mvkc.linalg import _fix_signs, _inner, _product, center_columns
 from mvkc.workers import (SPECTRAL_BLOCK, SPECTRAL_MIN_ROWS, map_row_blocks, openblas_threads,
                           row_blocks)
@@ -169,19 +169,14 @@ def test_spectral_passes_equal_their_whole_array_forms_on_every_core_count(n, mo
     B = np.asfortranarray(rng.random((n, 100)))
     Q = np.asfortranarray(rng.normal(size=(n, 11)))
     W = np.asfortranarray(rng.normal(size=(100, 11)))
-    X = np.asfortranarray(rng.normal(size=(n, 11)))[:, 1:]
-    centroids, labels = rng.normal(size=(10, 10)), rng.integers(10, size=n)
-    x2 = np.einsum("ij,ij->i", X, X)
+    labels = rng.integers(10, size=n)
 
     with mvkc.workers._one_blas_thread() if n >= SPECTRAL_MIN_ROWS else contextlib.nullcontext():
         degrees = B @ B.sum(axis=0)
-        d2 = (-2.0 * centroids) @ X.T + np.einsum("ij,ij->i", centroids, centroids)[:, None]
         whole = {
             "product": (W.T @ B.T).T,
             "degrees": degrees,
             "normalized": B * (degrees**-0.5)[:, None],
-            "nearest": np.argmin(d2, axis=0),  # ties to the lowest index, as _assign
-            "distances": np.maximum(d2.min(axis=0) + x2, 0.0),
             "sums": np.stack([np.bincount(labels, weights=B[:, j], minlength=10)
                               for j in range(100)], axis=1),
         }
@@ -190,13 +185,10 @@ def test_spectral_passes_equal_their_whole_array_forms_on_every_core_count(n, mo
     for cores in (1, 2, 3):
         monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
         normalized = degree_normalize(B.copy(order="F"), degrees)
-        nearest, distances = _assign(X, centroids, x2)
         pooled = {
             "product": _product(B, W),
             "degrees": implicit_degrees(B),
             "normalized": normalized,
-            "nearest": nearest,
-            "distances": distances,
             "sums": cluster_sums(B, labels, 10),
         }
         for name, array in whole.items():
