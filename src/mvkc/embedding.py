@@ -1,20 +1,20 @@
-"""Factorized degree normalization and spectral embedding.
+"""Factorized degree normalization.
 
 Factors are plain n x m float arrays B whose implicit affinity is
 W = B @ B.T. W is never formed: its row sums come from B @ (B.T @ 1) in
-O(nm), normalization scales the rows of B, and the spectral coordinates are
-left singular vectors of B, which span the same subspace as the top
-eigenvectors of W. ``degree_normalize`` overwrites B rather than copying it:
-the caller owns B and passes a copy if it reads the raw factor again. The
-column sums B.T @ 1 run one column at a time, and both row passes on the row
-blocks of ``workers.row_blocks``.
+O(nm), and normalization scales the rows of B. The spectral coordinates,
+which the pipeline takes with ``linalg.truncated_svd``, are left singular
+vectors of B: they span the same subspace as the top eigenvectors of W.
+``degree_normalize`` overwrites B rather than copying it: the caller owns B
+and passes a copy if it reads the raw factor again. The column sums B.T @ 1
+run one column at a time, and both row passes on the row blocks of
+``workers.row_blocks``.
 """
 
 import logging
 
 import numpy as np
 
-from .linalg import truncated_svd
 from .workers import map_blocks, map_columns
 
 log = logging.getLogger(__name__)
@@ -65,16 +65,3 @@ def degree_normalize(B, d):
                                                        out=B[start:stop]))
     return B
 
-
-def spectral_embedding(B, r, seed=0, t=None):
-    """The ``truncated_svd`` of the normalized factor whose U holds its top
-    r+1 left singular vectors, an n x (r+1) array. The first is the trivial
-    quasi-constant one; the other r are the clustering coordinates. Given
-    ``t``, the result also carries B's principal block of up to t columns."""
-    n, m = B.shape
-    if r + 1 > min(n, m):
-        raise ValueError(
-            f"need r+1={r + 1} singular vectors but factor is {n} x {m}; "
-            "kernel map too small"
-        )
-    return truncated_svd(B, r + 1, seed=seed, t=t)

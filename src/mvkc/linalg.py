@@ -22,24 +22,24 @@
 
 Every n-row product is formed as (W.T @ X.T).T, so BLAS runs along n and the
 result is column-major; ``_orth``, the one QR call, factors it in place and
-forms Q in the same buffer. On every route U is column-major, and signs are
-fixed in place so the largest-magnitude entry of each left singular vector
-is positive.
+forms Q in the same buffer. On every route U is column-major. Its column
+signs are whatever the route's LAPACK call or n-row product gives: the
+pipeline reads U only through kernel values and the CPQR labels, and
+neither depends on them.
 
 The passes over n rows run on the row blocks of ``workers.row_blocks``: the
 column centering (its means are one whole-array ``X.mean``), the n-row
 products block by block into the one output, the Gram route's division by
-s, the sign fix's scaling, and the Gram matrix X.T X and the Rayleigh-Ritz
-Q.T X as sums, in block order, of the blocks' partial products, one w x d
-array per block. The sign fix finds each column's largest |entry| one
-column at a time. Below the workers' size rule there is one block, and each
-pass is one whole-array call; above it the block sums round differently
-from one product, by about 1e-16 relative, but the same on every core
-count, and every other pass equals its whole-array form bit for bit. Of the
-n-row passes, only the column means and ``_orth``'s QR run on one core.
+s, and the Gram matrix X.T X and the Rayleigh-Ritz Q.T X as sums, in block
+order, of the blocks' partial products, one w x d array per block. Below
+the workers' size rule there is one block, and each pass is one whole-array
+call; above it the block sums round differently from one product, by about
+1e-16 relative, but the same on every core count, and every other pass
+equals its whole-array form bit for bit. Of the n-row passes, only the
+column means and ``_orth``'s QR run on one core.
 
 Given t >= r, ``truncated_svd`` also returns the principal block
-X V_t = U_t diag(s_t) (up to signs): the Gram route takes t eigenpairs,
+X V_t = U_t diag(s_t): the Gram route takes t eigenpairs,
 forms X W_t as its one product and divides U out of its first r columns
 into a new array, while the conditioning check reads the top r only; the
 other routes scale their top t left vectors.
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .workers import map_blocks, map_columns, sum_blocks
+from .workers import map_blocks, sum_blocks
 
 EXACT_SVD_MAX_DIM = 2048
 OVERSAMPLE = 10  # extra sketch columns of the randomized SVD
@@ -77,30 +77,6 @@ def center_columns(X):
     out = np.empty_like(X)
     map_blocks(len(X), lambda start, stop: np.subtract(X[start:stop], mean, out=out[start:stop]))
     return out
-
-
-def _fix_signs(U, V):
-    """Scale U in place and V by the signs that make the largest-magnitude
-    entry of each column of U positive.
-
-    A column's first largest |entry| is its first maximum or its first
-    minimum, whichever is larger in magnitude, the earlier one on a tie, as
-    ``np.argmax(np.abs(U), axis=0)`` finds it; so no |U| is formed. The
-    columns run through ``map_columns``, and the scaling on row blocks.
-    """
-    n, r = U.shape
-    idx = np.empty(r, dtype=np.intp)
-
-    def column(j):
-        u = U[:, j]
-        top, bottom = np.argmax(u), np.argmin(u)
-        idx[j] = bottom if -u[bottom] > u[top] or (-u[bottom] == u[top] and bottom < top) else top
-
-    map_columns(n, r, column)
-    signs = np.sign(U[idx, np.arange(r)])
-    signs[signs == 0] = 1.0
-    map_blocks(n, lambda start, stop: np.multiply(U[start:stop], signs, out=U[start:stop]))
-    return U, V * signs
 
 
 def _product(X, W):
@@ -131,9 +107,7 @@ def _ritz(X, W, r):
     Ub, s, Vt = scipy.linalg.svd(_inner(Q, X), full_matrices=False)
     # U in column-major order, as LAPACK returns it, so that column slices
     # such as the embedding's U[:, :k] stay contiguous for the CPQR labels
-    U = _product(Q, Ub[:, :r])
-    U, V = _fix_signs(U, Vt[:r].T)
-    return SVDResult(U, s[:r], V)
+    return SVDResult(_product(Q, Ub[:, :r]), s[:r], Vt[:r].T)
 
 
 def randomized_svd(X, r, seed=0):
@@ -180,9 +154,7 @@ def truncated_svd(X, r, seed=0, t=None):
             # U = X W_r diag(1/s), in place when no principal block is kept
             U = P if t is None else np.empty((n, r), order="F")
             map_blocks(n, lambda start, stop: np.divide(P[start:stop, :r], s, out=U[start:stop]))
-            U, V = _fix_signs(U, W[:, :r])
-            return SVDResult(U, s, V, None if t is None else P)
+            return SVDResult(U, s, W[:, :r], None if t is None else P)
     U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
     block = None if t is None else U[:, :t] * s[:t]
-    U, V = _fix_signs(U[:, :r], Vt[:r].T)
-    return SVDResult(U, s[:r], V, block)
+    return SVDResult(U[:, :r], s[:r], Vt[:r].T, block)

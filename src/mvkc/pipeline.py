@@ -26,15 +26,14 @@ labels and clusterability trace are taken. A Nystroem map runs its row
 blocks of K_nm on every usable core, each worker in its own two buffers of
 at most ``ROW_BLOCK`` = 1024 rows x m_v, which the calling thread allocates.
 Above the size rule of ``mvkc.workers`` the spectral stage's passes (the
-centering, the SVDs' products and sign fix, the degrees and normalization,
-the CPQR labels and the clusterability trace) also run on every
-usable core, each block writing straight into the output or the n-long
-buffers its caller allocated; the Gram matrix holds one small partial
-product per block of 8192 rows, and the sign fix forms no n x (f + 1) |U|.
-One pool of worker threads serves the whole run and is closed when it returns.
-Each view's propagated and centered features are released once its SVD is
-taken. The discretization, ``cpqr_labels``, holds
-O(n) memory beyond the spectral vectors. So beyond the input, the resident
+centering, the SVDs' products, the degrees and normalization, the CPQR
+labels and the clusterability trace) also run on every usable core, each
+block writing straight into the output or the n-long buffers its caller
+allocated; the Gram matrix holds one small partial product per block of
+8192 rows. One pool of worker threads serves the whole run and is closed
+when it returns. Each view's propagated and centered features are released
+once its SVD is taken. The discretization, ``cpqr_labels``, holds O(n)
+memory beyond the spectral vectors. So beyond the input, the resident
 peak is about one view's n x m_v factor, the blocks of the views so far, one
 spectral embedding's principal block and n x (f + 1) U and, per usable core,
 one worker's map buffers.
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiViewDataset, graph_sources
-from .embedding import degree_normalize, implicit_degrees, spectral_embedding
+from .embedding import degree_normalize, implicit_degrees
 from .kernels import KERNEL_KINDS, apply_map
 from .kmeans import cpqr_labels
 from .linalg import center_columns, truncated_svd
@@ -133,14 +132,15 @@ def _derived_seeds(seed, n_views):
 
 
 def _cluster_factor(B, config, seed, timer, stages, t=None):
-    """Embed the factor spectrally, then take its CPQR labels.
+    """Embed the factor as its top f + 1 left singular vectors, the first
+    the trivial quasi-constant one, then take their CPQR labels.
 
     ``stages`` names the ``timer`` entries of (embed, discretize). Returns
     the labels and, given ``t``, the factor's principal block of up to t
     columns, else None.
     """
     t0 = time.perf_counter()
-    svd = spectral_embedding(B, config.f, seed=seed, t=t)
+    svd = truncated_svd(B, config.f + 1, seed=seed, t=t)
     timer[stages[0]] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -152,10 +152,12 @@ def _cluster_factor(B, config, seed, timer, stages, t=None):
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
     """Run the full multi-view clustering pass and return all label arrays.
 
-    ``timings`` maps each stage to its seconds, summed over the views. A config
-    that does not fit n raises before any view; an exception raised while
+    ``timings`` maps each stage to its seconds, summed over the views. An
+    invalid dataset raises its ``DataError`` and a config that does not fit n
+    raises ``ValueError``, both before any view; an exception raised while
     processing a view keeps its class and carries a ``view <index>`` note.
     """
+    dataset.validate()
     config.check_fits(dataset.n)
     with pool():  # one pool of worker threads for the whole run
         n_views = dataset.n_views

@@ -61,23 +61,23 @@ def cpqr_labels_oracle(U, k):
 
 
 def exact_svd(X):
-    """Full dense SVD, guarded to small matrices, with the sign convention of
-    ``mvkc.linalg``: the largest-magnitude entry of each left vector is positive."""
+    """Full dense SVD, guarded to small matrices."""
     X = np.asarray(X, dtype=np.float64)
     if min(X.shape) > EXACT_SVD_MAX_DIM:
         raise ValueError(
             f"exact_svd limited to min dim {EXACT_SVD_MAX_DIM}, got {X.shape}"
         )
     U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
-    return _signed(U, s, Vt.T)
+    return SVDResult(U, s, Vt.T)
 
 
-def _signed(U, s, V):
-    """SVDResult with each pair of singular vectors flipped so that the
-    largest-magnitude entry of the left one is positive."""
-    signs = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
-    signs[signs == 0] = 1.0
-    return SVDResult(U * signs, s, V * signs)
+def align_signs(res, ref):
+    """``res`` with each pair of singular vectors flipped where its left
+    vector points away from the same column of ``ref.U``: an SVD fixes each
+    pair only up to a common sign."""
+    r = res.U.shape[1]
+    signs = np.where(np.einsum("ij,ij->j", res.U, ref.U[:, :r]) < 0.0, -1.0, 1.0)
+    return SVDResult(res.U * signs, res.s, res.V * signs, res.block)
 
 
 def same_graph(a, b):
@@ -146,7 +146,7 @@ def exact_knn_edges(features, k):
 
 def ritz_oracle(X, W, r):
     """The QR Rayleigh-Ritz step of ``mvkc.linalg`` as first written: X W in
-    row-major order, ``np.linalg.qr`` on a copy, and a sign-fixed copy of U."""
+    row-major order and ``np.linalg.qr`` on a copy."""
     Q, _ = np.linalg.qr(X @ W)
     Ub, s, Vt = scipy.linalg.svd(Q.T @ X, full_matrices=False)
-    return _signed((Ub[:, :r].T @ Q.T).T, s[:r], Vt[:r].T)
+    return SVDResult((Ub[:, :r].T @ Q.T).T, s[:r], Vt[:r].T)

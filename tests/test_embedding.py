@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvkc.embedding import degree_normalize, implicit_degrees, spectral_embedding
+from mvkc.embedding import degree_normalize, implicit_degrees
+from mvkc.linalg import truncated_svd
 
 
 def test_degrees_orthonormal_rows():
@@ -91,8 +92,6 @@ def test_embedding_matches_eigendecomposition():
     evals, evecs = np.linalg.eigh(W)
     top = evecs[:, ::-1][:, : r + 1]
     # principal angles between the top-(r+1) left-singular and eigen subspaces
-    from mvkc.linalg import truncated_svd
-
     svd = truncated_svd(B, r + 1)
     angles = scipy.linalg.subspace_angles(svd.U, top)
     assert np.max(angles) < 1e-6
@@ -103,7 +102,7 @@ def test_embedding_separates_blocks():
     blockA = np.hstack([np.ones((10, 2)), np.zeros((10, 2))])
     blockB = np.hstack([np.zeros((12, 2)), np.ones((12, 2))])
     B = normalized_factor(np.vstack([blockA, blockB]))
-    emb = spectral_embedding(B, 1).U[:, 1:]
+    emb = truncated_svd(B, 2).U[:, 1:]
     signs = np.sign(emb[:, 0])
     assert len(set(signs[:10])) == 1 and len(set(signs[10:])) == 1
     assert signs[0] != signs[-1]
@@ -112,17 +111,12 @@ def test_embedding_separates_blocks():
 def test_embedding_orthonormal_columns():
     rng = np.random.default_rng(4)
     B = normalized_factor(rng.uniform(0.1, 1.0, size=(60, 8)))
-    emb = spectral_embedding(B, 5).U[:, 1:]
+    emb = truncated_svd(B, 6).U[:, 1:]
     assert np.allclose(emb.T @ emb, np.eye(5), atol=1e-8)
 
 
 def test_embedding_full_column_space():
     rng = np.random.default_rng(5)
     B = normalized_factor(rng.uniform(0.1, 1.0, size=(30, 5)))
-    emb = spectral_embedding(B, 4).U[:, 1:]
+    emb = truncated_svd(B, 5).U[:, 1:]
     assert emb.shape == (30, 4)
-
-
-def test_embedding_rank_guard():
-    with pytest.raises(ValueError, match="kernel map too small"):
-        spectral_embedding(np.ones((5, 3)), 3)

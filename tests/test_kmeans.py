@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvkc.embedding import degree_normalize, implicit_degrees, spectral_embedding
+from mvkc.embedding import degree_normalize, implicit_degrees
 from mvkc.kernels import apply_map
 from mvkc.kmeans import _pivot_rows, cluster_sums, cpqr_labels
 from mvkc.linalg import center_columns, truncated_svd
 from mvkc.pipeline import PipelineConfig, run_pipeline
+from mvkc.workers import SPECTRAL_MIN_ROWS
 from oracles import cluster_sums_oracle, cpqr_labels_oracle, indicator, lapack_pivots
 from synth import synth_multiview
 
@@ -73,6 +74,19 @@ def test_cpqr_labels_recover_rotated_blocks():
         assert len(np.unique(labels[truth == c])) == 1
 
 
+@pytest.mark.parametrize("k", [3, 10])
+@pytest.mark.parametrize("n", [SPECTRAL_MIN_ROWS - 1, SPECTRAL_MIN_ROWS + 1])
+def test_cpqr_labels_do_not_read_the_column_signs(n, k):
+    # the labels depend on U only up to an orthogonal change of basis (Damle,
+    # Minden and Ying 2019), so flipping the signs of any columns leaves them
+    rng = np.random.default_rng(n + k)
+    U = np.asfortranarray(np.linalg.qr(rng.normal(size=(n, k + 1)))[0])
+    labels = cpqr_labels(U, k)
+    for _ in range(3):
+        signs = rng.choice([-1.0, 1.0], size=k + 1)
+        assert np.array_equal(cpqr_labels(U * signs, k), labels)
+
+
 def test_k_larger_than_n():
     with pytest.raises(ValueError):
         cpqr_labels(np.eye(3), 4)
@@ -117,7 +131,7 @@ def _spectral_vectors(n, k, kernel):
     svd = truncated_svd(center_columns(X), k, seed=k)
     B = apply_map(kernel, svd.U, m=None if kernel == "quadratic" else 10 * k, seed=k)
     degree_normalize(B, implicit_degrees(B))
-    return spectral_embedding(B, k, seed=k).U
+    return truncated_svd(B, k + 1, seed=k).U
 
 
 @pytest.mark.parametrize("kernel", ["quadratic", "rbf"])

@@ -94,6 +94,41 @@ def test_size_check_comes_before_any_view(monkeypatch):
     assert svd_calls == []
 
 
+@pytest.mark.parametrize("views, error, match", [
+    ([], mvkc.data.FormatError, "no views"),
+    ([(300, 4), (200, 4)], mvkc.data.SizeMismatchError, "view 1: has 200 rows"),
+], ids=["no-views", "row-counts-differ"])
+def test_an_invalid_dataset_raises_its_data_error_before_any_view(views, error, match):
+    rng = np.random.default_rng(0)
+    ds = MultiViewDataset([View(rng.normal(size=shape)) for shape in views])
+    with pytest.raises(error, match=match):
+        run_pipeline(ds, PipelineConfig(k=2))
+
+
+@pytest.mark.parametrize("kernel", ["quadratic", "rbf"])
+def test_no_output_reads_the_signs_of_the_singular_vectors(kernel, monkeypatch):
+    # U is read only through kernel values and the CPQR labels, and the
+    # principal blocks only through the consensus's Gram matrix: flipping a
+    # fixed subset of their columns leaves every output bit unchanged
+    ds = synth_multiview(600, 3, 2, noise=0.3, seed=4)
+    expected = run_pipeline(ds, PipelineConfig(k=3, kernel=kernel))
+
+    def flipped(*args, **kwargs):
+        svd = truncated_svd(*args, **kwargs)
+        svd.U[:, 1::2] *= -1.0
+        if svd.block is not None:
+            svd.block[:, ::2] *= -1.0
+        return svd
+
+    monkeypatch.setattr(mvkc.pipeline, "truncated_svd", flipped)
+    res = run_pipeline(ds, PipelineConfig(k=3, kernel=kernel))
+    assert np.array_equal(res.consensus, expected.consensus)
+    for labels, want in zip(res.per_view, expected.per_view, strict=True):
+        assert np.array_equal(labels, want)
+    assert np.array_equal(res.weights, expected.weights)
+    assert np.array_equal(res.traces, expected.traces)
+
+
 def test_single_view_matches_per_view_path():
     ds = synth_multiview(200, 3, 1, noise=0.05, seed=2)
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0, weight_mode="uniform"))
