@@ -303,9 +303,9 @@ def test_centering_keeps_the_memory_order_of_its_input(order):
 
 def test_discretization_on_more_cores_takes_no_more_memory(monkeypatch):
     # every per-block buffer is allocated on the calling thread before the
-    # workers start, so more cores hold no more arrays than the few n-long
-    # vectors of one; the pool is open and its threads started, as in a run,
-    # before the traced call
+    # workers start, so more cores hold no more than one core's few n-long
+    # vectors; the pool is open and its threads started, as in a run, before
+    # the traced call
     n = 100000
     U = _orthonormal(n, 11, 1)
     peaks = {}
