@@ -7,23 +7,24 @@ wins. ``--p`` overrides the manifest order of the views it names only;
 ``load_dataset`` applies it and parses only the graphs of views that then
 propagate, though every graph file the manifest names must exist.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure.
-A missing or malformed input file, any other ``OSError``, or ``eval`` label
-files of different lengths, is a data error. A setting that would be ignored
-or make the run meaningless is a config error: a ``--p`` entry for a view the
-dataset lacks or a view named twice, a view that propagates when the dataset
-has no graph, ``--gamma`` or ``--kernel-components`` with ``quadratic``, a
-gamma that is not finite and positive, too few ``--kernel-components``, an
-``--f`` below 2 with ``quadratic`` or above a view's feature dimension, what
+Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure
+(a ``FloatingPointError`` or ``LinAlgError``). A missing or malformed input
+file, any other ``OSError``, or ``eval`` label files of different lengths, is
+a data error. A setting that would be ignored or make the run meaningless is a
+config error: a ``--p`` entry for a view the dataset lacks or a view named
+twice, a view that propagates when the dataset has no graph, ``--gamma`` or
+``--kernel-components`` with ``quadratic``, a gamma that is not finite and
+positive, too few ``--kernel-components``, an ``--f`` below 2 with
+``quadratic`` or above a view's feature dimension, what
 ``PipelineConfig.check_fits`` rejects (a k, f + 1 or ``--kernel-components``
-above n, f + 1 below k), ``prepare`` counts of ``--p`` orders and
-``--graph`` entries that do not fit the feature files, an ``--add-knn``
-below 1 or at least n, or ``--self-loops`` without ``--add-knn``. A ``--p``
-or ``--seeds`` value that does not parse, is negative or repeats a seed, a
-``--kernel`` other than ``quadratic`` or ``rbf``, a ``--weight-mode`` other
-than ``negated`` or ``uniform``, a ``--time-limit`` that is not positive or
-is above ``MAX_TIME_LIMIT`` seconds, or a flag ``run`` does not have, is an
-argparse error that names the flag and shows the text.
+above n, f + 1 below k), ``prepare`` counts of ``--p`` orders and ``--graph``
+entries that do not fit the feature files, an ``--add-knn`` below 1 or at
+least n, or ``--self-loops`` without ``--add-knn``. A ``--p`` or ``--seeds``
+value that does not parse, is negative or repeats a seed, a ``--kernel`` other
+than ``quadratic`` or ``rbf``, a ``--weight-mode`` other than ``negated`` or
+``uniform``, a ``--time-limit`` that is not positive or is above
+``MAX_TIME_LIMIT`` seconds, or a flag ``run`` does not have, is an argparse
+error that names the flag and shows the text.
 
 ``run`` writes each seed's consensus labels to ``labels_seed<N>.txt`` and a
 ``run_seed<N>.json`` record of the fields ``_run_seed`` returns; its
@@ -127,12 +128,12 @@ def _build_config(args):
 
 def _exit_code(exc):
     """Documented exit code for an exception class, or None for a program bug."""
+    if isinstance(exc, (FloatingPointError, np.linalg.LinAlgError)):  # LinAlgError is a ValueError
+        return EXIT_NUMERIC
     if isinstance(exc, (DataError, OSError)):
         return EXIT_DATA
-    if isinstance(exc, (ValueError, KeyError, TypeError)):
+    if isinstance(exc, ValueError):
         return EXIT_CONFIG
-    if isinstance(exc, (FloatingPointError, np.linalg.LinAlgError)):
-        return EXIT_NUMERIC
     return None
 
 

@@ -319,8 +319,12 @@ def save_dataset(dataset, path):
 
 def graph_sources(has_graph, orders):
     """Per view, the index of the view whose graph it propagates over: its
-    own or, if it has none, the first one given; None at order 0 or with no graph."""
+    own or, if it has none, the first one given; None at order 0. A view
+    that propagates when no view has a graph raises ``ValueError``."""
     shared = next((v for v, has in enumerate(has_graph) if has), None)
+    for v, p in enumerate(orders):
+        if p > 0 and shared is None:
+            raise ValueError(f"view {v} propagates at order {p}, but the dataset has no graph")
     return [None if p <= 0 else v if has else shared
             for v, (has, p) in enumerate(zip(has_graph, orders))]
 
@@ -332,8 +336,8 @@ def load_dataset(path, orders=None):
     --p``) that replace the manifest's in the views returned; then only the
     graphs that ``graph_sources`` picks are read. Every other view loads
     without its graph, but every graph file the manifest names must exist.
-    A view that propagates when the dataset has no graph raises
-    ``ValueError`` before any file but the manifest is read.
+    A view that propagates when the dataset has no graph raises the
+    ``ValueError`` of ``graph_sources`` before any file but the manifest.
     """
     manifest = os.path.join(path, "manifest.txt")
     if not os.path.isfile(manifest):
@@ -367,9 +371,6 @@ def load_dataset(path, orders=None):
     if missing:
         raise ValueError(f"--p names views {missing}, but the dataset has {len(entries)} views")
     sources = graph_sources(read, [order for _, _, order in entries])
-    for v, ((_, _, order), source) in enumerate(zip(entries, sources)):
-        if order > 0 and source is None:
-            raise ValueError(f"view {v} propagates at order {order}, but the dataset has no graph")
     if orders is not None:
         read = [v in sources for v in range(len(entries))]
     views = []

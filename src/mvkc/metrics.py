@@ -30,12 +30,7 @@ def contingency_table(pred, truth):
 
 def clustering_accuracy(pred, truth):
     """Best accuracy over one-to-one cluster-to-class assignments."""
-    return _accuracy(contingency_table(pred, truth))
-
-
-def _accuracy(table):
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum()) / table.sum()
+    return _matched_scores(contingency_table(pred, truth))[0]
 
 
 def macro_f1(pred, truth):
@@ -43,14 +38,15 @@ def macro_f1(pred, truth):
 
     Class c matched to cluster r scores 2 table[r, c] / (|r| + |c|).
     """
-    return _macro_f1(contingency_table(pred, truth))
+    return _matched_scores(contingency_table(pred, truth))[1]
 
 
-def _macro_f1(table):
+def _matched_scores(table):
+    """Accuracy and macro F1 under one optimal cluster-to-class matching."""
     rows, cols = linear_sum_assignment(table, maximize=True)
     f1 = np.zeros(table.shape[1])
     f1[cols] = 2.0 * table[rows, cols] / (table.sum(axis=1)[rows] + table.sum(axis=0)[cols])
-    return float(np.mean(f1))
+    return float(table[rows, cols].sum()) / table.sum(), float(np.mean(f1))
 
 
 def _entropy(counts, n):
@@ -105,7 +101,7 @@ def _ari(table):
 
 
 def evaluate(pred, truth):
-    """All four metrics as a dict, from one contingency table."""
+    """All four metrics as a dict, from one contingency table and one matching."""
     table = contingency_table(pred, truth)
-    return {"ca": _accuracy(table), "cf1": _macro_f1(table), "nmi": _nmi(table),
-            "ari": _ari(table)}
+    ca, cf1 = _matched_scores(table)
+    return {"ca": ca, "cf1": cf1, "nmi": _nmi(table), "ari": _ari(table)}

@@ -152,19 +152,19 @@ def _cluster_factor(B, config, seed, timer, stages, t=None):
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
     """Run the full multi-view clustering pass and return all label arrays.
 
-    ``timings`` maps each stage to its seconds, summed over the views. An
-    invalid dataset raises its ``DataError`` and a config that does not fit n
-    raises ``ValueError``, both before any view; an exception raised while
-    processing a view keeps its class and carries a ``view <index>`` note.
+    ``timings`` maps each stage to its seconds, summed over the views. Before
+    any view runs, an invalid dataset raises its ``DataError``, and a config
+    that does not fit n or propagation with no graph raises ``ValueError``; an
+    exception raised in a view keeps its class and carries a ``view <index>`` note.
     """
     dataset.validate()
     config.check_fits(dataset.n)
+    sources = graph_sources([view.graph is not None for view in dataset.views],
+                            [view.propagation_order for view in dataset.views])
     with pool():  # one pool of worker threads for the whole run
         n_views = dataset.n_views
         seeds = _derived_seeds(config.seed, n_views)
         timer = defaultdict(float)  # seconds by stage, summed over views
-        sources = graph_sources([view.graph is not None for view in dataset.views],
-                                [view.propagation_order for view in dataset.views])
 
         t = 2 * (config.f + 1)  # the most spectral directions a view gives the consensus
         blocks = []
@@ -173,9 +173,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
         for v, view in enumerate(dataset.views):
             try:
                 t0 = time.perf_counter()
-                if view.propagation_order > 0:
-                    if sources[v] is None:
-                        raise ValueError("propagation requested but no graph available")
+                if sources[v] is not None:
                     X = propagate_cached(dataset.views[sources[v]].graph, view.features,
                                          view.propagation_order, cache_dir=config.cache_dir)
                 else:

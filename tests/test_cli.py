@@ -10,6 +10,7 @@ import pytest
 
 import mvkc.cli
 import mvkc.kernels
+import mvkc.pipeline
 import mvkc.workers
 from mvkc.cli import (
     EXIT_CONFIG,
@@ -109,21 +110,28 @@ def _failing_dataset(tmp_path, kind):
         # finds it, before any seed
         views = [View(rng.normal(size=(40, 4)))]
     else:
-        # star graph: the hub sums 39 leaves of ~1e308, which overflows
+        # star graph: with "numeric" the hub sums 39 leaves of ~1e308, which
+        # overflows; "linalg" features are fine, and the SVD is made to fail
         leaves = np.arange(1, 40)
         hub = np.zeros_like(leaves)
         star = SparseGraph(40, np.concatenate([hub, leaves]),
                            np.concatenate([leaves, hub]), np.ones(78))
-        views = [View(np.full((40, 4), 1e308), star)]
+        features = np.full((40, 4), 1e308) if kind == "numeric" else rng.normal(size=(40, 4))
+        views = [View(features, star)]
     path = tmp_path / kind
     save_dataset(MultiViewDataset(views), path)
     return str(path)
 
 
 @pytest.mark.parametrize("kind, expected", [("config", EXIT_CONFIG),
-                                            ("numeric", EXIT_NUMERIC)])
+                                            ("numeric", EXIT_NUMERIC),
+                                            ("linalg", EXIT_NUMERIC)])
 @pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
-def test_view_failure_exit_code(tmp_path, capsys, kind, expected, time_limit):
+def test_view_failure_exit_code(tmp_path, capsys, monkeypatch, kind, expected, time_limit):
+    if kind == "linalg":  # a LinAlgError is a ValueError, but a numeric failure
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(mvkc.pipeline, "truncated_svd", failing_svd)
     out = tmp_path / "out"
     code = main(["run", _failing_dataset(tmp_path, kind), "--k", "2", "--f", "2",
                  "--p", "0:2", "--seeds", "0,1", "--output", str(out)] + time_limit)
@@ -135,6 +143,7 @@ def test_view_failure_exit_code(tmp_path, capsys, kind, expected, time_limit):
     for seed in (0, 1):  # the failed seed is recorded and the next one still runs
         record = json.loads((out / f"run_seed{seed}.json").read_text())
         assert record["status"] == "Error"
+        assert record["exit_code"] == expected
         assert "view 0" in record["error"]
 
 

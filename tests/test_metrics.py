@@ -104,12 +104,19 @@ def test_evaluate_equals_the_four_metrics_one_by_one_from_one_table(seed, monkey
     pred = np.where(rng.random(50000) < 0.8, truth, rng.integers(0, 12, size=50000)) * 3 - 7
     expected = {"ca": clustering_accuracy(pred, truth), "cf1": macro_f1(pred, truth),
                 "nmi": nmi(pred, truth), "ari": ari(pred, truth)}
-    tables = []
+    tables, matchings = [], []
+    assign = mvkc.metrics.linear_sum_assignment
 
     def counted(*args):
         tables.append(contingency_table(*args))
         return tables[-1]
 
+    def counted_assignment(*args, **kwargs):
+        matchings.append(assign(*args, **kwargs))
+        return matchings[-1]
+
     monkeypatch.setattr(mvkc.metrics, "contingency_table", counted)
+    monkeypatch.setattr(mvkc.metrics, "linear_sum_assignment", counted_assignment)
     assert evaluate(pred, truth) == expected
     assert len(tables) == 1
+    assert len(matchings) == 1  # accuracy and F1 share one matching

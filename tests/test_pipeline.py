@@ -202,6 +202,21 @@ def test_propagation_without_any_graph_fails():
         run_pipeline(ds, cfg)
 
 
+def test_propagation_without_any_graph_fails_before_any_view(monkeypatch):
+    rng = np.random.default_rng(0)
+    ds = MultiViewDataset([View(rng.normal(size=(50, 4))),
+                           View(rng.normal(size=(50, 4)), propagation_order=1)])
+    calls = []
+    for name in ("propagate_cached", "apply_map"):
+        def counted(*args, _name=name, _fn=getattr(mvkc.pipeline, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mvkc.pipeline, name, counted)
+    with pytest.raises(ValueError, match="view 1 propagates at order 1, but the dataset has no graph"):
+        run_pipeline(ds, PipelineConfig(k=2, f=2))
+    assert calls == []
+
+
 def test_view_failure_names_view():
     good = np.random.default_rng(1).normal(size=(30, 6))
     thin = np.random.default_rng(1).normal(size=(30, 1))  # rank too low for f=3
