@@ -12,7 +12,8 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 timeout, 5 numeric failure
 file, any other ``OSError``, or ``eval`` label files of different lengths, is
 a data error. A setting that would be ignored or make the run meaningless is a
 config error: a ``--p`` entry for a view the dataset lacks or a view named
-twice, a view that propagates when the dataset has no graph, ``--gamma`` or
+twice, a view that propagates when the dataset has no graph (``prepare``
+checks this too, before it writes anything), ``--gamma`` or
 ``--kernel-components`` with ``quadratic``, a gamma that is not finite and
 positive, too few ``--kernel-components``, an ``--f`` below 2 with
 ``quadratic`` or above a view's feature dimension, what
@@ -50,6 +51,7 @@ from .data import (
     SizeMismatchError,
     View,
     build_knn_graph,
+    graph_sources,
     load_dataset,
     load_features,
     load_graph,
@@ -276,6 +278,9 @@ def cmd_prepare(args):
     if args.add_knn is not None:
         knn = build_knn_graph(features[0], args.add_knn, self_loops=args.self_loops)
         views.append(View(features[0].copy(), knn, propagation_order=orders[0]))
+    # the rule every run of the dataset applies
+    graph_sources([view.graph is not None for view in views],
+                  [view.propagation_order for view in views])
     labels = load_labels(args.labels) if args.labels else None
     dataset = MultiViewDataset(views, labels)
     dataset.validate()

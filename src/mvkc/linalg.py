@@ -43,6 +43,18 @@ X V_t = U_t diag(s_t): the Gram route takes t eigenpairs,
 forms X W_t as its one product and divides U out of its first r columns
 into a new array, while the conditioning check reads the top r only; the
 other routes scale their top t left vectors.
+
+Given a d x d ``right`` M, ``truncated_svd`` factors X M without forming it
+on the Gram route, which takes the eigenpairs of M.T (X.T X) M and forms
+X (M W) as its one n-row product. X.T X carries an absolute error of about
+eps ||X||^2, which M.T ... M carries into the Gram matrix as about
+eps kappa(M.T M) lambda_0, on top of the route's own eps lambda_0. For a
+Nystroem factor, M.T M = K_mm^{-1}, whose eigenvalues ``kernels.EIG_FLOOR``
+= ``GRAM_COND_FLOOR``^2 floors, so that term stays at most
+eps / GRAM_COND_FLOOR^2 relative to lambda_0, the same as the error the
+route accepts at its floor. The exact and randomized routes form X M first,
+as one n-row product, and factor it: that happens only when d exceeds
+``EXACT_SVD_MAX_DIM`` or the Gram check fails.
 """
 
 from dataclasses import dataclass
@@ -128,8 +140,9 @@ def randomized_svd(X, r, seed=0):
     return _ritz(X, W, r)
 
 
-def truncated_svd(X, r, seed=0, t=None):
-    """Rank-r SVD by the route the module docstring gives for X's shape.
+def truncated_svd(X, r, seed=0, t=None, right=None):
+    """Rank-r SVD of X, or of X @ right given the d x d ``right``, by the
+    route the module docstring gives for X's shape.
 
     The Gram and exact routes return min(n, d, r) columns; ``seed`` seeds
     the randomized route. Given ``t``, the result also carries the principal
@@ -137,24 +150,32 @@ def truncated_svd(X, r, seed=0, t=None):
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
+    gram = n >= d and d <= EXACT_SVD_MAX_DIM
+    if right is not None and not gram:
+        X, right = _product(X, right), None
     if min(n, d) > EXACT_SVD_MAX_DIM:
         svd = randomized_svd(X, t or r, seed=seed)
         block = None if t is None else svd.U * svd.s
         return SVDResult(svd.U[:, :r], svd.s[:r], svd.V[:, :r], block)
-    if n >= d:
+    if gram:
         r = min(r, d)
         w = r if t is None else min(t, d)
-        evals, W = scipy.linalg.eigh(_inner(X, X), subset_by_index=[d - w, d - 1])
+        G = _inner(X, X)
+        if right is not None:
+            G = right.T @ G @ right
+        evals, W = scipy.linalg.eigh(G, subset_by_index=[d - w, d - 1])
         evals, W = evals[::-1], W[:, ::-1]
         # eigenvalues of the Gram matrix are squared singular values; the
         # tail beyond r may sit at round-off, as only its span is kept
         if evals[0] > 0.0 and evals[r - 1] >= GRAM_COND_FLOOR**2 * evals[0]:
-            P = _product(X, W)
+            P = _product(X, W if right is None else right @ W)
             s = np.sqrt(evals[:r])
             # U = X W_r diag(1/s), in place when no principal block is kept
             U = P if t is None else np.empty((n, r), order="F")
             map_blocks(n, lambda start, stop: np.divide(P[start:stop, :r], s, out=U[start:stop]))
             return SVDResult(U, s, W[:, :r], None if t is None else P)
+    if right is not None:
+        X = _product(X, right)
     U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
     block = None if t is None else U[:, :t] * s[:t]
     return SVDResult(U[:, :r], s[:r], Vt[:r].T, block)

@@ -2,8 +2,12 @@
 
 Per view: smooth features at the view's ``propagation_order``, center, take
 the f leading left singular vectors, map them through the kernel feature
-map, degree-normalize the factor, embed and cluster. A view whose centered
-features have no singular value above round-off raises
+map, degree-normalize the factor, embed and cluster. An rbf view's factor is
+its landmark kernel values K_nm, and its whitening M = K_mm^{-1/2} rides
+beside it as ``right``: the degrees, the embedding's SVD and the
+clusterability trace apply M on the m x m side, so the n x m by m x m
+product K_nm M is never formed. The quadratic factor has no ``right``. A
+view whose centered features have no singular value above round-off raises
 ``FloatingPointError``. Then weight each view in proportion to its
 clusterability trace^(-1/2) (``weighting.view_weights``), and run the same
 embed/cluster pass once more on the consensus for its labels. The consensus
@@ -13,18 +17,20 @@ the int64 label array of the seedless ``cpqr_labels``, with no iteration.
 Never allocates an n x n matrix.
 
 The consensus holds each view's top t = 2(f + 1) spectral directions, not its
-whole factor B: the embedding's SVD of B also returns the principal block
-B V_t = U_t S_t. On the Gram route that block is the SVD's one n-row
-product, and U is its first f + 1 columns divided by their singular values.
+whole factor B (for rbf, B = K_nm M after normalization): the embedding's
+SVD of B also returns the principal block B V_t = U_t S_t. On the Gram route
+that block is the SVD's one n-row product, and U is its first f + 1 columns
+divided by their singular values.
 The blocks, scaled by the square roots of the weights, stand side by side in
 one column-major n x sum_v min(t, m_v) array. Its Gram matrix falls short of
 sum_v lambda_v B_v B_v^T by at most sum_v lambda_v s_{v,t+1}^2 (Eckart-Young).
 
 Memory: a view's factor is normalized in place (the caller of
 ``degree_normalize`` owns the factor it overwrites) and released once its
-labels and clusterability trace are taken. A Nystroem map runs its row
-blocks of K_nm on every usable core, each worker in its own two buffers of
-at most ``ROW_BLOCK`` = 1024 rows x m_v, which the calling thread allocates.
+labels and clusterability trace are taken; for rbf that factor is K_nm
+itself. A Nystroem map runs its row blocks of K_nm on every usable core,
+each worker in one buffer of its own of at most ``ROW_BLOCK`` = 1024 rows
+x m_v, which the calling thread allocates.
 Above the size rule of ``mvkc.workers`` the spectral stage's passes (the
 centering, the SVDs' products, the degrees and normalization, the CPQR
 labels and the clusterability trace) also run on every usable core, each
@@ -36,7 +42,7 @@ once its SVD is taken. The discretization, ``cpqr_labels``, holds O(n)
 memory beyond the spectral vectors. So beyond the input, the resident
 peak is about one view's n x m_v factor, the blocks of the views so far, one
 spectral embedding's principal block and n x (f + 1) U and, per usable core,
-one worker's map buffers.
+one worker's map buffer.
 ``mvkc run`` loads only the graphs of views that propagate, so with p = 0
 everywhere no graph is held.
 """
@@ -131,16 +137,17 @@ def _derived_seeds(seed, n_views):
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def _cluster_factor(B, config, seed, timer, stages, t=None):
-    """Embed the factor as its top f + 1 left singular vectors, the first
-    the trivial quasi-constant one, then take their CPQR labels.
+def _cluster_factor(B, config, seed, timer, stages, t=None, right=None):
+    """Embed the factor B, or B @ right given ``right``, as its top f + 1
+    left singular vectors, the first the trivial quasi-constant one, then
+    take their CPQR labels.
 
     ``stages`` names the ``timer`` entries of (embed, discretize). Returns
     the labels and, given ``t``, the factor's principal block of up to t
     columns, else None.
     """
     t0 = time.perf_counter()
-    svd = truncated_svd(B, config.f + 1, seed=seed, t=t)
+    svd = truncated_svd(B, config.f + 1, seed=seed, t=t, right=right)
     timer[stages[0]] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -191,19 +198,21 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
                 del X, Xc  # only the singular vectors are read from here on
 
                 t0 = time.perf_counter()
-                B = apply_map(config.kernel, svd.U, m=config.kernel_components,
-                              gamma=config.gamma, seed=seeds[v])
+                m = config.kernel_components
+                right = None if config.kernel == "quadratic" else np.empty((m, m))
+                B = apply_map(config.kernel, svd.U, m=m, gamma=config.gamma, seed=seeds[v],
+                              right=right)
                 timer["kernel_map"] += time.perf_counter() - t0
                 del svd
 
                 t0 = time.perf_counter()
-                degree_normalize(B, implicit_degrees(B))
+                degree_normalize(B, implicit_degrees(B, right))
                 timer["embedding"] += time.perf_counter() - t0
                 labels, block = _cluster_factor(B, config, seeds[v], timer,
-                                                ("embedding", "discretize"), t)
+                                                ("embedding", "discretize"), t, right)
 
                 t0 = time.perf_counter()
-                traces.append(clusterability_trace(B, labels))
+                traces.append(clusterability_trace(B, labels, right))
                 timer["weighting"] += time.perf_counter() - t0
                 del B  # the consensus reads only the principal block
                 blocks.append(block)

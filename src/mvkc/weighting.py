@@ -2,7 +2,9 @@
 
 The score of a view is Tr(G.T (I - W) G) with W = B @ B.T and G the n x k
 indicator matrix of the view's labels; it reduces to n - ||G.T B||_F^2, where
-G.T B holds the per-cluster sums of ``kmeans.cluster_sums``. Neither W nor G
+G.T B holds the per-cluster sums of ``kmeans.cluster_sums``. Given the m x m
+right factor M of a Nystroem factor, W = B M M.T B.T and the score is
+n - ||(G.T B) M||_F^2, with M applied to the k x m sums. Neither W nor G
 is ever formed, not even as a sparse matrix. The weights take one of two
 modes, named as ``mvkc run --weight-mode`` takes them: ``negated`` weights a
 view by its trace^(-1/2), the closed form of AMGL (Nie, Li and Li, IJCAI
@@ -17,14 +19,17 @@ from .kmeans import cluster_sums
 WEIGHT_MODES = ("negated", "uniform")
 
 
-def clusterability_trace(B, labels):
-    """Tr(G.T (I - B B.T) G) for an n x m factor B and the indicator G of
-    the int ``labels``, 0..k-1, computed in O(nm)."""
+def clusterability_trace(B, labels, right=None):
+    """Tr(G.T (I - W) G) for W = B B.T, or W = B M M.T B.T given the m x m
+    M = ``right``, with B an n x m factor and G the indicator of the int
+    ``labels``, 0..k-1, computed in O(nm)."""
     n = B.shape[0]
     if n != len(labels):
         raise ValueError(f"factor has n={n} but labels has n={len(labels)}")
-    M = cluster_sums(B, labels, labels.max() + 1)  # G.T @ B
-    return float(n - np.einsum("ij,ij->", M, M))
+    S = cluster_sums(B, labels, labels.max() + 1)  # G.T @ B
+    if right is not None:
+        S = S @ right
+    return float(n - np.einsum("ij,ij->", S, S))
 
 
 def view_weights(traces, mode):

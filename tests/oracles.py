@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from mvkc.data import SparseGraph
+from mvkc.kernels import apply_map
 from mvkc.linalg import EXACT_SVD_MAX_DIM, SVDResult
 
 
@@ -26,6 +27,19 @@ def consensus_affinity_oracle(factor_values, lambdas, max_n=2048):
     for lam, B in zip(lambdas, factor_values):
         out += lam * (B @ B.T)
     return out
+
+
+def kernel_factor(kind, U, m=None, gamma=None, seed=0):
+    """``apply_map``'s factor F and right factor M, None for quadratic."""
+    right = None if kind == "quadratic" else np.empty((m, m))
+    return apply_map(kind, U, m, gamma=gamma, seed=seed, right=right), right
+
+
+def explicit_map(kind, U, m=None, gamma=None, seed=0):
+    """The map Phi(U) with its whitening product formed: for rbf, the n x m
+    by m x m product K_nm M that the pipeline applies on the m x m side."""
+    F, right = kernel_factor(kind, U, m, gamma, seed)
+    return F if right is None else F @ right
 
 
 def indicator(labels):

@@ -14,12 +14,11 @@ import scipy.linalg
 import mvkc.workers
 from mvkc.data import MultiViewDataset, View, load_dataset
 from mvkc.embedding import degree_normalize, implicit_degrees
-from mvkc.kernels import apply_map
 from mvkc.linalg import randomized_svd, truncated_svd
 from mvkc.metrics import ari, clustering_accuracy, contingency_table, macro_f1, nmi
 from mvkc.pipeline import PipelineConfig, run_pipeline
 from mvkc.weighting import clusterability_trace
-from oracles import consensus_affinity_oracle, indicator
+from oracles import consensus_affinity_oracle, indicator, kernel_factor
 from synth import synth_multiview
 
 
@@ -47,14 +46,16 @@ def test_criterion_1_kernel_summation_identity():
             # absolute tolerance only makes sense on well-posed inputs
             while True:
                 f = int(rng.integers(2, 7))
-                U = rng.normal(size=(n, f))
+                # rows of squared norm about f / n, as the pipeline's U has them
+                U = rng.normal(size=(n, f)) / np.sqrt(n)
                 kind = kernels[rng.integers(0, 2)]
                 m = None if kind == "quadratic" else int(rng.integers(f + 1, n + 1))
-                B = apply_map(kind, U, m=m, seed=int(rng.integers(0, 1 << 31)))
-                d = B @ (B.sum(axis=0))
+                B, right = kernel_factor(kind, U, m=m, seed=int(rng.integers(0, 1 << 31)))
+                d = B @ (B.sum(axis=0) if right is None else right @ right.T @ B.sum(axis=0))
                 if d.min() > 1e-3 * d.max():
                     break
-            factors.append(degree_normalize(B, implicit_degrees(B)))
+            degree_normalize(B, implicit_degrees(B, right))
+            factors.append(B if right is None else B @ right)
         lams = rng.dirichlet(np.ones(V))
         concat = np.hstack([np.sqrt(l) * B for l, B in zip(lams, factors)])
         oracle = consensus_affinity_oracle(factors, lams)

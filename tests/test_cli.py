@@ -367,6 +367,17 @@ def test_prepare_rejects_knn_flags_that_build_nothing(tmp_path, capsys, extra, f
     assert not out.exists()
 
 
+def test_prepare_rejects_propagation_without_any_graph(tmp_path, capsys):
+    # every run of such a dataset would fail; prepare fails first and writes nothing
+    feats = tmp_path / "x.txt"
+    np.savetxt(feats, np.random.default_rng(0).normal(size=(40, 3)))
+    out = tmp_path / "prepared"
+    code = main(["prepare", "--features", str(feats), "--p", "1", "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert "view 0 propagates at order 1, but the dataset has no graph" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prepare_graph_and_features(tmp_path):
     ds = synth_multiview(30, 2, 1, seed=1)
     gpath, fpath = tmp_path / "g.txt", tmp_path / "x.bin"

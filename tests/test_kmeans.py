@@ -5,12 +5,12 @@ import pytest
 import scipy.linalg
 
 from mvkc.embedding import degree_normalize, implicit_degrees
-from mvkc.kernels import apply_map
 from mvkc.kmeans import _pivot_rows, cluster_sums, cpqr_labels
 from mvkc.linalg import center_columns, truncated_svd
 from mvkc.pipeline import PipelineConfig, run_pipeline
 from mvkc.workers import SPECTRAL_MIN_ROWS
-from oracles import cluster_sums_oracle, cpqr_labels_oracle, indicator, lapack_pivots
+from oracles import (cluster_sums_oracle, cpqr_labels_oracle, indicator, kernel_factor,
+                     lapack_pivots)
 from synth import synth_multiview
 
 
@@ -129,9 +129,9 @@ def _spectral_vectors(n, k, kernel):
     degree normalization and the spectral embedding, with f = k."""
     X = synth_multiview(n, k, 1, noise=0.3, seed=n + k).views[0].features
     svd = truncated_svd(center_columns(X), k, seed=k)
-    B = apply_map(kernel, svd.U, m=None if kernel == "quadratic" else 10 * k, seed=k)
-    degree_normalize(B, implicit_degrees(B))
-    return truncated_svd(B, k + 1, seed=k).U
+    B, right = kernel_factor(kernel, svd.U, m=None if kernel == "quadratic" else 10 * k, seed=k)
+    degree_normalize(B, implicit_degrees(B, right))
+    return truncated_svd(B, k + 1, seed=k, right=right).U
 
 
 @pytest.mark.parametrize("kernel", ["quadratic", "rbf"])

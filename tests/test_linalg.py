@@ -328,3 +328,27 @@ def test_gram_route_with_a_block_holds_the_block_and_u():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 1.1 * (t + r) * n * 8
+
+
+@pytest.mark.parametrize("shape, r, t, s, route", [
+    ((300, 20), 4, 8, 0.7 ** np.arange(20), []),  # Gram: M.T (X.T X) M and X (M W_t)
+    ((60, 12), 4, 8, np.array([1.0, 0.5, 1e-3, 1e-2 * GRAM_COND_FLOOR, 1e-12]), ["svd"]),
+    ((20, 60), 5, 10, 0.8 ** np.arange(20), ["svd"]),  # wide: exact on X M
+], ids=["gram", "fallback", "wide"])
+def test_a_right_factor_gives_the_svd_of_the_product(shape, r, t, s, route, monkeypatch):
+    X = _with_spectrum(*shape, s, seed=20)
+    d = shape[1]
+    # a scaled rotation keeps the fallback's s_3 / s_0 below the Gram floor
+    M = np.linalg.qr(np.random.default_rng(21).normal(size=(d, d)))[0] * np.linspace(1.0, 2.0, d)
+    ref = truncated_svd(X @ M, r, t=t)
+    calls = []
+    _record_calls(monkeypatch, scipy.linalg, "svd", calls)
+    res = align_signs(truncated_svd(X, r, t=t, right=M), ref)
+    assert calls == route
+    assert np.allclose(res.s, ref.s, rtol=1e-8, atol=0)
+    assert np.allclose(res.U, ref.U, rtol=0, atol=1e-8)
+    assert np.allclose(res.V, ref.V, rtol=0, atol=1e-8)
+    B, R = res.block, ref.block
+    Q = np.linalg.qr(np.hstack([B, R]))[0]
+    QB, QR = Q.T @ B, Q.T @ R
+    assert np.linalg.norm(QB @ QB.T - QR @ QR.T) < 1e-10

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import threading
@@ -8,18 +9,19 @@ import numpy as np
 import pytest
 
 import mvkc.data
+import mvkc.linalg
 import mvkc.pipeline
 import mvkc.workers
 from mvkc.data import MultiViewDataset, View, load_dataset, save_dataset
 from mvkc.embedding import degree_normalize, implicit_degrees
-from mvkc.kernels import apply_map
+from mvkc.kernels import EIG_FLOOR, apply_map
 from mvkc.kmeans import cpqr_labels
 from mvkc.linalg import center_columns, truncated_svd
 from mvkc.metrics import ari, contingency_table
 from mvkc.pipeline import PipelineConfig, run_pipeline
 from mvkc.weighting import clusterability_trace
 from mvkc.workers import SPECTRAL_MIN_ROWS, openblas_threads
-from oracles import consensus_affinity_oracle
+from oracles import consensus_affinity_oracle, explicit_map, kernel_factor
 from synth import rings, synth_multiview
 
 
@@ -370,12 +372,12 @@ def test_views_of_different_widths_fill_their_own_blocks():
 def test_one_hot_weights_give_the_chosen_views_labels(chosen, monkeypatch):
     # the consensus of one view is that view's principal block, already
     # normalized: its labels are the view's own, up to a permutation. At
-    # gamma = 5n neither ring view finds the rings alone, so the labels
+    # gamma = 5 neither ring view finds the rings alone, so the labels
     # rest on a flat spectrum, which a second normalization would rotate
     dataset = rings(2000, 2)
     one_hot = np.eye(2)[chosen]
     monkeypatch.setattr(mvkc.pipeline, "view_weights", lambda traces, mode: one_hot)
-    config = PipelineConfig(k=2, kernel="rbf", kernel_components=200, gamma=5.0 * dataset.n)
+    config = PipelineConfig(k=2, kernel="rbf", kernel_components=200, gamma=5.0)
     res = run_pipeline(dataset, config)
     assert np.array_equal(res.weights, one_hot)
     table = contingency_table(res.consensus, res.per_view[chosen])
@@ -425,12 +427,12 @@ def record_consensus(monkeypatch, dataset, config):
     factors, consensus = [], []
     cluster_factor = mvkc.pipeline._cluster_factor
 
-    def recording_cluster_factor(B, config, seed, timer, stages, t=None):
+    def recording_cluster_factor(B, config, seed, timer, stages, t=None, right=None):
         if stages == ("consensus", "consensus"):
             consensus.append(B.copy())
             return cluster_factor(B, config, seed, timer, stages, t)
-        out = cluster_factor(B, config, seed, timer, stages, t)
-        factors.append(B.copy())  # normalized in place by now
+        out = cluster_factor(B, config, seed, timer, stages, t, right)
+        factors.append(B.copy() if right is None else B @ right)  # normalized in place by now
         return out
 
     monkeypatch.setattr(mvkc.pipeline, "_cluster_factor", recording_cluster_factor)
@@ -476,10 +478,10 @@ def rank_f_plus_one_labels(dataset, config):
     out = []
     for view, seed in zip(dataset.views, seeds):
         svd = truncated_svd(center_columns(view.features), config.f, seed=seed)
-        B = apply_map(config.kernel, svd.U, m=config.kernel_components,
-                      gamma=config.gamma, seed=seed)
-        degree_normalize(B, implicit_degrees(B))
-        U = truncated_svd(B, config.f + 1, seed=seed).U
+        B, right = kernel_factor(config.kernel, svd.U, m=config.kernel_components,
+                                 gamma=config.gamma, seed=seed)
+        degree_normalize(B, implicit_degrees(B, right))
+        U = truncated_svd(B, config.f + 1, seed=seed, right=right).U
         out.append(cpqr_labels(U, config.k))
     return out
 
@@ -497,3 +499,75 @@ def test_per_view_labels_are_those_of_the_rank_f_plus_one_embedding(config):
     res = run_pipeline(dataset, config)
     for labels, expected in zip(res.per_view, rank_f_plus_one_labels(dataset, config)):
         assert np.array_equal(labels, expected)
+
+
+def blob_basis(n, k, seed):
+    """The f = k left singular vectors of one centered 16-column blob view."""
+    return truncated_svd(center_columns(blob_views(n, k, (16,), seed).views[0].features), k).U
+
+
+def both_routes(U, m, gamma, k):
+    """One view's spectral stage two ways: on K_nm with its whitening M
+    applied on the m x m side, as the pipeline runs it, and on the explicit
+    product K_nm M. Returns, per route, the degrees, the SVD with its
+    principal block, the labels and the clusterability trace."""
+    t = 2 * (k + 1)
+    F, right = kernel_factor("rbf", U, m, gamma)
+    routes = [(F, right), (explicit_map("rbf", U, m, gamma), None)]
+    out = []
+    for B, M in routes:
+        d = implicit_degrees(B, M)
+        degree_normalize(B, d)
+        svd = truncated_svd(B, k + 1, t=t, right=M)
+        labels = cpqr_labels(svd.U, k)
+        out.append((d, svd, labels, clusterability_trace(B, labels, M)))
+    return out, right
+
+
+@pytest.mark.parametrize("n, k, m", [(3000, 4, 100), (6000, 10, 100), (2000, 3, 60)])
+def test_the_m_side_route_matches_the_explicit_whitening_product(n, k, m, monkeypatch):
+    # at the default gamma; the product of the m-side route is the n x t
+    # principal block K_nm (M W_t), never an n x m one
+    U = blob_basis(n, k, seed=n + k)
+    widths = []
+    product = mvkc.linalg._product
+    monkeypatch.setattr(mvkc.linalg, "_product",
+                        lambda X, W: widths.append(W.shape[1]) or product(X, W))
+    (ours, oracle), _ = both_routes(U, m, None, k)
+    assert widths == [2 * (k + 1)] * 2
+    np.testing.assert_allclose(ours[0], oracle[0], rtol=1e-12, atol=0)
+    # the Gram route's tolerances: singular values to 1e-8 relative, and the
+    # principal blocks' Gram matrices, in an orthonormal basis of both ranges
+    np.testing.assert_allclose(ours[1].s, oracle[1].s, rtol=1e-8, atol=0)
+    P, R = ours[1].block, oracle[1].block
+    Q = np.linalg.qr(np.hstack([P, R]))[0]
+    QP, QR = Q.T @ P, Q.T @ R
+    assert np.linalg.norm(QP @ QP.T - QR @ QR.T) < 1e-10
+    assert np.array_equal(ours[2], oracle[2])
+    assert ours[3] == pytest.approx(oracle[3], rel=1e-12)
+
+
+@pytest.mark.parametrize("n, k, seed", [(5000, 4, 0), (4000, 3, 2)])
+def test_the_routes_agree_where_the_eigenvalue_floor_binds(n, k, seed):
+    # gamma = 1e-4 crowds the kernel values near 1, so dozens of K_mm's
+    # eigenvalues sit on the floor; the m-side Gram matrix's error, about
+    # eps kappa(K_mm), stays at the Gram route's bound, and both routes give
+    # the same labels and traces
+    (ours, oracle), right = both_routes(blob_basis(n, k, seed), 100, 1e-4, k)
+    evals = np.linalg.eigvalsh(np.linalg.inv(right @ right))
+    assert np.count_nonzero(evals < 1.0001 * EIG_FLOOR * evals.max()) > 10
+    assert np.array_equal(ours[2], oracle[2])
+    assert ours[3] == pytest.approx(oracle[3], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2000, 8000])
+def test_a_gamma_means_the_same_at_every_n(n):
+    # the rbf map acts on sqrt(n) U: at gamma = 2 neither ring view finds the
+    # rings alone, but their consensus does; at gamma = 50 every view does
+    dataset = rings(n, 2)
+    config = PipelineConfig(k=2, kernel="rbf", kernel_components=200, gamma=2.0)
+    res = run_pipeline(dataset, config)
+    assert all(abs(ari(labels, dataset.labels)) < 0.05 for labels in res.per_view)
+    assert ari(res.consensus, dataset.labels) == 1.0
+    res = run_pipeline(dataset, dataclasses.replace(config, gamma=50.0))
+    assert all(ari(labels, dataset.labels) >= 0.996 for labels in res.per_view)

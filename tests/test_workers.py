@@ -74,7 +74,7 @@ def test_a_workers_error_is_raised_after_every_worker_stopped(monkeypatch):
 POOLS = {
     "apply_map": (mvkc.kernels, "rbf_kernel",
                   lambda: apply_map("rbf", np.random.default_rng(0).normal(size=(3 * ROW_BLOCK, 4)),
-                                    40)),
+                                    40, right=np.empty((40, 40)))),
     "build_knn_graph": (mvkc.data, "_k_smallest",
                         lambda: build_knn_graph(np.random.default_rng(0).normal(size=(3000, 4)), 3)),
 }
