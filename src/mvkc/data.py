@@ -9,8 +9,9 @@ index order:
 
 A prepared graph file is binary CSR: a one-line ASCII header
 ``n <n> nnz <nnz> symmetric <0|1> csr``, then little-endian int64 ``indptr``
-(n + 1 values), int64 ``indices`` (nnz values) and float64 ``data`` (nnz
-values) of ``graph.adj``. Text is the input format of ``mvkc prepare``, and
+(n + 1 values), int64 ``indices`` (nnz values, strictly rising within each
+row, as ``save_graph`` writes them) and float64 ``data`` (nnz values) of
+``graph.adj``. Text is the input format of ``mvkc prepare``, and
 text graph files in dataset directories written before the binary format
 still load: an ``n <n> nnz <nnz> symmetric <0|1>`` header, then exactly
 ``nnz`` ``i j w`` triples, 0-based, in any order; only blank lines may follow.
@@ -20,8 +21,11 @@ values, row-major. A binary payload whose byte length is not the one its
 header gives is a ``FormatError``.
 
 A graph is one canonical CSR matrix, ``SparseGraph.adj``, so edge order in a
-file does not matter. It is validated once, when it is built, whether it is
-read from a file, built from k-NN or passed in by a caller.
+file does not matter. It has two ways in: ``SparseGraph(n, rows, cols,
+weights)`` from coordinates in any order (text files, callers) and
+``SparseGraph.from_csr`` from canonical CSR arrays (binary files, k-NN). Each
+checks its own input's structure, then both run ``SparseGraph.validate``, so
+a graph is validated once, when it is built.
 """
 
 import io
@@ -60,7 +64,8 @@ class SizeMismatchError(DataError):
 class SparseGraph:
     """Weighted graph on n nodes as one canonical CSR matrix ``adj`` (sorted
     indices, no duplicates, explicit zeros kept). Building one from coordinate
-    arrays validates it; an invalid edge list raises a ``DataError``."""
+    arrays in any order, or from CSR arrays with ``from_csr``, validates it;
+    an invalid graph raises a ``DataError``."""
 
     def __init__(self, n, rows, cols, weights, symmetric=True):
         rows = np.asarray(rows, dtype=np.int64)
@@ -73,6 +78,30 @@ class SparseGraph:
             raise FormatError("graph: duplicate (row, col) edge entries")
         self.symmetric = bool(symmetric)
         self.validate()
+
+    @classmethod
+    def from_csr(cls, indptr, indices, data, symmetric=True):
+        """The graph on n = len(indptr) - 1 nodes whose ``adj`` is built from
+        these CSR arrays directly, with no coordinate conversion. ``indptr``
+        must rise from 0 to nnz, and each row's indices must lie in [0, n)
+        and rise strictly: an equal pair is a duplicate, a fall an unsorted
+        row."""
+        n, nnz = len(indptr) - 1, len(indices)
+        if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+            raise FormatError(f"graph: indptr must rise from 0 to nnz={nnz} and never decrease")
+        if nnz and (indices.min() < 0 or indices.max() >= n):
+            raise IndexRangeError(f"graph: edge index out of range [0, {n})")
+        lowest = _lowest_step(indptr, indices)
+        if lowest == 0:
+            raise FormatError("graph: duplicate (row, col) edge entries")
+        if lowest < 0:
+            raise FormatError("graph: column indices fall within a row; rows must be sorted")
+        graph = cls.__new__(cls)
+        graph.adj = sp.csr_matrix((data, indices, indptr), shape=(n, n), dtype=np.float64)
+        graph.adj.has_canonical_format = True  # sorted and free of duplicates, as checked
+        graph.symmetric = bool(symmetric)
+        graph.validate()
+        return graph
 
     @property
     def n(self):
@@ -93,6 +122,16 @@ class SparseGraph:
                     and np.array_equal(adj.indices, adj_t.indices)
                     and np.array_equal(adj.data, adj_t.data)):
                 raise FormatError("graph: symmetric flag set but edge list is not symmetric")
+
+
+def _lowest_step(indptr, indices):
+    """The least difference between neighbouring indices of one CSR row (1 if
+    there is none), from one ``np.diff`` over ``indices`` with the step from
+    each row's last entry to the next row's first forced to 1."""
+    steps = np.diff(indices)
+    starts = indptr[1:-1]
+    steps[starts[(starts > 0) & (starts < len(indices))] - 1] = 1
+    return steps.min(initial=1)
 
 
 @dataclass
@@ -183,45 +222,76 @@ def _read_payload(fh, path, dtype, count):
     return values
 
 
-def _read_csr(fh, path, n, nnz):
-    """Coordinate arrays of a binary CSR payload; an ``indptr`` that does not
-    rise from 0 to nnz is a FormatError."""
-    payload = _read_payload(fh, path, "<i8", n + 1 + 2 * nnz)
-    indptr, indices = payload[:n + 1], payload[n + 1:n + 1 + nnz]
-    counts = np.diff(indptr)
-    if indptr[0] != 0 or indptr[-1] != nnz or (counts < 0).any():
-        raise FormatError(f"{path}: indptr must rise from 0 to nnz={nnz} and never decrease")
-    return np.repeat(np.arange(n), counts), indices, payload[n + 1 + nnz:].view("<f8")
-
-
-def _parse_edges(lines):
-    """One ``i j w`` record per line, or None if a line is blank or does not parse."""
+def _parse_edges(source, count, **kwargs):
+    """``count`` ``i j w`` records from one ``np.loadtxt`` call over
+    ``source``, a list of lines or a file path; None if a line does not parse
+    or the count is off (loadtxt skips blank lines)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on input without data
         try:
-            edges = np.loadtxt(lines, dtype=[("i", "<i8"), ("j", "<i8"), ("w", "<f8")],
-                               comments=None, ndmin=1)
+            edges = np.loadtxt(source, dtype=[("i", "<i8"), ("j", "<i8"), ("w", "<f8")],
+                               comments=None, ndmin=1, **kwargs)
         except ValueError:
             return None
-    return edges if len(edges) == len(lines) else None  # loadtxt skips blank lines
+    return edges if len(edges) == count else None
+
+
+def _first_bad_line(lines):
+    """Index of the first line that does not parse alone, in a list that does
+    not parse. A span parses if and only if each of its lines does, so
+    bisection finds it in about log2(len(lines)) ``np.loadtxt`` calls."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse_edges(lines[lo:mid], mid - lo) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _read_edge_lines(body, path, nnz):
+    """The edges of ``body`` read line by line, as text with universal
+    newlines: exactly ``nnz`` lines, of which the first bad one is named;
+    only blank lines may follow."""
+    with io.TextIOWrapper(io.BytesIO(body), errors="replace") as text:
+        lines = list(itertools.islice(text, nnz))
+        lines += [""] * (len(lines) < nnz)  # the first missing line reads as empty
+        edges = _parse_edges(lines, len(lines))
+        if edges is None:
+            idx = _first_bad_line(lines)
+            raise FormatError(f"{path}: bad edge line {idx}: {' '.join(lines[idx].split())!r}")
+        if any(line.strip() for line in text):
+            raise FormatError(f"{path}: more edge lines than nnz={nnz}")
+    return edges
 
 
 def _read_edges(fh, path, nnz):
-    """Coordinate arrays of exactly ``nnz`` text edge lines; only blank lines may follow."""
-    lines = list(itertools.islice(fh, nnz))
-    lines += [""] * (len(lines) < nnz)  # the first missing line reads as empty
-    edges = _parse_edges(lines)
-    if edges is None:  # name the first line that does not parse alone
-        idx = next(i for i, line in enumerate(lines) if _parse_edges([line]) is None)
-        raise FormatError(f"{path}: bad edge line {idx}: {' '.join(lines[idx].split())!r}")
-    if any(line.strip() for line in fh):
-        raise FormatError(f"{path}: more edge lines than nnz={nnz}")
-    return edges["i"], edges["j"], edges["w"]
+    """The ``i j w`` records of exactly ``nnz`` text edge lines after the
+    header line that ``fh`` has read; only blank lines may follow.
+
+    The rest of the file is read once. If it is ASCII, ends its lines with
+    LF or CRLF alone and holds ``nnz`` lines before any trailing blank ones
+    (one newline count), one ``np.loadtxt`` call over the file, past its
+    header, parses them in C. If any of that fails, ``_read_edge_lines``
+    reads ``body`` as the lines it is, which names the first bad one."""
+    body = fh.read()
+    lines = body.rstrip()  # up to the end of the last line that is not blank
+    # np.loadtxt opens a path with these suffixes as an archive, and an
+    # absolute path never as a URL
+    plain = (lines.isascii() and not os.fspath(path).endswith((".bz2", ".gz", ".lzma", ".xz"))
+             and (b"\r" not in lines or lines.count(b"\r") == lines.count(b"\r\n")))
+    if nnz and plain and np.count_nonzero(np.frombuffer(lines, np.uint8) == ord("\n")) + 1 == nnz:
+        edges = _parse_edges(os.path.abspath(path), nnz, skiprows=1, encoding="ascii")
+        if edges is not None:
+            return edges
+    return _read_edge_lines(body, path, nnz)
 
 
 def load_graph(path):
-    """Read a binary CSR or a text graph file, told apart by its header, and
-    build it as a ``SparseGraph``, so both pass the same checks."""
+    """Read a binary CSR or a text graph file, told apart by its header. A
+    CSR payload becomes ``adj`` through ``SparseGraph.from_csr``; text edges
+    are coordinates, built by ``SparseGraph``. Both end in ``validate``."""
     if not os.path.isfile(path):
         raise MissingFileError(f"graph file not found: {path}")
     with open(path, "rb") as fh:
@@ -231,12 +301,17 @@ def load_graph(path):
             raise FormatError(f"{path}: malformed graph header")
         n, nnz, symmetric = map(int, header.groups()[:3])
         if header[4]:
-            rows, cols, weights = _read_csr(fh, path, n, nnz)
+            payload = _read_payload(fh, path, "<i8", n + 1 + 2 * nnz)
+            # data is copied out, so that adj, whose index arrays scipy
+            # copies into int32 ones, does not keep the payload alive
+            csr = (payload[:n + 1], payload[n + 1:n + 1 + nnz],
+                   payload[n + 1 + nnz:].view("<f8").copy())
         else:
-            with io.TextIOWrapper(fh, errors="replace") as text:
-                rows, cols, weights = _read_edges(text, path, nnz)
+            edges = _read_edges(fh, path, nnz)
     try:
-        return SparseGraph(n, rows, cols, weights, symmetric=bool(symmetric))
+        if header[4]:
+            return SparseGraph.from_csr(*csr, symmetric=bool(symmetric))
+        return SparseGraph(n, edges["i"], edges["j"], edges["w"], symmetric=bool(symmetric))
     except DataError as exc:
         exc.add_note(str(path))
         raise
@@ -478,5 +553,5 @@ def build_knn_graph(features, k_neighbors, self_loops=False):
     union = knn + knn.T
     if self_loops:
         union = union + sp.identity(n, format="csr")
-    union = union.tocoo()
-    return SparseGraph(n, union.row, union.col, np.ones(union.nnz), symmetric=True)
+    union.sort_indices()
+    return SparseGraph.from_csr(union.indptr, union.indices, np.ones(union.nnz), symmetric=True)

@@ -446,10 +446,12 @@ def _tiny_binary_graph(change=None):
     ({"indptr": [0, 1, 3] + [3] * 148}, "indptr must rise from 0 to nnz=4"),
     ({"indices": [150, 0, 2, 1]}, "out of range"),
     ({"indices": [1, 2, 2, 1]}, "duplicate"),
+    ({"indices": [1, 2, 0, 1]}, "column indices fall within a row"),
     ({"indices": [1, 0, 2, 0]}, "not symmetric"),
     ({"data": [float("nan"), 1.0, 1.0, 1.0]}, "NaN or Inf"),
 ], ids=["truncated", "trailing-bytes", "indptr-decreases", "indptr-end-not-nnz",
-        "column-out-of-range", "duplicate-entry", "one-way-edge", "nan-weight"])
+        "column-out-of-range", "duplicate-entry", "row-indices-fall", "one-way-edge",
+        "nan-weight"])
 def test_malformed_binary_graph_exits_data_and_names_the_file(dataset_dir, tmp_path, capsys,
                                                               change, message):
     path = Path(dataset_dir) / "graph_0.bin"

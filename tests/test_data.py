@@ -1,4 +1,5 @@
 import gc
+import math
 import struct
 import threading
 import tracemalloc
@@ -31,7 +32,7 @@ from mvkc.data import (
     save_labels,
 )
 from oracles import exact_knn_edges, k_smallest_oracle, knn_oracle, same_graph
-from synth import synth_multiview
+from synth import synth_multiview, write_text_graph
 
 
 def small_graph(n=4):
@@ -208,6 +209,168 @@ def test_graph_file_roundtrip_is_byte_identical(tmp_path):
                                   + struct.pack("<4d", 1 / 3, 0.1, 1 / 3, 0.1))  # data
     assert second.read_bytes() == first.read_bytes()
 
+
+# ---------------------------------------------------------------------------
+# graph file readers: text in one loadtxt call, binary CSR straight into adj
+
+
+EDGE_0_1 = ([0, 1, 2, 2], [1, 0], [1.0, 1.0])  # indptr, indices, data of the edge 0 - 1
+HEADER = b"n 3 nnz 2 symmetric 1"
+
+
+@pytest.mark.parametrize("name, body, expected", [
+    ("g.txt", HEADER + b"\r\n0 1 1.0\r\n1 0 1.0\r\n", EDGE_0_1),
+    ("g.txt", HEADER + b"\n0\t1\t1.0\n\t1 0\t1.0\t\n", EDGE_0_1),
+    ("g.txt", HEADER + b"\n0 1 1.0\n1 0 1.0", EDGE_0_1),
+    ("g.txt", HEADER + b"\n+0 1 1.0\n1 +0 1.0\n", EDGE_0_1),
+    ("g.txt", b"n 3 nnz 0 symmetric 1\n\n \t\n\n", ([0, 0, 0, 0], [], [])),
+    ("g.txt", HEADER + b"\n0 1 1.0\r1 0 1.0\n", EDGE_0_1),
+    ("g.txt", b"n 3 nnz 2\rsymmetric 1\n0 1 1.0\n1 0 1.0\n", EDGE_0_1),
+    ("g.txt.gz", HEADER + b"\n0 1 1.0\n1 0 1.0\n", EDGE_0_1),
+    ("g.txt", HEADER + b"\n0 1 1.0\n \t \n1 0 1.0\n", "bad edge line 1: ''"),
+    ("g.txt", HEADER + b"\n\n0 1 1.0\r1 0 1.0\n", "bad edge line 0: ''"),
+    ("g.txt", HEADER + b"\n0 1 1.0\n1 0 1.0\n1 2 1.0\n", "more edge lines than nnz=2"),
+    ("g.txt", HEADER + b"\n0 1 1.0\n1 0 1.\xff\n", "bad edge line 1: '1 0 1.\ufffd'"),
+    ("g.txt", HEADER + b"\n0 1 0x1p0\n1 0 0x1p0\n", "bad edge line 0: '0 1 0x1p0'"),
+    ("g.txt", HEADER + b"\n0 1 1.0\n1 0 1\x000\n", "bad edge line 1: '1 0 1\\x000'"),
+    ("g.txt", HEADER + b"\r0 1 1.0\r1 0 1.0\r", "malformed graph header"),
+], ids=["crlf", "tabs", "no-final-newline", "plus-zero-index", "nnz-0-trailing-blank-lines",
+        "cr-inside-the-edges", "cr-inside-the-header", "archive-suffix", "whitespace-only-line",
+        "blank-line-and-lone-cr", "one-line-more-than-nnz", "not-utf-8", "hex-weight",
+        "nul-byte", "cr-only-line-ends"])
+def test_text_graph_reads_as_the_line_reader_does(tmp_path, name, body, expected):
+    # each case pinned as the reader that parsed the edges line by line read it:
+    # the arrays of adj, or the FormatError after the path
+    path = tmp_path / name
+    path.write_bytes(body)
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as info:
+            load_graph(path)
+        assert str(info.value) == f"{path}: {expected}"
+    else:
+        adj = load_graph(path).adj
+        assert [adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()] == list(expected)
+
+
+def _loadtxt_calls(monkeypatch):
+    """The ``np.loadtxt`` calls made from here on, one entry each."""
+    calls, real = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1)
+                        or real(*args, **kwargs))
+    return calls
+
+
+def _path_graph_lines(nnz):
+    return [f"{i} {i + 1} 1.0\n" for i in range(nnz)]
+
+
+@pytest.mark.parametrize("newline, end", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", ""),
+                                          ("\n", "\n\n \t\n")],
+                         ids=["lf", "crlf", "no-final-newline", "trailing-blank-lines"])
+def test_a_clean_text_graph_is_parsed_in_one_loadtxt_call(tmp_path, monkeypatch, newline, end):
+    nnz = 1000
+    path = tmp_path / "g.txt"
+    path.write_bytes(f"n {nnz + 1} nnz {nnz} symmetric 0{newline}".encode()
+                     + newline.join(line[:-1] for line in _path_graph_lines(nnz)).encode()
+                     + end.encode())
+    calls = _loadtxt_calls(monkeypatch)
+    graph = load_graph(path)
+    assert len(calls) == 1
+    assert same_graph(graph, SparseGraph(nnz + 1, np.arange(nnz), np.arange(1, nnz + 1),
+                                         np.ones(nnz), symmetric=False))
+
+
+@pytest.mark.parametrize("bad", [0, 2500, 4999], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("line", ["", "0 1 abc"], ids=["blank", "unparsable"])
+def test_the_bad_edge_line_is_found_in_logarithmic_loadtxt_calls(tmp_path, monkeypatch, bad,
+                                                                  line):
+    nnz = 5000
+    lines = _path_graph_lines(nnz)
+    lines[bad] = line + "\n"
+    path = tmp_path / "g.txt"
+    path.write_text(f"n {nnz + 1} nnz {nnz} symmetric 0\n" + "".join(lines))
+    calls = _loadtxt_calls(monkeypatch)
+    with pytest.raises(FormatError) as info:
+        load_graph(path)
+    assert str(info.value) == f"{path}: bad edge line {bad}: '{line}'"
+    assert len(calls) <= 2 * math.ceil(math.log2(nnz)) + 2
+
+
+def _binary_graph_bytes(n, indptr, indices, data, symmetric=0):
+    return (f"n {n} nnz {len(indices)} symmetric {symmetric} csr\n".encode()
+            + np.array(indptr, "<i8").tobytes() + np.array(indices, "<i8").tobytes()
+            + np.array(data, "<f8").tobytes())
+
+
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 0, 0, 0, 0], []),
+    ([0, 0, 2, 2, 3], [1, 3, 1]),
+    ([0, 2, 3, 3, 3], [0, 2, 1]),
+], ids=["nnz-0", "empty-first-and-inner-rows", "empty-last-rows"])
+def test_binary_graph_with_empty_rows_loads(tmp_path, indptr, indices):
+    path = tmp_path / "g.bin"
+    path.write_bytes(_binary_graph_bytes(4, indptr, indices, np.arange(1.0, len(indices) + 1)))
+    graph = load_graph(path)
+    assert [graph.adj.indptr.tolist(), graph.adj.indices.tolist()] == [indptr, indices]
+    rows = np.repeat(np.arange(4), np.diff(indptr))
+    assert same_graph(graph, SparseGraph(4, rows, indices, np.arange(1.0, len(indices) + 1),
+                                         symmetric=False))
+    save_graph(graph, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("indptr, indices, error, message", [
+    ([0, 2, 3], [1, 0, 0], FormatError, "fall within a row"),
+    ([0, 2, 3], [1, 1, 0], FormatError, "duplicate"),
+    ([0, 1, 2], [-1, 0], IndexRangeError, "out of range"),
+    ([0, 1, 2], [1, 2], IndexRangeError, "out of range"),
+    ([0, 2, 1], [0, 1], FormatError, "indptr must rise"),
+    ([1, 2, 2], [0, 1], FormatError, "indptr must rise"),
+], ids=["falling-row", "duplicate", "negative-index", "index-n", "indptr-decreases",
+        "indptr-starts-above-0"])
+def test_csr_graph_checks_its_rows(indptr, indices, error, message):
+    with pytest.raises(error, match=message):
+        SparseGraph.from_csr(np.array(indptr), np.array(indices), np.ones(len(indices)),
+                             symmetric=False)
+
+
+def _random_symmetric_graph(n, degree, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, n, size=(2, n * degree // 2))
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    return SparseGraph(n, keys // n, keys % n, np.ones(len(keys)), symmetric=True)
+
+
+def _load_peak(path):
+    load_graph(path)
+    tracemalloc.start()
+    try:
+        graph = load_graph(path)
+        return graph, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_binary_graph_read_holds_no_row_array(tmp_path, monkeypatch):
+    # before validate, the read holds its payload, a copy of its data, one
+    # int64 step per entry and arrays of n values: no nnz-long row array and
+    # no coordinate copy
+    n = 5000
+    path = tmp_path / "g.bin"
+    save_graph(_random_symmetric_graph(n, 20, seed=3), path)
+    monkeypatch.setattr(SparseGraph, "validate", lambda self: None)
+    graph, peak = _load_peak(path)
+    assert peak <= path.stat().st_size + 16 * graph.nnz + 32 * n + 64 * 2**10
+
+
+def test_text_graph_read_holds_no_line_objects(tmp_path):
+    # the edge bytes twice and once more as newline flags, the parsed records
+    # and the graph: no str object per line
+    n = 5000
+    path = tmp_path / "g.txt"
+    write_text_graph(_random_symmetric_graph(n, 20, seed=4), path)
+    graph, peak = _load_peak(path)
+    assert peak <= 3 * path.stat().st_size + 24 * graph.nnz + 64 * 2**10
 
 def test_labels_file_roundtrip(tmp_path):
     path = tmp_path / "labels.txt"

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import mvkc.propagation
-from mvkc.data import SparseGraph, load_graph
+from mvkc.data import SparseGraph, load_graph, save_features, save_graph
 from mvkc.propagation import _cache_key, propagate, propagate_cached
 from oracles import propagation_oracle, same_graph
 from synth import write_text_graph
@@ -168,6 +168,20 @@ def test_edge_order_in_file_changes_neither_graph_nor_cache_key(tmp_path):
         propagate_cached(loaded, X, 2, cache_dir=str(tmp_path / "cache"))
     assert len(list((tmp_path / "cache").iterdir())) == 1
 
+
+def test_cache_file_keyed_from_a_loaded_graph_still_hits(tmp_path):
+    # the key pinned here is the one the coordinate-rebuilding readers gave
+    # this graph from its text and its binary file
+    g = random_graph(20, 80, seed=8)
+    save_graph(g, tmp_path / "g.bin")
+    write_text_graph(g, tmp_path / "g.txt")
+    X = np.random.default_rng(8).normal(size=(20, 3))
+    cached = np.arange(60.0).reshape(20, 3)
+    save_features(cached, tmp_path / "f1393bf3b863e39c92e3eb9a30674128.bin")
+    for name in ("g.bin", "g.txt"):
+        loaded = load_graph(tmp_path / name)
+        assert _cache_key(loaded, X, 2) == "f1393bf3b863e39c92e3eb9a30674128"
+        assert np.array_equal(propagate_cached(loaded, X, 2, cache_dir=str(tmp_path)), cached)
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_cache_key_is_the_hash_of_the_array_bytes(order):
