@@ -271,7 +271,8 @@ def cmd_prepare(args):
     if args.add_knn is not None and not 1 <= args.add_knn < n:
         raise ValueError(f"--add-knn must be >= 1 and < n={n}, got {args.add_knn}")
     # a shorter --graph list leaves the remaining views without a graph
-    graphs = [None if g == "none" else load_graph(g) for g in graph_paths]
+    graphs = [None if g == "none" else load_graph(g, len(X))
+              for g, X in zip(graph_paths, features)]
     graphs += [None] * (n_files - len(graphs))
     views = [View(X, g, propagation_order=p)
              for X, g, p in zip(features, graphs, orders)]

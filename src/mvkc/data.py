@@ -288,10 +288,12 @@ def _read_edges(fh, path, nnz):
     return _read_edge_lines(body, path, nnz)
 
 
-def load_graph(path):
+def load_graph(path, n_rows=None):
     """Read a binary CSR or a text graph file, told apart by its header. A
     CSR payload becomes ``adj`` through ``SparseGraph.from_csr``; text edges
-    are coordinates, built by ``SparseGraph``. Both end in ``validate``."""
+    are coordinates, built by ``SparseGraph``. Both end in ``validate``.
+    Given ``n_rows``, the feature rows of the graph's view, a header with
+    another n raises ``SizeMismatchError`` before anything is read or built."""
     if not os.path.isfile(path):
         raise MissingFileError(f"graph file not found: {path}")
     with open(path, "rb") as fh:
@@ -300,6 +302,8 @@ def load_graph(path):
         if header is None:
             raise FormatError(f"{path}: malformed graph header")
         n, nnz, symmetric = map(int, header.groups()[:3])
+        if n_rows is not None and n != n_rows:
+            raise SizeMismatchError(f"{path}: graph has n={n} but features have {n_rows} rows")
         if header[4]:
             payload = _read_payload(fh, path, "<i8", n + 1 + 2 * nnz)
             # data is copied out, so that adj, whose index arrays scipy
@@ -452,8 +456,9 @@ def load_dataset(path, orders=None):
     for (graph, features, order), wanted in zip(entries, read):
         if graph is not None and not wanted and not os.path.isfile(graph):
             raise MissingFileError(f"graph file not found: {graph}")
-        graph = load_graph(graph) if wanted else None
-        views.append(View(load_features(features), graph, propagation_order=order))
+        X = load_features(features)
+        views.append(View(X, load_graph(graph, len(X)) if wanted else None,
+                          propagation_order=order))
     dataset = MultiViewDataset(views, None if labels is None else load_labels(labels))
     dataset.validate()
     return dataset

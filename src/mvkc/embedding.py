@@ -56,19 +56,11 @@ def implicit_degrees(B, right=None):
     return np.maximum(d, floor)
 
 
-def degree_normalize(B, d):
-    """Scale row i of the float factor B by d_i^{-1/2}, in place, and return B.
-
-    The implicit affinity becomes D^{-1/2} B B.T D^{-1/2}. The degrees are
-    checked first, so a rejected call leaves B as it was.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    if len(d) != B.shape[0]:
-        raise ValueError(f"degree vector has length {len(d)}, expected {B.shape[0]}")
-    if np.any(d <= 0.0):
-        raise ValueError("degrees must be strictly positive")
-    scale = d**-0.5
-    map_blocks(len(d), lambda start, stop: np.multiply(B[start:stop], scale[start:stop, None],
+def degree_normalize(B, right=None):
+    """Scale row i of the float factor B by d_i^{-1/2}, in place, and return B,
+    where d = ``implicit_degrees(B, right)``: the implicit affinity W becomes
+    D^{-1/2} W D^{-1/2}."""
+    scale = implicit_degrees(B, right) ** -0.5
+    map_blocks(len(B), lambda start, stop: np.multiply(B[start:stop], scale[start:stop, None],
                                                        out=B[start:stop]))
     return B
-

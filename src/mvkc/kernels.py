@@ -25,10 +25,11 @@ depend on n alone and run on every usable core through
 ``workers.map_row_blocks``, whose docstring gives the pool's rules; each
 worker builds its kernel block, one elementwise step at a time, in its own
 buffer of up to ``ROW_BLOCK`` x m values, so each added worker holds about
-8 KiB more per landmark (2.3 MiB at m = 300). When there is more than one
-block, BLAS is held at one thread from the landmark matrix's
-eigendecomposition on. A row comes out of the same operations in the same
-block on any core count, so the factor is the same on any number of cores."""
+8 KiB more per landmark (2.3 MiB at m = 300). The landmark matrix and its
+eigendecomposition come after the blocks, inside the same ``workers.pool``
+block, so they run in the pool's BLAS hold whenever the blocks did. A row
+comes out of the same operations in the same block on any core count, so
+the factor is the same on any number of cores."""
 
 import numpy as np
 import scipy.linalg
@@ -101,9 +102,8 @@ def apply_map(kind, U, m=None, gamma=None, seed=0, right=None):
     def block(start, stop, K):
         out[start:stop] = rbf_kernel(U[start:stop], landmarks, width, out=K[:stop - start])
 
-    # BLAS on one thread from the landmark eigh on, whose threads would
-    # otherwise still spin while the workers run
-    with pool(one_blas_thread=n > ROW_BLOCK):
+    with pool():  # the eigh runs inside the BLAS hold that the blocks' pass took
+        map_row_blocks(n, ROW_BLOCK, (m,), block)
         K_mm = rbf_kernel(landmarks, landmarks, width)
         K_mm = 0.5 * (K_mm + K_mm.T)
         evals, evecs = scipy.linalg.eigh(K_mm)
@@ -112,5 +112,4 @@ def apply_map(kind, U, m=None, gamma=None, seed=0, right=None):
             raise ValueError("landmark kernel matrix has no positive spectrum")
         evals = np.maximum(evals, floor)
         np.matmul(evecs / np.sqrt(evals), evecs.T, out=right)
-        map_row_blocks(n, ROW_BLOCK, (m,), block)
     return out

@@ -52,9 +52,9 @@ eps kappa(M.T M) lambda_0, on top of the route's own eps lambda_0. For a
 Nystroem factor, M.T M = K_mm^{-1}, whose eigenvalues ``kernels.EIG_FLOOR``
 = ``GRAM_COND_FLOOR``^2 floors, so that term stays at most
 eps / GRAM_COND_FLOOR^2 relative to lambda_0, the same as the error the
-route accepts at its floor. The exact and randomized routes form X M first,
-as one n-row product, and factor it: that happens only when d exceeds
-``EXACT_SVD_MAX_DIM`` or the Gram check fails.
+route accepts at its floor. When the Gram route does not apply or its check
+fails, X M is formed once, as one n-row product, and the exact or
+randomized route factors it.
 """
 
 from dataclasses import dataclass
@@ -150,14 +150,7 @@ def truncated_svd(X, r, seed=0, t=None, right=None):
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    gram = n >= d and d <= EXACT_SVD_MAX_DIM
-    if right is not None and not gram:
-        X, right = _product(X, right), None
-    if min(n, d) > EXACT_SVD_MAX_DIM:
-        svd = randomized_svd(X, t or r, seed=seed)
-        block = None if t is None else svd.U * svd.s
-        return SVDResult(svd.U[:, :r], svd.s[:r], svd.V[:, :r], block)
-    if gram:
+    if n >= d and d <= EXACT_SVD_MAX_DIM:
         r = min(r, d)
         w = r if t is None else min(t, d)
         G = _inner(X, X)
@@ -176,6 +169,10 @@ def truncated_svd(X, r, seed=0, t=None, right=None):
             return SVDResult(U, s, W[:, :r], None if t is None else P)
     if right is not None:
         X = _product(X, right)
+    if min(n, d) > EXACT_SVD_MAX_DIM:
+        svd = randomized_svd(X, t or r, seed=seed)
+        block = None if t is None else svd.U * svd.s
+        return SVDResult(svd.U[:, :r], svd.s[:r], svd.V[:, :r], block)
     U, s, Vt = scipy.linalg.svd(X, full_matrices=False)
     block = None if t is None else U[:, :t] * s[:t]
     return SVDResult(U[:, :r], s[:r], Vt[:r].T, block)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiViewDataset, graph_sources
-from .embedding import degree_normalize, implicit_degrees
+from .embedding import degree_normalize
 from .kernels import KERNEL_KINDS, apply_map
 from .kmeans import cpqr_labels
 from .linalg import center_columns, truncated_svd
@@ -73,7 +73,7 @@ class PipelineConfig:
     f: int | None = None  # components per view; defaults to k
     kernel: str = "quadratic"
     kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k, unset for quadratic
-    gamma: float | None = None  # the rbf width; defaults to 1/f, unset for quadratic
+    gamma: float | None = None  # the rbf width; defaults to 1/min(f, d), unset for quadratic
     weight_mode: str = "negated"
     seed: int = 0  # reaches only Nystroem landmarks and SVDs wider than EXACT_SVD_MAX_DIM
     cache_dir: str | None = None
@@ -163,6 +163,12 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     any view runs, an invalid dataset raises its ``DataError``, and a config
     that does not fit n or propagation with no graph raises ``ValueError``; an
     exception raised in a view keeps its class and carries a ``view <index>`` note.
+
+    A view with d < f feature columns is mapped from its min(f, d) = d
+    singular vectors, since the kernel map reads f from the basis width: its
+    quadratic map has d(d + 1)/2 columns and its rbf width defaults to 1/d.
+    ``mvkc run`` rejects an ``--f`` above any view's d; an in-memory dataset
+    is run as given.
     """
     dataset.validate()
     config.check_fits(dataset.n)
@@ -206,7 +212,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
                 del svd
 
                 t0 = time.perf_counter()
-                degree_normalize(B, implicit_degrees(B, right))
+                degree_normalize(B, right)
                 timer["embedding"] += time.perf_counter() - t0
                 labels, block = _cluster_factor(B, config, seeds[v], timer,
                                                 ("embedding", "discretize"), t, right)

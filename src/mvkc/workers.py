@@ -45,14 +45,15 @@ whose threads start at the first pass on more than one worker;
 ``mvkc.pipeline.run_pipeline`` holds one for its run, so threads start once
 per run and none outlives it (``mvkc run --time-limit`` forks before the
 run). A pass outside any such block opens a pool for its own call. From the
-pool's first pass, or from its start when asked, to its close, the OpenBLAS
-libraries that numpy and scipy.linalg loaded are held at one thread, and their previous counts are
-restored on close, also after an error: otherwise the workers and OpenBLAS's
-own threads, which spin for a while after a call, contend for the same
-cores. The counts are set with OpenBLAS's own setters, looked up once per
-process with ctypes among the symbols of numpy's core extension and of
-scipy's BLAS extension; where there is none, as with another BLAS, the count
-is left alone.
+pool's first pass of more than one task to its close, the OpenBLAS
+libraries that numpy and scipy.linalg loaded are held at one thread, and
+their previous counts are restored on close, also after an error: otherwise
+the workers and OpenBLAS's own threads, which spin for a while after a call,
+contend for the same cores, both in a pass and in the LAPACK calls between
+passes, which run on scipy's OpenBLAS. The counts are set with OpenBLAS's
+own setters, looked up once per process with ctypes among the symbols of
+numpy's core extension and of scipy's BLAS extension; where there is none,
+as with another BLAS, the count is left alone.
 """
 
 import ctypes
@@ -141,33 +142,20 @@ def map_row_blocks(n, block, cols, work):
 
 
 @contextmanager
-def pool(one_blas_thread=False):
-    """Share one pool among the passes inside the block, started at the first
-    pass that runs on more than one worker and closed, its threads joined and
-    the BLAS thread counts restored, when the block exits. Inside another
-    such block this one reuses that block's pool. The BLAS counts are held
-    from the first pass of more than one task on, or from the start given
-    ``one_blas_thread``, so that BLAS work before the pass, such as a LAPACK
-    call whose threads would still spin when the workers start, runs on one
-    thread too."""
+def pool():
+    """Share one pool among the passes inside the block: its first pass of
+    more than one task holds the BLAS thread counts at one and opens it, and
+    the block's exit closes it, its threads joined and the counts restored.
+    Inside another such block this one reuses that block's pool."""
     if getattr(_open, "stack", None) is not None:
-        _hold(one_blas_thread)
         yield
         return
     with ExitStack() as stack:
-        _open.stack, _open.held, _open.executor = stack, False, None
+        _open.stack, _open.executor = stack, None
         try:
-            _hold(one_blas_thread)
             yield
         finally:
             _open.stack = _open.executor = None
-
-
-def _hold(one_blas_thread):
-    """Hold the BLAS counts for the rest of the open pool's block."""
-    if one_blas_thread and not _open.held:
-        _open.stack.enter_context(_one_blas_thread())
-        _open.held = True
 
 
 def _map(tasks, work, buffers=list):
@@ -187,9 +175,11 @@ def _map(tasks, work, buffers=list):
         for task in tasks[w::workers]:
             work(*task, *own[w])
 
-    with pool(one_blas_thread=True):
-        if workers > 1 and _open.executor is None:
-            _open.executor = _open.stack.enter_context(ThreadPoolExecutor(_usable_cores() - 1))
+    with pool():
+        if _open.executor is None:  # the pool's first pass: hold BLAS, then start it
+            _open.stack.enter_context(_one_blas_thread())
+            _open.executor = _open.stack.enter_context(
+                ThreadPoolExecutor(max(1, _usable_cores() - 1)))
         futures = [_open.executor.submit(tasks_of, w) for w in range(1, workers)]
         try:
             tasks_of(0)  # worker 0 is the calling thread

@@ -13,7 +13,7 @@ import scipy.linalg
 
 import mvkc.workers
 from mvkc.data import MultiViewDataset, View, load_dataset
-from mvkc.embedding import degree_normalize, implicit_degrees
+from mvkc.embedding import degree_normalize
 from mvkc.linalg import randomized_svd, truncated_svd
 from mvkc.metrics import ari, clustering_accuracy, contingency_table, macro_f1, nmi
 from mvkc.pipeline import PipelineConfig, run_pipeline
@@ -54,7 +54,7 @@ def test_criterion_1_kernel_summation_identity():
                 d = B @ (B.sum(axis=0) if right is None else right @ right.T @ B.sum(axis=0))
                 if d.min() > 1e-3 * d.max():
                     break
-            degree_normalize(B, implicit_degrees(B, right))
+            degree_normalize(B, right)
             factors.append(B if right is None else B @ right)
         lams = rng.dirichlet(np.ones(V))
         concat = np.hstack([np.sqrt(l) * B for l, B in zip(lams, factors)])

@@ -474,7 +474,7 @@ def _graph_reads(monkeypatch):
     reads = []
     real = mvkc.data.load_graph
     monkeypatch.setattr(mvkc.data, "load_graph",
-                        lambda path: reads.append(Path(path).name) or real(path))
+                        lambda path, n_rows: reads.append(Path(path).name) or real(path, n_rows))
     return reads
 
 
@@ -531,6 +531,26 @@ def test_prepare_mismatched_sizes(tmp_path):
     code = main(["prepare", "--features", str(fpath), "--graph", str(gpath),
                  "--output", str(tmp_path / "prepared")])
     assert code in (EXIT_DATA, EXIT_CONFIG)
+
+
+@pytest.mark.parametrize("csr", ["", " csr"], ids=["text", "binary"])
+def test_graph_header_n_is_checked_against_the_features_before_the_graph_is_built(
+        dataset_dir, tmp_path, capsys, csr):
+    # numpy refuses arrays of 2^60 values without allocating; the header is
+    # rejected before any is asked for
+    header = f"n {2**60} nnz 0 symmetric 1{csr}\n"
+    fpath, gpath = tmp_path / "x.bin", tmp_path / "g.txt"
+    save_features(np.ones((4, 2)), fpath)
+    gpath.write_text(header)
+    path = Path(dataset_dir) / "graph_0.bin"
+    path.write_text(header)
+    for command, named in [(["prepare", "--features", str(fpath), "--graph", str(gpath),
+                             "--output", str(tmp_path / "prepared")], gpath),
+                           (["run", dataset_dir, "--k", "3", "--p", "0:1", "--seeds", "0",
+                             "--output", str(tmp_path / "o")], path)]:
+        assert main(command) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"SizeMismatchError: {named}: graph has n={2**60}" in err
 
 
 def test_eval_command(tmp_path, capsys):

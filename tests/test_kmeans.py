@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvkc.embedding import degree_normalize, implicit_degrees
+from mvkc.embedding import degree_normalize
 from mvkc.kmeans import _pivot_rows, cluster_sums, cpqr_labels
 from mvkc.linalg import center_columns, truncated_svd
 from mvkc.pipeline import PipelineConfig, run_pipeline
@@ -130,7 +130,7 @@ def _spectral_vectors(n, k, kernel):
     X = synth_multiview(n, k, 1, noise=0.3, seed=n + k).views[0].features
     svd = truncated_svd(center_columns(X), k, seed=k)
     B, right = kernel_factor(kernel, svd.U, m=None if kernel == "quadratic" else 10 * k, seed=k)
-    degree_normalize(B, implicit_degrees(B, right))
+    degree_normalize(B, right)
     return truncated_svd(B, k + 1, seed=k, right=right).U
 
 

@@ -166,8 +166,8 @@ def test_loading_reads_exactly_the_graphs_the_run_propagates_over(tmp_path, monk
     graph_names, used = {}, set()
     load_graph, propagate_cached = mvkc.data.load_graph, mvkc.pipeline.propagate_cached
 
-    def recording_load_graph(path):
-        graph = load_graph(path)
+    def recording_load_graph(path, n_rows):
+        graph = load_graph(path, n_rows)
         graph_names[id(graph)] = os.path.basename(path)
         return graph
 
@@ -240,7 +240,7 @@ def spectral_stage_peak(n):
         B = factor.copy(order="F")
         tracemalloc.start()
         try:
-            degree_normalize(B, implicit_degrees(B))
+            degree_normalize(B)
             labels, _ = mvkc.pipeline._cluster_factor(B, config, 0, defaultdict(float),
                                                       ("embedding", "discretize"), t=22)
             clusterability_trace(B, labels)
@@ -480,7 +480,7 @@ def rank_f_plus_one_labels(dataset, config):
         svd = truncated_svd(center_columns(view.features), config.f, seed=seed)
         B, right = kernel_factor(config.kernel, svd.U, m=config.kernel_components,
                                  gamma=config.gamma, seed=seed)
-        degree_normalize(B, implicit_degrees(B, right))
+        degree_normalize(B, right)
         U = truncated_svd(B, config.f + 1, seed=seed, right=right).U
         out.append(cpqr_labels(U, config.k))
     return out
@@ -517,7 +517,7 @@ def both_routes(U, m, gamma, k):
     out = []
     for B, M in routes:
         d = implicit_degrees(B, M)
-        degree_normalize(B, d)
+        degree_normalize(B, M)
         svd = truncated_svd(B, k + 1, t=t, right=M)
         labels = cpqr_labels(svd.U, k)
         out.append((d, svd, labels, clusterability_trace(B, labels, M)))

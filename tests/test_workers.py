@@ -141,9 +141,21 @@ def test_workers_run_on_one_blas_thread_and_the_count_is_restored(pool, fail, bl
         call()
     assert [get() for get in gets] == [2] * len(gets)
     # every call is inside the hold: the calling thread is worker 0, and
-    # apply_map holds from its landmark kernel on, before its eigh
+    # apply_map builds its landmark kernel after the blocks, in their hold
     assert any(not on_main for on_main, _ in counts)
     assert all(count == [1] * len(gets) for _, count in counts)
+
+
+def test_one_usable_core_runs_every_task_inline_on_one_blas_thread(blas_threads, monkeypatch):
+    # a pooled pass of several tasks on one core starts no thread, and still
+    # holds each OpenBLAS at one thread
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 1)
+    threads = threading.active_count()
+    seen = []
+    map_row_blocks(100, 10, (), lambda start, stop: seen.append(
+        (threading.get_ident(), threading.active_count(), [get() for get in blas_threads])))
+    assert seen == [(threading.get_ident(), threads, [1] * len(blas_threads))] * 10
+    assert [get() for get in blas_threads] == [2] * len(blas_threads)
 
 
 @pytest.mark.parametrize("n", [1, SPECTRAL_MIN_ROWS - 1, SPECTRAL_MIN_ROWS,
@@ -184,7 +196,7 @@ def test_spectral_passes_equal_their_whole_array_forms_on_every_core_count(n, mo
     sums = {}
     for cores in (1, 2, 3):
         monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: cores)
-        normalized = degree_normalize(B.copy(order="F"), degrees)
+        normalized = degree_normalize(B.copy(order="F"))
         pooled = {
             "product": _product(B, W),
             "degrees": implicit_degrees(B),
