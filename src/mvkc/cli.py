@@ -51,6 +51,7 @@ from .data import (
     SizeMismatchError,
     View,
     build_knn_graph,
+    file_view,
     graph_sources,
     load_dataset,
     load_features,
@@ -274,17 +275,17 @@ def cmd_prepare(args):
     graphs = [None if g == "none" else load_graph(g, len(X))
               for g, X in zip(graph_paths, features)]
     graphs += [None] * (n_files - len(graphs))
-    views = [View(X, g, propagation_order=p)
-             for X, g, p in zip(features, graphs, orders)]
+    views = [file_view(v, path, X, g, propagation_order=p)
+             for v, (path, X, g, p) in enumerate(zip(args.features, features, graphs, orders))]
+    labels = load_labels(args.labels) if args.labels else None
+    dataset = MultiViewDataset(views, labels)  # checked before the k-NN search
     if args.add_knn is not None:
         knn = build_knn_graph(features[0], args.add_knn, self_loops=args.self_loops)
         views.append(View(features[0].copy(), knn, propagation_order=orders[0]))
+        dataset = MultiViewDataset(views, labels)
     # the rule every run of the dataset applies
     graph_sources([view.graph is not None for view in views],
                   [view.propagation_order for view in views])
-    labels = load_labels(args.labels) if args.labels else None
-    dataset = MultiViewDataset(views, labels)
-    dataset.validate()
     save_dataset(dataset, args.output)
     print(f"wrote {dataset.n_views}-view dataset with n={dataset.n} to {args.output}")
     return EXIT_OK

@@ -25,7 +25,8 @@ file does not matter. It has two ways in: ``SparseGraph(n, rows, cols,
 weights)`` from coordinates in any order (text files, callers) and
 ``SparseGraph.from_csr`` from canonical CSR arrays (binary files, k-NN). Each
 checks its own input's structure, then both run ``SparseGraph.validate``, so
-a graph is validated once, when it is built.
+a graph is validated once, when it is built. So are a ``View``, which checks
+the values that ``load_features`` reads, and a ``MultiViewDataset``.
 """
 
 import io
@@ -33,7 +34,7 @@ import itertools
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,7 +137,8 @@ def _lowest_step(indptr, indices):
 
 @dataclass
 class View:
-    """One representation of the n entities: features plus an optional graph.
+    """One representation of the n entities: features plus an optional graph,
+    checked when built; an invalid view raises a ``DataError``.
 
     ``propagation_order`` is the number of smoothing steps applied to the
     features before clustering; 0 means no smoothing.
@@ -146,29 +148,37 @@ class View:
     graph: SparseGraph | None = None
     propagation_order: int = 0
 
+    def __post_init__(self):
+        if self.propagation_order < 0:
+            raise FormatError(f"negative propagation order {self.propagation_order}")
+        if self.features.ndim != 2:
+            raise FormatError("features must be 2-D")
+        if not np.isfinite(self.features).all():
+            raise FormatError("features contain NaN or Inf")
+        if self.graph is not None and self.graph.n != self.n:
+            raise SizeMismatchError(f"graph has n={self.graph.n} but features have {self.n} rows")
+
     @property
     def n(self):
         return self.features.shape[0]
 
-    def validate(self, name="view"):
-        if self.propagation_order < 0:
-            raise FormatError(f"{name}: negative propagation order {self.propagation_order}")
-        if self.features.ndim != 2:
-            raise FormatError(f"{name}: features must be 2-D")
-        if not np.isfinite(self.features).all():
-            raise FormatError(f"{name}: features contain NaN or Inf")
-        if self.graph is not None and self.graph.n != self.n:
-            raise SizeMismatchError(
-                f"{name}: graph has n={self.graph.n} but features have {self.n} rows"
-            )
-
 
 @dataclass
 class MultiViewDataset:
-    """Ordered list of views over the same n entities, optional ground truth."""
+    """Ordered list of views over the same n entities, optional ground truth,
+    checked when built; an invalid dataset raises a ``DataError``."""
 
-    views: list = field(default_factory=list)
+    views: list
     labels: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not self.views:
+            raise FormatError("dataset has no views")
+        for i, view in enumerate(self.views):
+            if view.n != self.n:
+                raise SizeMismatchError(f"view {i}: has {view.n} rows but view 0 has {self.n}")
+        if self.labels is not None and len(self.labels) != self.n:
+            raise SizeMismatchError(f"labels: length {len(self.labels)} does not match n={self.n}")
 
     @property
     def n(self):
@@ -178,20 +188,16 @@ class MultiViewDataset:
     def n_views(self):
         return len(self.views)
 
-    def validate(self):
-        if not self.views:
-            raise FormatError("dataset has no views")
-        n = self.views[0].n
-        for i, view in enumerate(self.views):
-            view.validate(name=f"view {i}")
-            if view.n != n:
-                raise SizeMismatchError(
-                    f"view {i}: has {view.n} rows but view 0 has {n}"
-                )
-        if self.labels is not None and len(self.labels) != n:
-            raise SizeMismatchError(
-                f"labels: length {len(self.labels)} does not match n={n}"
-            )
+
+def file_view(index, path, *args, **kwargs):
+    """``View(*args, **kwargs)``, whose ``DataError`` gets the notes ``view
+    <index>`` and ``path``, the file its features came from."""
+    try:
+        return View(*args, **kwargs)
+    except DataError as exc:
+        exc.add_note(f"view {index}")
+        exc.add_note(str(path))
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +344,7 @@ def load_features(path):
                 or not (header[1].isdigit() and header[3].isdigit())):
             raise FormatError(f"{path}: malformed feature header")
         n, d = int(header[1]), int(header[3])
-        values = _read_payload(fh, path, "<f8", n * d).reshape(n, d)
-    if not np.isfinite(values).all():
-        raise FormatError(f"{path}: features contain NaN or Inf")
-    return values
+        return _read_payload(fh, path, "<f8", n * d).reshape(n, d)
 
 
 def load_text(path, dtype=np.float64):
@@ -409,7 +412,7 @@ def graph_sources(has_graph, orders):
 
 
 def load_dataset(path, orders=None):
-    """Load and validate a dataset directory.
+    """Load a dataset directory; a view's ``DataError`` names its features file.
 
     ``orders``, if given, maps view indices to propagation orders (``mvkc run
     --p``) that replace the manifest's in the views returned; then only the
@@ -453,15 +456,13 @@ def load_dataset(path, orders=None):
     if orders is not None:
         read = [v in sources for v in range(len(entries))]
     views = []
-    for (graph, features, order), wanted in zip(entries, read):
+    for v, ((graph, features, order), wanted) in enumerate(zip(entries, read)):
         if graph is not None and not wanted and not os.path.isfile(graph):
             raise MissingFileError(f"graph file not found: {graph}")
         X = load_features(features)
-        views.append(View(X, load_graph(graph, len(X)) if wanted else None,
-                          propagation_order=order))
-    dataset = MultiViewDataset(views, None if labels is None else load_labels(labels))
-    dataset.validate()
-    return dataset
+        graph = load_graph(graph, len(X)) if wanted else None
+        views.append(file_view(v, features, X, graph, propagation_order=order))
+    return MultiViewDataset(views, None if labels is None else load_labels(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,8 @@ def _cluster_factor(B, config, seed, timer, stages, t=None, right=None):
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
     """Run the full multi-view clustering pass and return all label arrays.
 
-    ``timings`` maps each stage to its seconds, summed over the views. Before
-    any view runs, an invalid dataset raises its ``DataError``, and a config
+    ``timings`` maps each stage to its seconds, summed over the views. The
+    dataset was checked when it was built. Before any view runs, a config
     that does not fit n or propagation with no graph raises ``ValueError``; an
     exception raised in a view keeps its class and carries a ``view <index>`` note.
 
@@ -170,7 +170,6 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     ``mvkc run`` rejects an ``--f`` above any view's d; an in-memory dataset
     is run as given.
     """
-    dataset.validate()
     config.check_fits(dataset.n)
     sources = graph_sources([view.graph is not None for view in dataset.views],
                             [view.propagation_order for view in dataset.views])

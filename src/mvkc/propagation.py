@@ -7,7 +7,8 @@ rows of non-positive degree come out zero. Its spectral radius is at most 1,
 so high propagation orders stay bounded.
 Results can be cached on disk under a hash of the CSR arrays of ``graph.adj``,
 the features and p, so edge order in a graph file does not change the key. A
-cache file is written to a temporary name and renamed, so none is seen partial.
+cache file is written to a temporary name and renamed, so none is seen partial;
+it builds no ``View`` when read, so ``propagate_cached`` checks its values.
 """
 
 import hashlib
@@ -16,18 +17,12 @@ import tempfile
 
 import numpy as np
 
-from .data import load_features, save_features
+from .data import FormatError, load_features, save_features
 
 
 def propagate(graph, features, p):
     """Apply the normalized self-loop adjacency of ``graph`` p times to the
-    feature matrix: y = s X, then X <- A y + y, then X <- s X."""
-    if graph.n != features.shape[0]:
-        raise ValueError(
-            f"adjacency has n={graph.n} but features have {features.shape[0]} rows"
-        )
-    if p < 0:
-        raise ValueError(f"propagation order must be >= 0, got {p}")
+    feature matrix, one row per node: y = s X, then X <- A y + y, then X <- s X."""
     degrees = np.asarray(graph.adj.sum(axis=1)).reshape(-1, 1) + 1.0
     scale = np.where(degrees > 0, degrees, np.inf) ** -0.5  # s = (deg(A) + 1)^{-1/2}
     out = np.asarray(features, dtype=np.float64)
@@ -58,7 +53,10 @@ def propagate_cached(graph, features, p, cache_dir=None):
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, _cache_key(graph, features, p) + ".bin")
         if os.path.isfile(path):
-            return load_features(path)
+            out = load_features(path)
+            if not np.isfinite(out).all():
+                raise FormatError(f"{path}: features contain NaN or Inf")
+            return out
     out = propagate(graph, features, p)
     if cache_dir is not None:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")

@@ -76,9 +76,7 @@ def synth_multiview(n, k, n_views, noise=0.1, seed=0, feature_dim=16):
         features = centroids[labels] + noise * rng.normal(size=(n, feature_dim))
         graph = _sbm_edges(labels, n, k, rng)
         views.append(View(features, graph, propagation_order=0))
-    dataset = MultiViewDataset(views, labels)
-    dataset.validate()
-    return dataset
+    return MultiViewDataset(views, labels)
 
 
 def rings(n, n_views, noise=0.08, seed=0):

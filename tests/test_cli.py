@@ -182,6 +182,81 @@ def test_data_failure_inside_a_seed_exits_data(tmp_path, time_limit):
     assert record["status"] == "Error" and record["exit_code"] == EXIT_DATA
 
 
+def test_non_finite_cache_file_exits_data_and_names_it(tmp_path, capsys):
+    # a cache read builds no View, so propagate_cached checks its values
+    ds = synth_multiview(60, 3, 1, seed=0)
+    ds.views[0].propagation_order = 1
+    save_dataset(ds, tmp_path / "ds")
+    cache = tmp_path / "cache"
+    argv = ["run", str(tmp_path / "ds"), "--k", "3", "--f", "2", "--seeds", "0",
+            "--cache-dir", str(cache)]
+    assert main(argv + ["--output", str(tmp_path / "warm")]) == EXIT_OK
+    (entry,) = cache.iterdir()
+    X = np.ones((60, 16))
+    X[7, 3] = np.nan
+    save_features(X, entry)
+    capsys.readouterr()
+    assert main(argv + ["--output", str(tmp_path / "out")]) == EXIT_DATA
+    assert f"FormatError: {entry}: features contain NaN or Inf" in capsys.readouterr().err
+
+
+def _nan_features(path, n=200, d=3):
+    X = np.random.default_rng(0).normal(size=(n, d))
+    X[n // 2, 1] = np.nan
+    if path.suffix == ".bin":
+        save_features(X, path)
+    else:
+        np.savetxt(path, X)
+
+
+@pytest.mark.parametrize("command, name", [("run", "features_1.bin"), ("prepare", "x.bin"),
+                                           ("prepare", "x.txt")],
+                         ids=["run", "prepare-bin", "prepare-text"])
+def test_non_finite_features_exit_data_and_name_the_file(dataset_dir, tmp_path, capsys,
+                                                         command, name):
+    if command == "run":
+        path = Path(dataset_dir) / name
+        _nan_features(path, n=150)
+        argv = ["run", dataset_dir, "--k", "3", "--seeds", "0", "--output", str(tmp_path / "o")]
+    else:
+        path = tmp_path / name
+        _nan_features(path)
+        np.savetxt(tmp_path / "good.txt", np.ones((200, 3)))
+        argv = ["prepare", "--features", str(tmp_path / "good.txt"), str(path),
+                "--output", str(tmp_path / "o")]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"FormatError: features contain NaN or Inf (view 1) ({path})" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_prepare_checks_the_features_before_the_knn_search(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = mvkc.cli.build_knn_graph
+    monkeypatch.setattr(mvkc.cli, "build_knn_graph",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    path = tmp_path / "x.txt"
+    _nan_features(path)
+    assert main(["prepare", "--features", str(path), "--add-knn", "5",
+                 "--output", str(tmp_path / "prepared")]) == EXIT_DATA
+    assert calls == []
+    assert str(path) in capsys.readouterr().err
+
+
+def test_one_finiteness_pass_per_view_whatever_the_seed_count(tmp_path, monkeypatch):
+    base = synth_multiview(150, 3, 3, noise=0.05, seed=0)
+    ds = MultiViewDataset([View(view.features) for view in base.views], base.labels)
+    save_dataset(ds, tmp_path / "ds")
+    shape = base.views[0].features.shape
+    passes = []
+    real = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x, *args, **kwargs: passes.append(
+        np.shape(x) == shape) or real(x, *args, **kwargs))
+    assert main(["run", str(tmp_path / "ds"), "--k", "3", "--seeds", "0,1,2",
+                 "--output", str(tmp_path / "o")]) == EXIT_OK
+    assert sum(passes) == 3
+
+
 def test_run_timeout(tmp_path):
     ds = synth_multiview(5000, 5, 2, noise=0.1, seed=0)
     path = tmp_path / "big"

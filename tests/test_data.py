@@ -51,14 +51,37 @@ def test_feature_roundtrip(tmp_path):
 @pytest.mark.parametrize("header, payload, message", [
     (b"n 2 d 3", struct.pack("<5d", *range(5)), "expected 48 payload bytes, found 40"),
     (b"n 2 d 3", struct.pack("<6d", *range(6)) + b"\0", "expected 48 payload bytes, found 49"),
-    (b"n 2 d 3", struct.pack("<6d", 0, 1, float("nan"), 3, 4, 5), "NaN or Inf"),
     (b"n -2 d -3", struct.pack("<6d", *range(6)), "malformed feature header"),
-], ids=["short-payload", "trailing-bytes", "nan", "negative-dims"])
+], ids=["short-payload", "trailing-bytes", "negative-dims"])
 def test_malformed_feature_file(tmp_path, header, payload, message):
     path = tmp_path / "f.bin"
     path.write_bytes(header + b" dtype f64\n" + payload)
     with pytest.raises(FormatError, match=message):
         load_features(path)
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"propagation_order": -1}, FormatError, "negative propagation order -1"),
+    ({"features": np.ones(5)}, FormatError, "features must be 2-D"),
+    ({"graph": small_graph(4)}, SizeMismatchError, "graph has n=4 but features have 5 rows"),
+], ids=["negative-order", "1-d", "graph-n"])
+def test_a_view_is_checked_when_built(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        View(**{"features": np.ones((5, 2)), **kwargs})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_features_fail_the_view_and_its_load_names_the_file(tmp_path, value):
+    X = np.ones((5, 2))
+    X[3, 1] = value
+    with pytest.raises(FormatError, match="features contain NaN or Inf"):
+        View(X)
+    ds = synth_multiview(50, 3, 2, noise=0.3, seed=7)
+    save_dataset(ds, tmp_path / "ds")
+    save_features(X.repeat(10, axis=0), tmp_path / "ds" / "features_1.bin")
+    with pytest.raises(FormatError, match="NaN or Inf") as excinfo:
+        load_dataset(tmp_path / "ds")
+    assert excinfo.value.__notes__ == ["view 1", str(tmp_path / "ds" / "features_1.bin")]
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path):
@@ -423,9 +446,8 @@ def test_labels_file_has_the_bytes_of_one_str_join(tmp_path, labels):
 
 
 def test_labels_length_mismatch(tmp_path):
-    ds = MultiViewDataset([View(np.ones((5, 2)))], labels=np.zeros(4, dtype=np.int64))
-    with pytest.raises(SizeMismatchError):
-        ds.validate()
+    with pytest.raises(SizeMismatchError, match="labels: length 4 does not match n=5"):
+        MultiViewDataset([View(np.ones((5, 2)))], labels=np.zeros(4, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,10 @@ def test_size_check_comes_before_any_view(monkeypatch):
     ([(300, 4), (200, 4)], mvkc.data.SizeMismatchError, "view 1: has 200 rows"),
 ], ids=["no-views", "row-counts-differ"])
 def test_an_invalid_dataset_raises_its_data_error_before_any_view(views, error, match):
+    # a dataset is checked when it is built, so no invalid one reaches run_pipeline
     rng = np.random.default_rng(0)
-    ds = MultiViewDataset([View(rng.normal(size=shape)) for shape in views])
     with pytest.raises(error, match=match):
-        run_pipeline(ds, PipelineConfig(k=2))
+        MultiViewDataset([View(rng.normal(size=shape)) for shape in views])
 
 
 @pytest.mark.parametrize("kernel", ["quadratic", "rbf"])

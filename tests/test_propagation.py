@@ -134,12 +134,6 @@ def test_propagation_holds_a_few_feature_arrays():
     assert peak < 6 * n * d * 8
 
 
-def test_dimension_mismatch():
-    g = random_graph(10, 30)
-    with pytest.raises(ValueError):
-        propagate(g, np.ones((11, 2)), 1)
-
-
 def test_cache_roundtrip(tmp_path):
     g = random_graph(20, 80, seed=5)
     X = np.random.default_rng(5).normal(size=(20, 3))
