@@ -27,10 +27,19 @@ than ``quadratic`` or ``rbf``, a ``--weight-mode`` other than ``negated`` or
 ``MAX_TIME_LIMIT`` seconds, or a flag ``run`` does not have, is an argparse
 error that names the flag and shows the text.
 
-``run`` writes each seed's consensus labels to ``labels_seed<N>.txt`` and a
-``run_seed<N>.json`` record of the fields ``_run_seed`` returns; its
-``config`` adds the views' effective ``propagation_orders`` to the
-``PipelineConfig`` fields, and ``config_hash`` hashes that ``config``.
+``run`` takes the views' bases (``pipeline.view_bases``, the part no seed
+reaches) once, releases the dataset, then clusters every seed from them
+(``pipeline.cluster_bases``). It writes each seed's consensus labels to
+``labels_seed<N>.txt`` and a ``run_seed<N>.json`` record of the fields
+``_cluster_seed`` returns; its ``config`` adds the views' effective
+``propagation_orders`` to the ``PipelineConfig`` fields, and ``config_hash``
+hashes that ``config``. Its ``per_stage_ms.propagation`` and ``svd`` are
+those of the one shared prefix, the same in every record, and its
+``seconds`` are the prefix's wall time plus the seed's own, what the seed
+would take alone. A prefix error is every seed's: each record reads
+``Error``, with the exception's ``view <v>`` note, and the run exits with its
+code. ``--time-limit`` bounds the prefix and each seed apart, each in a
+forked child: a prefix past the limit makes every record read ``Timeout``.
 """
 
 import argparse
@@ -62,7 +71,7 @@ from .data import (
     save_labels,
 )
 from .kernels import KERNEL_KINDS
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, cluster_bases, view_bases
 from .weighting import WEIGHT_MODES
 
 EXIT_OK = 0
@@ -145,47 +154,68 @@ def _describe(exc):
     return f"{type(exc).__name__}: {exc}{notes}"
 
 
-def _run_seed(dataset, config):
-    """One seeded run as the fields of its run JSON, plus the consensus
-    ``labels`` array on success; a mapped failure gives status ``Error``."""
-    start = time.perf_counter()
+def _guarded(fn, *args):
+    """``fn(*args)``'s fields with status ``ok``, or the ``Error`` record of
+    a mapped exception; an unmapped one is raised."""
     try:
-        result = run_pipeline(dataset, config)
+        return {"status": "ok", **fn(*args)}
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:
             raise
         return {"status": "Error", "error": _describe(exc), "exit_code": code}
+
+
+def _bounded(time_limit, name, fn, *args):
+    """``_guarded(fn, *args)``, or ``{"status": "Timeout"}`` past ``time_limit``
+    seconds. A bounded call forks, so the child inherits the arguments, and
+    sends its result back; a child that exits without one (an unmapped
+    exception, or a crash) raises ``RuntimeError`` naming ``name`` and its
+    exit code."""
+    if time_limit is None:
+        return _guarded(fn, *args)
+    ctx = multiprocessing.get_context("fork")
+    parent, child = ctx.Pipe(duplex=False)
+    # the child's end of the pipe closes when it exits, so a crash reads as EOF
+    proc = ctx.Process(target=lambda: child.send(_guarded(fn, *args)))
+    proc.start()
+    child.close()
+    try:
+        if not parent.poll(time_limit):
+            proc.terminate()
+            return {"status": "Timeout"}
+        try:
+            return parent.recv()
+        except EOFError:
+            proc.join()
+            raise RuntimeError(f"{name} exited with code {proc.exitcode} "
+                               "and sent no result") from None
+    finally:
+        proc.join()
+        parent.close()
+
+
+def _prefix(dataset, config):
+    """The bases of ``view_bases``, their stage seconds and wall seconds."""
+    start = time.perf_counter()
+    bases, timings = view_bases(dataset, config)
+    return {"bases": bases, "timings": timings, "seconds": time.perf_counter() - start}
+
+
+def _cluster_seed(prefix, config):
+    """One seeded run on the prefix's bases as the fields of its run JSON,
+    plus the consensus ``labels`` array; its stage and wall seconds add the
+    prefix's to its own."""
+    start = time.perf_counter()
+    result = cluster_bases(list(prefix["bases"]), config)
+    timings = {**prefix["timings"], **result.timings}
     return {
-        "status": "ok",
         "labels": result.consensus,
         "weights": result.weights.tolist(),
         "traces": result.traces.tolist(),
-        "per_stage_ms": {stage: 1000.0 * s for stage, s in result.timings.items()},
-        "seconds": time.perf_counter() - start,
+        "per_stage_ms": {stage: 1000.0 * s for stage, s in timings.items()},
+        "seconds": prefix["seconds"] + time.perf_counter() - start,
     }
-
-
-def _single_run(dataset, config, time_limit):
-    """One seeded run, optionally bounded by a wall-clock limit.
-
-    The bounded run forks, so the child inherits the loaded dataset.
-    """
-    if time_limit is None:
-        return _run_seed(dataset, config)
-    ctx = multiprocessing.get_context("fork")
-    parent, child = ctx.Pipe()
-    # the child's end of the pipe closes when it exits, so a crash reads as EOF
-    proc = ctx.Process(target=lambda: child.send(_run_seed(dataset, config)))
-    proc.start()
-    child.close()
-    if parent.poll(time_limit):
-        payload = parent.recv()
-        proc.join()
-        return payload
-    proc.terminate()
-    proc.join()
-    return {"status": "Timeout"}
 
 
 def cmd_run(args):
@@ -193,26 +223,34 @@ def cmd_run(args):
     dataset = load_dataset(args.dataset, orders=args.p or {})
     config = _build_config(args)
     config.check_fits(dataset.n)
-    for v, view in enumerate(dataset.views):
-        if config.f > view.features.shape[1]:
+    # no loop variable may keep a view alive past the prefix
+    for v, d in enumerate([view.features.shape[1] for view in dataset.views]):
+        if config.f > d:
             raise ValueError(f"--f {config.f} (default: k) is above the feature dimension "
-                             f"d={view.features.shape[1]} of view {v}")
+                             f"d={d} of view {v}")
     os.makedirs(args.output, exist_ok=True)
 
     orders = [view.propagation_order for view in dataset.views]
+    truth = dataset.labels
+    # no seed reaches the bases; once they are taken, the features and graphs go
+    prefix = _bounded(args.time_limit, "the seed-free prefix", _prefix, dataset, config)
+    del dataset
     rows = []
     for seed in args.seeds:
         run_config = dataclasses.replace(config, seed=seed)
         recorded = {**dataclasses.asdict(run_config), "propagation_orders": orders}
         blob = json.dumps(recorded, sort_keys=True, default=str).encode()
+        outcome = prefix  # a prefix error or timeout is every seed's
+        if prefix["status"] == "ok":
+            outcome = _bounded(args.time_limit, f"seed {seed}", _cluster_seed, prefix, run_config)
         record = {"seed": seed, "config_hash": hashlib.sha256(blob).hexdigest()[:16],
-                  "config": recorded, **_single_run(dataset, run_config, args.time_limit)}
+                  "config": recorded, **outcome}
         labels = record.pop("labels", None)
         if labels is not None:
             record["labels_path"] = os.path.join(args.output, f"labels_seed{seed}.txt")
             save_labels(labels, record["labels_path"])
-            if dataset.labels is not None:
-                record["metrics"] = metrics.evaluate(labels, dataset.labels)
+            if truth is not None:
+                record["metrics"] = metrics.evaluate(labels, truth)
         with open(os.path.join(args.output, f"run_seed{seed}.json"), "w") as fh:
             json.dump(record, fh, indent=2)
         rows.append(record)

@@ -135,10 +135,11 @@ def _lowest_step(indptr, indices):
     return steps.min(initial=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class View:
     """One representation of the n entities: features plus an optional graph,
-    checked when built; an invalid view raises a ``DataError``.
+    checked when built; an invalid view raises a ``DataError``. Frozen, so a
+    field cannot change after the check.
 
     ``propagation_order`` is the number of smoothing steps applied to the
     features before clustering; 0 means no smoothing.
@@ -163,15 +164,17 @@ class View:
         return self.features.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiViewDataset:
-    """Ordered list of views over the same n entities, optional ground truth,
-    checked when built; an invalid dataset raises a ``DataError``."""
+    """Ordered views over the same n entities, optional ground truth, checked
+    when built; an invalid dataset raises a ``DataError``. Frozen, and the
+    views are kept as a tuple, so neither can change after the check."""
 
-    views: list
+    views: tuple
     labels: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "views", tuple(self.views))
         if not self.views:
             raise FormatError("dataset has no views")
         for i, view in enumerate(self.views):

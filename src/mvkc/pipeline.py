@@ -37,14 +37,19 @@ labels and the clusterability trace) also run on every usable core, each
 block writing straight into the output or the n-long buffers its caller
 allocated; the Gram matrix holds one small partial product per block of
 8192 rows. One pool of worker threads serves the whole run and is closed
-when it returns. Each view's propagated and centered features are released
-once its SVD is taken. The discretization, ``cpqr_labels``, holds O(n)
-memory beyond the spectral vectors. So beyond the input, the resident
-peak is about one view's n x m_v factor, the blocks of the views so far, one
-spectral embedding's principal block and n x (f + 1) U and, per usable core,
-one worker's map buffer.
+when it returns. A run is split at the feature SVD: ``view_bases``, the
+part no seed reaches, gives each view's n x min(f, d) basis U, releasing its
+propagated and centered features once the SVD is taken; ``cluster_bases``,
+the seeded rest, drops each basis once its map is built. The
+discretization, ``cpqr_labels``, holds O(n) memory beyond the spectral
+vectors. So beyond the input, the resident peak is about one view's n x m_v
+factor, the blocks of the views so far, the bases of the views still to
+come, one spectral embedding's principal block and n x (f + 1) U and, per
+usable core, one worker's map buffer.
 ``mvkc run`` loads only the graphs of views that propagate, so with p = 0
-everywhere no graph is held.
+everywhere no graph is held. It takes the bases once per invocation and then
+releases the dataset, so no seed's spectral stage holds the features or the
+graphs; every seed clusters a copy of the same list of bases.
 """
 
 import math
@@ -75,7 +80,8 @@ class PipelineConfig:
     kernel_components: int | None = None  # Nystroem landmarks; defaults to 10k, unset for quadratic
     gamma: float | None = None  # the rbf width; defaults to 1/min(f, d), unset for quadratic
     weight_mode: str = "negated"
-    seed: int = 0  # reaches only Nystroem landmarks and SVDs wider than EXACT_SVD_MAX_DIM
+    seed: int = 0  # reaches only Nystroem landmarks and kernel-factor and consensus SVDs
+    # wider than EXACT_SVD_MAX_DIM, never view_bases
     cache_dir: str | None = None
 
     def __post_init__(self):
@@ -156,32 +162,25 @@ def _cluster_factor(B, config, seed, timer, stages, t=None, right=None):
     return labels, svd.block
 
 
-def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
-    """Run the full multi-view clustering pass and return all label arrays.
+def view_bases(dataset: MultiViewDataset, config: PipelineConfig):
+    """The part of a run that no seed reaches: each view's features,
+    propagated at its order, centered, and their f leading left singular
+    vectors U, n x min(f, d).
 
-    ``timings`` maps each stage to its seconds, summed over the views. The
-    dataset was checked when it was built. Before any view runs, a config
-    that does not fit n or propagation with no graph raises ``ValueError``; an
-    exception raised in a view keeps its class and carries a ``view <index>`` note.
-
-    A view with d < f feature columns is mapped from its min(f, d) = d
-    singular vectors, since the kernel map reads f from the basis width: its
-    quadratic map has d(d + 1)/2 columns and its rbf width defaults to 1/d.
-    ``mvkc run`` rejects an ``--f`` above any view's d; an in-memory dataset
-    is run as given.
+    Returns the list of U, one per view, and the seconds of the
+    ``propagation`` and ``svd`` stages, summed over the views. A feature SVD
+    wider than ``EXACT_SVD_MAX_DIM`` is seeded by its view's index, so the
+    config's seed is not read. Before any view runs, a config that does not
+    fit n or propagation with no graph raises ``ValueError``; an exception
+    raised in a view, or a view whose centered features have no variance
+    above round-off (``FloatingPointError``), carries a ``view <index>`` note.
     """
     config.check_fits(dataset.n)
     sources = graph_sources([view.graph is not None for view in dataset.views],
                             [view.propagation_order for view in dataset.views])
-    with pool():  # one pool of worker threads for the whole run
-        n_views = dataset.n_views
-        seeds = _derived_seeds(config.seed, n_views)
-        timer = defaultdict(float)  # seconds by stage, summed over views
-
-        t = 2 * (config.f + 1)  # the most spectral directions a view gives the consensus
-        blocks = []
-        per_view = []
-        traces = []
+    timer = defaultdict(float)
+    bases = []
+    with pool():
         for v, view in enumerate(dataset.views):
             try:
                 t0 = time.perf_counter()
@@ -193,22 +192,48 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
                 timer["propagation"] += time.perf_counter() - t0
 
                 t0 = time.perf_counter()
-                Xc = center_columns(X)
-                svd = truncated_svd(Xc, config.f, seed=seeds[v])
+                svd = truncated_svd(center_columns(X), config.f, seed=v)
                 timer["svd"] += time.perf_counter() - t0
                 # centering leaves round-off of at most about n eps ||X||_F; a view
                 # with nothing above it has no variance to cluster
                 if svd.s[0] <= len(X) * np.finfo(np.float64).eps * np.linalg.norm(X):
                     raise FloatingPointError("centered features have no variance above round-off")
-                del X, Xc  # only the singular vectors are read from here on
+                del X  # only the singular vectors are read from here on
+                bases.append(svd.U)
+            except Exception as exc:
+                exc.add_note(f"view {v}")
+                raise
+    return bases, dict(timer)
 
+
+def cluster_bases(bases: list, config: PipelineConfig) -> ClusteringResult:
+    """The seeded rest of a run, from the kernel map to the consensus, on
+    the bases that ``view_bases`` gave for this config, whatever its seed.
+
+    Takes each basis out of ``bases`` as its view starts and drops it once
+    its map is built, so the list is empty on return; a caller that keeps
+    the bases passes a copy of the list. ``timings`` holds the stages from
+    ``kernel_map`` to ``consensus``. An exception raised in a view carries a
+    ``view <index>`` note.
+    """
+    n, n_views = len(bases[0]), len(bases)
+    seeds = _derived_seeds(config.seed, n_views)
+    timer = defaultdict(float)  # seconds by stage, summed over views
+    t = 2 * (config.f + 1)  # the most spectral directions a view gives the consensus
+    blocks = []
+    per_view = []
+    traces = []
+    with pool():
+        for v in range(n_views):
+            try:
+                U = bases.pop(0)
                 t0 = time.perf_counter()
                 m = config.kernel_components
                 right = None if config.kernel == "quadratic" else np.empty((m, m))
-                B = apply_map(config.kernel, svd.U, m=m, gamma=config.gamma, seed=seeds[v],
+                B = apply_map(config.kernel, U, m=m, gamma=config.gamma, seed=seeds[v],
                               right=right)
                 timer["kernel_map"] += time.perf_counter() - t0
-                del svd
+                del U
 
                 t0 = time.perf_counter()
                 degree_normalize(B, right)
@@ -231,7 +256,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
         weights = view_weights(traces, config.weight_mode)
         # block v scaled by sqrt(lambda_v) adds lambda_v U_v S_v^2 U_v^T to the
         # Gram matrix; column-major, so each block is contiguous
-        concat = np.empty((dataset.n, sum(block.shape[1] for block in blocks)), order="F")
+        concat = np.empty((n, sum(block.shape[1] for block in blocks)), order="F")
         start = 0
         for lam, block in zip(weights, blocks):
             np.multiply(block, np.sqrt(lam), out=concat[:, start:start + block.shape[1]])
@@ -242,3 +267,26 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
         consensus, _ = _cluster_factor(concat, config, seeds[n_views], timer,
                                        ("consensus", "consensus"))
         return ClusteringResult(consensus, per_view, weights, traces, dict(timer))
+
+
+def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
+    """Run the full multi-view clustering pass and return all label arrays:
+    ``view_bases``, then ``cluster_bases``, on one pool of worker threads.
+
+    ``timings`` maps each stage to its seconds, summed over the views. The
+    dataset was checked when it was built. Before any view runs, a config
+    that does not fit n or propagation with no graph raises ``ValueError``;
+    an exception raised in a view keeps its class and carries a ``view
+    <index>`` note.
+
+    A view with d < f feature columns is mapped from its min(f, d) = d
+    singular vectors, since the kernel map reads f from the basis width: its
+    quadratic map has d(d + 1)/2 columns and its rbf width defaults to 1/d.
+    ``mvkc run`` rejects an ``--f`` above any view's d; an in-memory dataset
+    is run as given.
+    """
+    with pool():  # one pool of worker threads for the whole run
+        bases, timings = view_bases(dataset, config)
+        result = cluster_bases(bases, config)
+    result.timings = {**timings, **result.timings}
+    return result

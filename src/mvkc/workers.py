@@ -42,9 +42,9 @@ has stopped.
 
 Inside ``with pool():`` every pass of more than one task shares one pool,
 whose threads start at the first pass on more than one worker;
-``mvkc.pipeline.run_pipeline`` holds one for its run, so threads start once
-per run and none outlives it (``mvkc run --time-limit`` forks before the
-run). A pass outside any such block opens a pool for its own call. From the
+``mvkc.pipeline.run_pipeline`` holds one for its run, and ``view_bases`` and
+``cluster_bases`` one each for theirs, so threads start once per call and
+none outlives it (``mvkc run --time-limit`` forks before each call). A pass outside any such block opens a pool for its own call. From the
 pool's first pass of more than one task to its close, the OpenBLAS
 libraries that numpy and scipy.linalg loaded are held at one thread, and
 their previous counts are restored on close, also after an error: otherwise

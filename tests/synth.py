@@ -1,7 +1,9 @@
 """Synthetic labeled multi-view datasets for the tests: Gaussian blobs per
 view plus a planted-partition graph, fully deterministic given the seed; and
-two-ring views; and a writer of the text graph format that ``mvkc prepare``
-reads."""
+two-ring views; a copy of a dataset with one view changed; and a writer of
+the text graph format that ``mvkc prepare`` reads."""
+
+import dataclasses
 
 import numpy as np
 
@@ -92,6 +94,14 @@ def rings(n, n_views, noise=0.08, seed=0):
         ring = (labels + 1.0)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
         views.append(View(ring + noise * rng.normal(size=(n, 2))))
     return MultiViewDataset(views, labels)
+
+
+def with_view(dataset, index, **changes):
+    """``dataset`` with view ``index`` rebuilt with ``changes`` to its fields,
+    both checked again, as a frozen view and dataset are changed."""
+    views = list(dataset.views)
+    views[index] = dataclasses.replace(views[index], **changes)
+    return dataclasses.replace(dataset, views=views)
 
 
 def write_text_graph(graph, path):

@@ -205,7 +205,7 @@ def test_criterion_7_ablation_direction():
     rng = np.random.default_rng(7)
     base = synth_multiview(600, 3, 2, noise=0.1, seed=3)
     noise_view = View(rng.normal(size=(600, 16)))
-    ds = MultiViewDataset(base.views + [noise_view], labels=base.labels)
+    ds = MultiViewDataset([*base.views, noise_view], labels=base.labels)
 
     def mean_ari(mode):
         scores, weights = [], []

@@ -3,12 +3,15 @@ import json
 import os
 import re
 import shutil
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvkc.cli
+import mvkc.data
 import mvkc.kernels
 import mvkc.pipeline
 import mvkc.workers
@@ -32,7 +35,7 @@ from mvkc.data import (
 )
 from mvkc.propagation import _cache_key
 from oracles import same_graph
-from synth import synth_multiview, write_text_graph
+from synth import synth_multiview, with_view, write_text_graph
 
 
 @pytest.fixture
@@ -165,9 +168,8 @@ def test_view_without_variance_exits_numeric(tmp_path, value):
 
 
 @pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
-def test_data_failure_inside_a_seed_exits_data(tmp_path, time_limit):
-    ds = synth_multiview(60, 3, 1, seed=0)
-    ds.views[0].propagation_order = 1
+def test_data_failure_in_the_prefix_exits_data(tmp_path, time_limit):
+    ds = with_view(synth_multiview(60, 3, 1, seed=0), 0, propagation_order=1)
     path = tmp_path / "ds"
     save_dataset(ds, path)
     cache = tmp_path / "cache"
@@ -184,8 +186,7 @@ def test_data_failure_inside_a_seed_exits_data(tmp_path, time_limit):
 
 def test_non_finite_cache_file_exits_data_and_names_it(tmp_path, capsys):
     # a cache read builds no View, so propagate_cached checks its values
-    ds = synth_multiview(60, 3, 1, seed=0)
-    ds.views[0].propagation_order = 1
+    ds = with_view(synth_multiview(60, 3, 1, seed=0), 0, propagation_order=1)
     save_dataset(ds, tmp_path / "ds")
     cache = tmp_path / "cache"
     argv = ["run", str(tmp_path / "ds"), "--k", "3", "--f", "2", "--seeds", "0",
@@ -269,6 +270,106 @@ def test_run_timeout(tmp_path):
     assert record["status"] == "Timeout"
 
 
+def _counted(monkeypatch, module, name, calls, keep=lambda *args, **kwargs: True):
+    """Wrap ``module.name`` to append ``name`` to ``calls`` where ``keep`` holds."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_a_run_takes_each_views_basis_once_whatever_the_seed_count(dataset_dir, tmp_path,
+                                                                   monkeypatch):
+    calls = []
+    _counted(monkeypatch, mvkc.pipeline, "propagate_cached", calls)
+    _counted(monkeypatch, mvkc.pipeline, "center_columns", calls)
+    # the feature SVD asks for f = 2 vectors; the spectral ones for f + 1
+    _counted(monkeypatch, mvkc.pipeline, "truncated_svd", calls, lambda X, r, **kw: r == 2)
+    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--p", "0:1,1:1",
+                 "--seeds", "0,1,2", "--output", str(tmp_path / "o")]) == EXIT_OK
+    assert sorted(calls) == sorted(["propagate_cached", "center_columns", "truncated_svd"] * 2)
+
+
+def test_the_inputs_are_released_before_the_first_seed(dataset_dir, tmp_path, monkeypatch):
+    refs, alive = [], []
+    for name in ("load_features", "load_graph"):
+        def recorded(*args, _real=getattr(mvkc.data, name), **kwargs):
+            out = _real(*args, **kwargs)
+            refs.append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(mvkc.data, name, recorded)
+    apply_map = mvkc.pipeline.apply_map
+    monkeypatch.setattr(mvkc.pipeline, "apply_map", lambda *args, **kwargs: alive.append(
+        [ref() is not None for ref in refs]) or apply_map(*args, **kwargs))
+    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--p", "0:1,1:1",
+                 "--seeds", "0,1", "--output", str(tmp_path / "o")]) == EXIT_OK
+    assert len(refs) == 4  # two feature arrays, two graphs
+    assert alive[0] == [False] * 4
+
+
+def _slow(*args, **kwargs):
+    time.sleep(60)
+
+
+def test_a_prefix_past_the_time_limit_times_every_seed_out(dataset_dir, tmp_path, monkeypatch):
+    entries = tmp_path / "entries"  # the forked child's calls, one line each
+
+    def slow_propagation(*args, **kwargs):
+        with open(entries, "a") as fh:
+            fh.write("propagate_cached\n")
+        _slow()
+
+    monkeypatch.setattr(mvkc.pipeline, "propagate_cached", slow_propagation)
+    out = tmp_path / "out"
+    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--p", "0:1", "--seeds", "0,1,2",
+                 "--time-limit", "2", "--output", str(out)]) == EXIT_TIMEOUT
+    assert entries.read_text() == "propagate_cached\n"  # one prefix, not one per seed
+    for seed in (0, 1, 2):
+        assert json.loads((out / f"run_seed{seed}.json").read_text())["status"] == "Timeout"
+
+
+@pytest.mark.parametrize("error, expected", [(ValueError, EXIT_CONFIG),
+                                             (mvkc.data.FormatError, EXIT_DATA),
+                                             (FloatingPointError, EXIT_NUMERIC)])
+@pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
+def test_a_seed_error_is_recorded_for_each_seed(dataset_dir, tmp_path, monkeypatch, capsys,
+                                                error, expected, time_limit):
+    def failing_map(*args, **kwargs):
+        raise error("the map failed")
+
+    monkeypatch.setattr(mvkc.pipeline, "apply_map", failing_map)
+    out = tmp_path / "out"
+    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", "0,1",
+                 "--output", str(out)] + time_limit) == expected
+    for seed in (0, 1):
+        record = json.loads((out / f"run_seed{seed}.json").read_text())
+        assert record["status"] == "Error" and record["exit_code"] == expected
+        assert record["error"] == f"{error.__name__}: the map failed (view 0)"
+    assert "run failed" in capsys.readouterr().err
+
+
+def test_a_seed_past_the_time_limit_times_out(dataset_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(mvkc.pipeline, "apply_map", _slow)
+    out = tmp_path / "out"
+    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", "0",
+                 "--time-limit", "3", "--output", str(out)]) == EXIT_TIMEOUT
+    assert json.loads((out / "run_seed0.json").read_text())["status"] == "Timeout"
+
+
+@pytest.mark.parametrize("name, who", [("view_bases", "the seed-free prefix"),
+                                       ("cluster_bases", "seed 0")])
+def test_a_time_limited_child_that_dies_without_a_result_is_named(dataset_dir, tmp_path,
+                                                                  monkeypatch, name, who):
+    monkeypatch.setattr(mvkc.cli, name, lambda *args: os._exit(9))
+    with pytest.raises(RuntimeError, match=f"^{who} exited with code 9 and sent no result$"):
+        main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", "0",
+              "--time-limit", "30", "--output", str(tmp_path / "o")])
+
+
 def test_time_limited_rbf_run_after_an_in_process_one_exits_ok(tmp_path, monkeypatch):
     # both runs map and run their spectral passes on two worker threads (n is
     # above the size rule); the in-process run leaves no pool behind for the
@@ -318,8 +419,7 @@ def test_blank_lines_in_args_file_are_skipped(dataset_dir, tmp_path):
 
 
 def test_partial_p_keeps_manifest_order_of_other_views(tmp_path):
-    ds = synth_multiview(60, 3, 2, seed=0)
-    ds.views[1].propagation_order = 1
+    ds = with_view(synth_multiview(60, 3, 2, seed=0), 1, propagation_order=1)
     path = tmp_path / "ds"
     save_dataset(ds, path)
     out = tmp_path / "out"
@@ -338,8 +438,7 @@ def _run_config(path, out, p):
 
 
 def test_run_records_effective_orders_and_hashes_them(tmp_path):
-    ds = synth_multiview(60, 3, 2, seed=0)
-    ds.views[0].propagation_order = 1
+    ds = with_view(synth_multiview(60, 3, 2, seed=0), 0, propagation_order=1)
     save_dataset(ds, tmp_path / "ds")
     runs = [_run_config(tmp_path / "ds", tmp_path / str(i), p)
             for i, p in enumerate([[], ["--p", "0:1"], ["--p", "1:0,0:1"], ["--p", "0:0"]])]
@@ -581,8 +680,7 @@ def test_run_reads_the_graphs_of_propagating_views(dataset_dir, tmp_path, monkey
 
 
 def test_view_propagating_without_a_graph_reads_only_the_first(tmp_path, monkeypatch):
-    ds = synth_multiview(150, 3, 3, noise=0.05, seed=0)
-    ds.views[2].graph = None
+    ds = with_view(synth_multiview(150, 3, 3, noise=0.05, seed=0), 2, graph=None)
     save_dataset(ds, tmp_path / "ds")
     reads = _graph_reads(monkeypatch)
     assert main(["run", str(tmp_path / "ds"), "--k", "3", "--p", "2:1", "--seeds", "0",

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import struct
@@ -68,6 +69,16 @@ def test_malformed_feature_file(tmp_path, header, payload, message):
 def test_a_view_is_checked_when_built(kwargs, error, message):
     with pytest.raises(error, match=message):
         View(**{"features": np.ones((5, 2)), **kwargs})
+
+
+def test_a_view_and_a_dataset_cannot_change_after_the_check():
+    view = View(np.ones((5, 2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        view.graph = small_graph(4)
+    dataset = MultiViewDataset([view])
+    assert dataset.views == (view,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dataset.labels = np.zeros(4)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -18,11 +18,11 @@ from mvkc.kernels import EIG_FLOOR, apply_map
 from mvkc.kmeans import cpqr_labels
 from mvkc.linalg import center_columns, truncated_svd
 from mvkc.metrics import ari, contingency_table
-from mvkc.pipeline import PipelineConfig, run_pipeline
+from mvkc.pipeline import PipelineConfig, cluster_bases, run_pipeline, view_bases
 from mvkc.weighting import clusterability_trace
 from mvkc.workers import SPECTRAL_MIN_ROWS, openblas_threads
 from oracles import consensus_affinity_oracle, explicit_map, kernel_factor
-from synth import rings, synth_multiview
+from synth import rings, synth_multiview, with_view
 
 
 def test_config_defaults():
@@ -77,6 +77,35 @@ def test_quadratic_labels_do_not_depend_on_the_seed():
     runs = [run_pipeline(ds, PipelineConfig(k=4, seed=seed)).consensus for seed in range(4)]
     for labels in runs[1:]:
         assert np.array_equal(labels, runs[0])
+
+
+def test_the_bases_do_not_read_the_seed_on_the_randomized_route(monkeypatch):
+    # a feature SVD wider than EXACT_SVD_MAX_DIM is sketched with its view's index
+    monkeypatch.setattr(mvkc.linalg, "EXACT_SVD_MAX_DIM", 8)
+    sketches = []
+    randomized_svd = mvkc.linalg.randomized_svd
+    monkeypatch.setattr(mvkc.linalg, "randomized_svd",
+                        lambda *args, **kw: sketches.append(kw["seed"]) or randomized_svd(*args, **kw))
+    ds = synth_multiview(200, 3, 2, noise=0.3, seed=6)
+    assert ds.views[0].features.shape[1] > 8
+    (first, _), (second, _) = (view_bases(ds, PipelineConfig(k=3, seed=seed)) for seed in (0, 7))
+    assert sketches == [0, 1, 0, 1]
+    for a, b in zip(first, second, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_a_run_is_its_bases_then_their_clustering():
+    ds = synth_multiview(300, 3, 2, noise=0.3, seed=1)
+    config = PipelineConfig(k=3, kernel="rbf", seed=4)
+    whole = run_pipeline(ds, config)
+    bases, timings = view_bases(ds, config)
+    assert list(timings) == ["propagation", "svd"]
+    part = cluster_bases(bases, config)
+    assert bases == []  # each basis is taken out as its view starts
+    assert np.array_equal(part.consensus, whole.consensus)
+    assert np.array_equal(part.weights, whole.weights)
+    assert np.array_equal(part.traces, whole.traces)
+    assert list(whole.timings) == list(timings) + list(part.timings)
 
 
 def test_f_plus_one_below_k_is_rejected():
@@ -150,10 +179,9 @@ def test_two_identical_views_match_single_view():
 
 
 def test_propagation_override_and_shared_graph():
-    ds = synth_multiview(150, 3, 2, noise=0.2, seed=4)
+    ds = with_view(synth_multiview(150, 3, 2, noise=0.2, seed=4), 0, propagation_order=2)
     # second view loses its graph; propagation falls back to the shared one
-    ds.views[0].propagation_order = 2
-    ds.views[1] = View(ds.views[1].features, None, propagation_order=2)
+    ds = with_view(ds, 1, graph=None, propagation_order=2)
     res = run_pipeline(ds, PipelineConfig(k=3, f=2, seed=0))
     assert len(res.consensus) == 150
 
@@ -283,15 +311,15 @@ def test_a_run_leaves_no_thread_behind(fail, monkeypatch):
     truth = np.arange(n) % 3
     views = [View(rng.normal(size=(3, 8))[truth] + 0.3 * rng.normal(size=(n, 8)))
              for _ in range(2)]
-    if fail:  # no variance: raises once view 0 has run on the pool
+    if fail:  # no variance: raises once view 0's feature SVD has run on the pool
         views[1] = View(np.ones((n, 8)))
     during = []
 
-    def counted(*args, **kwargs):
+    def counted(*args, **kwargs):  # the pool starts at view 0's centering, before its SVD
         during.append(threading.active_count())
-        return cpqr_labels(*args, **kwargs)
+        return truncated_svd(*args, **kwargs)
 
-    monkeypatch.setattr(mvkc.pipeline, "cpqr_labels", counted)
+    monkeypatch.setattr(mvkc.pipeline, "truncated_svd", counted)
     threads = threading.active_count()
     blas = [get() for get, _ in openblas_threads()]
     if fail:
