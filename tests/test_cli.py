@@ -335,20 +335,22 @@ def test_a_prefix_past_the_time_limit_times_every_seed_out(dataset_dir, tmp_path
 @pytest.mark.parametrize("error, expected", [(ValueError, EXIT_CONFIG),
                                              (mvkc.data.FormatError, EXIT_DATA),
                                              (FloatingPointError, EXIT_NUMERIC)])
+@pytest.mark.parametrize("stage", ["center_columns", "apply_map"], ids=["prefix", "seed"])
 @pytest.mark.parametrize("time_limit", [[], ["--time-limit", "60"]])
-def test_a_seed_error_is_recorded_for_each_seed(dataset_dir, tmp_path, monkeypatch, capsys,
-                                                error, expected, time_limit):
-    def failing_map(*args, **kwargs):
-        raise error("the map failed")
+def test_a_prefix_or_seed_error_is_recorded_for_each_seed(dataset_dir, tmp_path, monkeypatch,
+                                                          capsys, error, expected, stage,
+                                                          time_limit):
+    def failing(*args, **kwargs):
+        raise error(f"{stage} failed")
 
-    monkeypatch.setattr(mvkc.pipeline, "apply_map", failing_map)
+    monkeypatch.setattr(mvkc.pipeline, stage, failing)
     out = tmp_path / "out"
     assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", "0,1",
                  "--output", str(out)] + time_limit) == expected
     for seed in (0, 1):
         record = json.loads((out / f"run_seed{seed}.json").read_text())
         assert record["status"] == "Error" and record["exit_code"] == expected
-        assert record["error"] == f"{error.__name__}: the map failed (view 0)"
+        assert record["error"] == f"{error.__name__}: {stage} failed (view 0)"
     assert "run failed" in capsys.readouterr().err
 
 

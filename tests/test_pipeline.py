@@ -504,8 +504,8 @@ def rank_f_plus_one_labels(dataset, config):
     normalized factor alone, as a rank-(f + 1) truncated SVD gives them."""
     seeds = mvkc.pipeline._derived_seeds(config.seed, dataset.n_views)
     out = []
-    for view, seed in zip(dataset.views, seeds):
-        svd = truncated_svd(center_columns(view.features), config.f, seed=seed)
+    for v, (view, seed) in enumerate(zip(dataset.views, seeds)):
+        svd = truncated_svd(center_columns(view.features), config.f, seed=v)
         B, right = kernel_factor(config.kernel, svd.U, m=config.kernel_components,
                                  gamma=config.gamma, seed=seed)
         degree_normalize(B, right)
