@@ -27,9 +27,12 @@ than ``quadratic`` or ``rbf``, a ``--weight-mode`` other than ``negated`` or
 ``MAX_TIME_LIMIT`` seconds, or a flag ``run`` does not have, is an argparse
 error that names the flag and shows the text.
 
-``run`` takes the views' bases (``pipeline.view_bases``, the part no seed
-reaches) once, releases the dataset, then clusters every seed from them
-(``pipeline.cluster_bases``). It writes each seed's consensus labels to
+``run`` hands the loaded views to ``pipeline.view_bases``, the part no seed
+reaches, and keeps no dataset, so each view's features and graph go after
+their last use; it takes the bases once, then clusters every seed from them
+(``pipeline.cluster_bases``): each seed but the last from a copy of the list,
+the last from the list itself, which drops each basis once its map is built.
+It writes each seed's consensus labels to
 ``labels_seed<N>.txt`` and a ``run_seed<N>.json`` record of the fields
 ``_cluster_seed`` returns; its ``config`` adds the views' effective
 ``propagation_orders`` to the ``PipelineConfig`` fields, and ``config_hash``
@@ -195,19 +198,20 @@ def _bounded(time_limit, name, fn, *args):
         parent.close()
 
 
-def _prefix(dataset, config):
-    """The bases of ``view_bases``, their stage seconds and wall seconds."""
+def _prefix(views, config):
+    """The bases of ``view_bases``, which empties ``views``, their stage
+    seconds and wall seconds."""
     start = time.perf_counter()
-    bases, timings = view_bases(dataset, config)
+    bases, timings = view_bases(views, config)
     return {"bases": bases, "timings": timings, "seconds": time.perf_counter() - start}
 
 
-def _cluster_seed(prefix, config):
-    """One seeded run on the prefix's bases as the fields of its run JSON,
-    plus the consensus ``labels`` array; its stage and wall seconds add the
-    prefix's to its own."""
+def _cluster_seed(bases, prefix, config):
+    """One seeded run on ``bases``, which it empties, as the fields of its
+    run JSON, plus the consensus ``labels`` array; its stage and wall seconds
+    add the prefix's to its own."""
     start = time.perf_counter()
-    result = cluster_bases(list(prefix["bases"]), config)
+    result = cluster_bases(bases, config)
     timings = {**prefix["timings"], **result.timings}
     return {
         "labels": result.consensus,
@@ -232,9 +236,12 @@ def cmd_run(args):
 
     orders = [view.propagation_order for view in dataset.views]
     truth = dataset.labels
-    # no seed reaches the bases; once they are taken, the features and graphs go
-    prefix = _bounded(args.time_limit, "the seed-free prefix", _prefix, dataset, config)
-    del dataset
+    views = list(dataset.views)
+    del dataset  # the prefix drops each view's features and graphs after their last use
+    # no seed reaches the bases; under --time-limit the parent keeps its views until they are taken
+    prefix = _bounded(args.time_limit, "the seed-free prefix", _prefix, views, config)
+    del views
+    bases = prefix.pop("bases", None)
     rows = []
     for seed in args.seeds:
         run_config = dataclasses.replace(config, seed=seed)
@@ -242,7 +249,10 @@ def cmd_run(args):
         blob = json.dumps(recorded, sort_keys=True, default=str).encode()
         outcome = prefix  # a prefix error or timeout is every seed's
         if prefix["status"] == "ok":
-            outcome = _bounded(args.time_limit, f"seed {seed}", _cluster_seed, prefix, run_config)
+            # the last seed takes the list itself and drops each basis once its map is built
+            outcome = _bounded(args.time_limit, f"seed {seed}", _cluster_seed,
+                               bases if seed == args.seeds[-1] else list(bases), prefix,
+                               run_config)
         record = {"seed": seed, "config_hash": hashlib.sha256(blob).hexdigest()[:16],
                   "config": recorded, **outcome}
         labels = record.pop("labels", None)

@@ -38,18 +38,24 @@ block writing straight into the output or the n-long buffers its caller
 allocated; the Gram matrix holds one small partial product per block of
 8192 rows. One pool of worker threads serves the whole run and is closed
 when it returns. A run is split at the feature SVD: ``view_bases``, the
-part no seed reaches, gives each view's n x min(f, d) basis U, releasing its
-propagated and centered features once the SVD is taken; ``cluster_bases``,
-the seeded rest, drops each basis once its map is built. The
-discretization, ``cpqr_labels``, holds O(n) memory beyond the spectral
-vectors. So beyond the input, the resident peak is about one view's n x m_v
-factor, the blocks of the views so far, the bases of the views still to
-come, one spectral embedding's principal block and n x (f + 1) U and, per
-usable core, one worker's map buffer.
+part no seed reaches, takes the views out of its list one at a time and
+gives each view's n x min(f, d) basis U, dropping its features once they are
+propagated and centered and a graph once the last view that propagates over
+it is done; ``cluster_bases``, the seeded rest, takes the bases out of its
+list and drops each once its map is built. The discretization,
+``cpqr_labels``, holds O(n) memory beyond the spectral vectors. So beyond
+the input, the resident peak is about one view's n x m_v factor, the blocks
+of the views so far, the bases of the views still to come, one spectral
+embedding's principal block and n x (f + 1) U and, per usable core, one
+worker's map buffer.
 ``mvkc run`` loads only the graphs of views that propagate, so with p = 0
-everywhere no graph is held. It takes the bases once per invocation and then
-releases the dataset, so no seed's spectral stage holds the features or the
-graphs; every seed clusters a copy of the same list of bases.
+everywhere no graph is held. It hands its list of views to ``view_bases``
+and keeps no dataset, so the prefix holds only the views still to come,
+the graphs they read and one view's propagated features, and no seed's
+spectral stage holds the features or the graphs. Every seed but the last
+clusters a copy of the list of bases; the last (in a one-seed call, the only
+one) takes the list itself, so it holds only the bases of the views still
+to come.
 """
 
 import math
@@ -162,12 +168,16 @@ def _cluster_factor(B, config, seed, timer, stages, t=None, right=None):
     return labels, svd.block
 
 
-def view_bases(dataset: MultiViewDataset, config: PipelineConfig):
+def view_bases(views: list, config: PipelineConfig):
     """The part of a run that no seed reaches: each view's features,
     propagated at its order, centered, and their f leading left singular
     vectors U, n x min(f, d).
 
-    Returns the list of U, one per view, and the seconds of the
+    Takes each ``View`` out of ``views`` as it starts, so the list is empty
+    on return; a caller that keeps the views passes a copy of the list. A
+    view's features go once they are propagated and centered, and a graph
+    once the last view that propagates over it (``graph_sources``) has done
+    so. Returns the list of U, one per view, and the seconds of the
     ``propagation`` and ``svd`` stages, summed over the views. A feature SVD
     wider than ``EXACT_SVD_MAX_DIM`` is seeded by its view's index, so the
     config's seed is not read. Before any view runs, a config that does not
@@ -175,30 +185,35 @@ def view_bases(dataset: MultiViewDataset, config: PipelineConfig):
     raised in a view, or a view whose centered features have no variance
     above round-off (``FloatingPointError``), carries a ``view <index>`` note.
     """
-    config.check_fits(dataset.n)
-    sources = graph_sources([view.graph is not None for view in dataset.views],
-                            [view.propagation_order for view in dataset.views])
+    config.check_fits(views[0].n)
+    sources = graph_sources([view.graph is not None for view in views],
+                            [view.propagation_order for view in views])
+    # per view, the graph it propagates over; each view takes its own entry
+    graphs = [None if source is None else views[source].graph for source in sources]
     timer = defaultdict(float)
     bases = []
     with pool():
-        for v, view in enumerate(dataset.views):
+        for v in range(len(sources)):
             try:
+                view, graph = views.pop(0), graphs.pop(0)
+                X, order = view.features, view.propagation_order
+                del view
                 t0 = time.perf_counter()
-                if sources[v] is not None:
-                    X = propagate_cached(dataset.views[sources[v]].graph, view.features,
-                                         view.propagation_order, cache_dir=config.cache_dir)
-                else:
-                    X = view.features
+                if graph is not None:
+                    X = propagate_cached(graph, X, order, cache_dir=config.cache_dir)
+                del graph
                 timer["propagation"] += time.perf_counter() - t0
 
-                t0 = time.perf_counter()
-                svd = truncated_svd(center_columns(X), config.f, seed=v)
-                timer["svd"] += time.perf_counter() - t0
                 # centering leaves round-off of at most about n eps ||X||_F; a view
                 # with nothing above it has no variance to cluster
-                if svd.s[0] <= len(X) * np.finfo(np.float64).eps * np.linalg.norm(X):
-                    raise FloatingPointError("centered features have no variance above round-off")
+                floor = len(X) * np.finfo(np.float64).eps * np.linalg.norm(X)
+                t0 = time.perf_counter()
+                X = center_columns(X)  # the view's features go here
+                svd = truncated_svd(X, config.f, seed=v)
+                timer["svd"] += time.perf_counter() - t0
                 del X  # only the singular vectors are read from here on
+                if svd.s[0] <= floor:
+                    raise FloatingPointError("centered features have no variance above round-off")
                 bases.append(svd.U)
             except Exception as exc:
                 exc.add_note(f"view {v}")
@@ -271,7 +286,8 @@ def cluster_bases(bases: list, config: PipelineConfig) -> ClusteringResult:
 
 def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> ClusteringResult:
     """Run the full multi-view clustering pass and return all label arrays:
-    ``view_bases``, then ``cluster_bases``, on one pool of worker threads.
+    ``view_bases`` on a copy of the list of views, so the dataset keeps them,
+    then ``cluster_bases``, on one pool of worker threads.
 
     ``timings`` maps each stage to its seconds, summed over the views. The
     dataset was checked when it was built. Before any view runs, a config
@@ -286,7 +302,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig) -> Clusterin
     is run as given.
     """
     with pool():  # one pool of worker threads for the whole run
-        bases, timings = view_bases(dataset, config)
+        bases, timings = view_bases(list(dataset.views), config)
         result = cluster_bases(bases, config)
     result.timings = {**timings, **result.timings}
     return result

@@ -8,7 +8,8 @@ so high propagation orders stay bounded.
 Results can be cached on disk under a hash of the CSR arrays of ``graph.adj``,
 the features and p, so edge order in a graph file does not change the key. A
 cache file is written to a temporary name and renamed, so none is seen partial;
-it builds no ``View`` when read, so ``propagate_cached`` checks its values.
+it builds no ``View`` when read, so ``propagate_cached`` checks its shape and
+values.
 """
 
 import hashlib
@@ -54,6 +55,9 @@ def propagate_cached(graph, features, p, cache_dir=None):
         path = os.path.join(cache_dir, _cache_key(graph, features, p) + ".bin")
         if os.path.isfile(path):
             out = load_features(path)
+            if out.shape != features.shape:
+                raise FormatError(f"{path}: cached array has shape {out.shape}, "
+                                  f"but the features have {features.shape}")
             if not np.isfinite(out).all():
                 raise FormatError(f"{path}: features contain NaN or Inf")
             return out

@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -94,16 +95,18 @@ def test_multi_seed_run_matches_single_seed_runs(dataset_dir, tmp_path, monkeypa
     real_load = mvkc.cli.load_dataset
     monkeypatch.setattr(mvkc.cli, "load_dataset",
                         lambda path, **kw: loads.append(path) or real_load(path, **kw))
-    multi = tmp_path / "multi"
-    assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", "0,1,2",
-                 "--output", str(multi)] + time_limit) == EXIT_OK
-    assert len(loads) == 1  # one load serves every seed
+    lists = ["0,1,2", "2,0,1"]  # the last seed, the largest or not, takes the bases themselves
+    for seeds in lists:
+        assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", seeds,
+                     "--output", str(tmp_path / seeds)] + time_limit) == EXIT_OK
+    assert len(loads) == len(lists)  # one load serves every seed of a call
     for seed in (0, 1, 2):
         single = tmp_path / f"single{seed}"
         assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--seeds", str(seed),
                      "--output", str(single)] + time_limit) == EXIT_OK
         name = f"labels_seed{seed}.txt"
-        assert (multi / name).read_text() == (single / name).read_text()
+        for seeds in lists:
+            assert (tmp_path / seeds / name).read_text() == (single / name).read_text()
 
 
 def _failing_dataset(tmp_path, kind):
@@ -199,6 +202,24 @@ def test_non_finite_cache_file_exits_data_and_names_it(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv + ["--output", str(tmp_path / "out")]) == EXIT_DATA
     assert f"FormatError: {entry}: features contain NaN or Inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(60, 3), (10, 16)], ids=["columns", "rows"])
+def test_cache_file_of_another_shape_exits_data_and_names_it(tmp_path, capsys, shape):
+    # a finite cache array must still be the n x d of the features it stands for
+    ds = with_view(synth_multiview(60, 3, 1, seed=0), 0, propagation_order=1)
+    save_dataset(ds, tmp_path / "ds")
+    cache = tmp_path / "cache"
+    argv = ["run", str(tmp_path / "ds"), "--k", "3", "--f", "2", "--seeds", "0",
+            "--cache-dir", str(cache)]
+    assert main(argv + ["--output", str(tmp_path / "warm")]) == EXIT_OK
+    (entry,) = cache.iterdir()
+    save_features(np.random.default_rng(1).normal(size=shape), entry)
+    capsys.readouterr()
+    assert main(argv + ["--output", str(tmp_path / "out")]) == EXIT_DATA
+    assert (f"FormatError: {entry}: cached array has shape {shape}, "
+            "but the features have (60, 16)") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "labels_seed0.txt").exists()
 
 
 def _nan_features(path, n=200, d=3):
@@ -302,13 +323,68 @@ def test_the_inputs_are_released_before_the_first_seed(dataset_dir, tmp_path, mo
             refs.append(weakref.ref(out))
             return out
         monkeypatch.setattr(mvkc.data, name, recorded)
-    apply_map = mvkc.pipeline.apply_map
-    monkeypatch.setattr(mvkc.pipeline, "apply_map", lambda *args, **kwargs: alive.append(
-        [ref() is not None for ref in refs]) or apply_map(*args, **kwargs))
+    for name in ("center_columns", "apply_map"):
+        monkeypatch.setattr(mvkc.pipeline, name, lambda *args, _real=getattr(mvkc.pipeline, name),
+                            **kwargs: alive.append([ref() is not None for ref in refs])
+                            or _real(*args, **kwargs))
     assert main(["run", dataset_dir, "--k", "3", "--f", "2", "--p", "0:1,1:1",
                  "--seeds", "0,1", "--output", str(tmp_path / "o")]) == EXIT_OK
-    assert len(refs) == 4  # two feature arrays, two graphs
-    assert alive[0] == [False] * 4
+    assert len(refs) == 4  # features 0, graph 0, features 1, graph 1
+    # at each view's centering, its propagated inputs and every earlier view's are gone
+    assert alive[:2] == [[False, False, True, True], [False] * 4]
+    assert alive[2] == [False] * 4  # the first apply_map
+
+
+@pytest.mark.parametrize("seeds, alive", [
+    # one seed: view v maps with the bases of the views below it released
+    ("0", [[], [False], [False, False]]),
+    # two seeds: seed 0 clusters a copy, so every basis lives through it; seed 1,
+    # the last, gets the same three bases and then releases them
+    ("0,1", [[], [True], [True, True], [True, True, True], [False, True, True, False],
+             [False, False, True, False, False]]),
+], ids=["one-seed", "two-seeds"])
+def test_a_run_drops_each_basis_once_the_last_seed_has_mapped_it(tmp_path, monkeypatch, seeds,
+                                                                 alive):
+    save_dataset(synth_multiview(150, 3, 3, noise=0.05, seed=0), tmp_path / "ds")
+    refs, seen = [], []
+
+    def recorded(kind, U, **kwargs):
+        seen.append([ref() is not None for ref in refs])
+        refs.append(weakref.ref(U))
+        return apply_map(kind, U, **kwargs)
+
+    apply_map = mvkc.pipeline.apply_map
+    monkeypatch.setattr(mvkc.pipeline, "apply_map", recorded)
+    assert main(["run", str(tmp_path / "ds"), "--k", "3", "--f", "2", "--seeds", seeds,
+                 "--output", str(tmp_path / "o")]) == EXIT_OK
+    assert seen == alive
+
+
+def test_a_one_seed_run_peaks_at_one_views_spectral_stage(tmp_path, monkeypatch):
+    # n below the spectral stage's size rule; one core, so the kernel map's row
+    # buffers do not grow with the machine. The peak is the last view's SVD: its
+    # n x m factor K_nm, every view's n x t principal block and the n x (f + 1) U,
+    # plus a slack of ten n-long float64 arrays for the label arrays, the degrees
+    # and the run's small arrays. No basis of n x f is held by then.
+    monkeypatch.setattr(mvkc.workers, "_usable_cores", lambda: 1)
+    n, k, m, n_views = 20_000, 10, 120, 3
+    rng = np.random.default_rng(0)
+    labels = np.arange(n) % k
+    save_dataset(MultiViewDataset([View(3 * rng.normal(size=(k, 16))[labels]
+                                        + rng.normal(size=(n, 16))) for _ in range(n_views)]),
+                 tmp_path / "ds")
+    f = k
+    t = 2 * (f + 1)
+    bound = 8 * n * (m + n_views * min(t, m) + f + 1) + 10 * 8 * n
+    tracemalloc.start()
+    try:
+        assert main(["run", str(tmp_path / "ds"), "--k", str(k), "--kernel", "rbf",
+                     "--kernel-components", str(m), "--seeds", "0",
+                     "--output", str(tmp_path / "o")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
 
 
 def _slow(*args, **kwargs):

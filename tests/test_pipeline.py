@@ -3,6 +3,7 @@ import itertools
 import os
 import threading
 import tracemalloc
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -88,7 +89,8 @@ def test_the_bases_do_not_read_the_seed_on_the_randomized_route(monkeypatch):
                         lambda *args, **kw: sketches.append(kw["seed"]) or randomized_svd(*args, **kw))
     ds = synth_multiview(200, 3, 2, noise=0.3, seed=6)
     assert ds.views[0].features.shape[1] > 8
-    (first, _), (second, _) = (view_bases(ds, PipelineConfig(k=3, seed=seed)) for seed in (0, 7))
+    (first, _), (second, _) = (view_bases(list(ds.views), PipelineConfig(k=3, seed=seed))
+                               for seed in (0, 7))
     assert sketches == [0, 1, 0, 1]
     for a, b in zip(first, second, strict=True):
         assert np.array_equal(a, b)
@@ -98,7 +100,9 @@ def test_a_run_is_its_bases_then_their_clustering():
     ds = synth_multiview(300, 3, 2, noise=0.3, seed=1)
     config = PipelineConfig(k=3, kernel="rbf", seed=4)
     whole = run_pipeline(ds, config)
-    bases, timings = view_bases(ds, config)
+    views = list(ds.views)
+    bases, timings = view_bases(views, config)
+    assert views == []  # each view is taken out as it starts
     assert list(timings) == ["propagation", "svd"]
     part = cluster_bases(bases, config)
     assert bases == []  # each basis is taken out as its view starts
@@ -106,6 +110,35 @@ def test_a_run_is_its_bases_then_their_clustering():
     assert np.array_equal(part.weights, whole.weights)
     assert np.array_equal(part.traces, whole.traces)
     assert list(whole.timings) == list(timings) + list(part.timings)
+
+
+def _shared_graph_dataset():
+    # view 0 does not propagate, view 1 propagates over its own graph and view 2,
+    # which has none, over view 0's
+    ds = with_view(synth_multiview(150, 3, 3, noise=0.3, seed=2), 1, propagation_order=1)
+    return with_view(ds, 2, graph=None, propagation_order=1)
+
+
+def test_the_bases_drop_each_input_after_its_last_reader(monkeypatch):
+    views = list(_shared_graph_dataset().views)
+    features = [weakref.ref(view.features) for view in views]
+    graphs = [weakref.ref(views[0].graph), weakref.ref(views[1].graph)]
+    seen = []
+    center = mvkc.pipeline.center_columns
+    monkeypatch.setattr(mvkc.pipeline, "center_columns", lambda X: seen.append(
+        ([ref() is not None for ref in features], [ref() is not None for ref in graphs]))
+        or center(X))
+    config = PipelineConfig(k=3, f=2, seed=5)
+    bases, _ = view_bases(views, config)
+    # a view's features go by its centering once propagated, and before the next
+    # view either way; view 0's graph lives until view 2 has propagated over it
+    assert seen == [([True, True, True], [True, True]),
+                    ([False, False, True], [True, False]),
+                    ([False, False, False], [False, False])]
+    result = cluster_bases(bases, config)
+    whole = run_pipeline(_shared_graph_dataset(), config)
+    assert np.array_equal(result.consensus, whole.consensus)
+    assert np.array_equal(result.weights, whole.weights)
 
 
 def test_f_plus_one_below_k_is_rejected():
